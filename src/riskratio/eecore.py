@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .design import DesignMatrix
 from .errors import NonConvergence, Overflow, SingularBread, SingularJacobian
@@ -80,16 +79,6 @@ def poisson_loglik(X, y, beta) -> float:
     return float(np.sum(y * eta - np.exp(eta)))
 
 
-def _solve_newton_step(jac, score):
-    """Solve -J d = s, preferring Cholesky on the symmetric -J."""
-    neg_jac = -jac
-    try:
-        c, low = scipy.linalg.cho_factor(neg_jac)
-        return scipy.linalg.cho_solve((c, low), score)
-    except scipy.linalg.LinAlgError:
-        return scipy.linalg.lu_solve(scipy.linalg.lu_factor(neg_jac), score)
-
-
 def _initial_beta(X, y):
     """Zeros except an intercept at log(max(ybar, 1/(2n)))."""
     n, p = X.shape
@@ -151,7 +140,9 @@ def fit_robust_poisson(
         if not np.isfinite(cond) or cond > COND_MAX:
             raise SingularJacobian(cond)
         if solver == "newton":
-            delta = _solve_newton_step(jac, score)
+            # LU, not Cholesky: -J is not symmetric under a general M.  The
+            # bounded condition number above also rules out non-finite J.
+            delta = np.linalg.solve(-jac, score)
         elif solver == "irls":
             # Weighted LS update: beta <- solve(X'WX, X'W z), W = diag(mu),
             # z = eta + (y - mu)/mu.  Algebraically the same Newton step
@@ -159,7 +150,7 @@ def fit_robust_poisson(
             mu = _mu(X, beta)
             z = X @ beta + (y - mu) / mu
             xtw = X.T * mu
-            delta = scipy.linalg.solve(xtw @ X, xtw @ z, assume_a="pos") - beta
+            delta = np.linalg.solve(xtw @ X, xtw @ z) - beta
         else:
             raise ValueError(f"unknown solver {solver!r}")
 
@@ -218,8 +209,8 @@ def sandwich_covariance(X, y, beta, M=None) -> np.ndarray:
     bread = (M.T * mu) @ X
     meat = (M.T * r**2) @ M
     try:
-        binv = scipy.linalg.inv(bread)
-    except scipy.linalg.LinAlgError:
+        binv = np.linalg.inv(bread)
+    except np.linalg.LinAlgError:
         raise SingularBread("bread matrix not invertible") from None
     cov = binv @ meat @ binv.T
     return (cov + cov.T) / 2.0
@@ -240,6 +231,6 @@ def sandwich_covariance_lz(X, y, beta) -> np.ndarray:
     d = X * mu[:, None]
     bread = (d.T / mu) @ d
     meat = (d.T * (r**2 / mu**2)) @ d
-    binv = scipy.linalg.inv(bread)
+    binv = np.linalg.inv(bread)
     cov = binv @ meat @ binv.T
     return (cov + cov.T) / 2.0

@@ -11,13 +11,13 @@ bootstrap cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-import scipy.stats
 
 from .data import Dataset
 from .design import DesignMatrix, realize
-from .eecore import FitResult
+from .eecore import ETA_MAX, FitResult
 from .errors import NonFiniteStandardization, TooManyFailures
 from .rng import stream
 
@@ -36,7 +36,7 @@ class RREstimate:
 
 
 def _z(level: float) -> float:
-    return float(scipy.stats.norm.ppf(0.5 + level / 2.0))
+    return NormalDist().inv_cdf(0.5 + level / 2.0)
 
 
 def coefficient_rr(fit: FitResult, j: int, level: float = 0.95) -> RREstimate:
@@ -62,7 +62,7 @@ def _standardized_means(fit: FitResult, data: Dataset, a: float):
     design = fit.design
     Xa = realize(design, data.with_column(design.exposure, np.full(data.n, a)))
     eta = Xa @ fit.beta
-    if np.any(eta > 700):
+    if np.any(eta > ETA_MAX):
         raise NonFiniteStandardization("exp overflow during standardization")
     mu = np.exp(eta)
     total = mu.sum()

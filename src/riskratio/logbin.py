@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .design import DesignMatrix
-from .errors import InfeasiblePoint, NoFeasibleStart
+from .errors import InfeasiblePoint, NoFeasibleStart, RiskRatioError
 from . import eecore
 
 ETA_CAP = -1e-10        # accepted iterates keep max_i x_i beta <= this
@@ -111,9 +110,19 @@ def feasible_start(X, y) -> np.ndarray:
             beta = beta * scale
         if np.max(X @ beta) < 0:
             return beta
-    except Exception:
+    except (RiskRatioError, np.linalg.LinAlgError):
         pass
     raise NoFeasibleStart("could not construct a strictly feasible start")
+
+
+def _arrays(design, y):
+    """(X, DesignMatrix or None, y) as floats; rejects non-finite input,
+    which the linear algebra below would otherwise carry along as NaN."""
+    X = design.X if isinstance(design, DesignMatrix) else np.asarray(design, float)
+    y = np.asarray(y, dtype=float)
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise ValueError("design matrix and outcome must be finite")
+    return X, design if isinstance(design, DesignMatrix) else None, y
 
 
 def _finish(X, y, beta, converged, on_boundary, iterations, reason, dm):
@@ -122,12 +131,14 @@ def _finish(X, y, beta, converged, on_boundary, iterations, reason, dm):
     except InfeasiblePoint:
         ll = -np.inf
     cov = None
-    try:
-        hess = logbin_hessian(X, y, beta)
-        cov = scipy.linalg.inv(-hess)
-        if not np.all(np.isfinite(cov)):
-            cov = None
-    except Exception:
+    hess = logbin_hessian(X, y, beta)
+    # An inverse of a non-finite matrix can come out finite, so check both.
+    if np.all(np.isfinite(hess)):
+        try:
+            cov = np.linalg.inv(-hess)
+        except np.linalg.LinAlgError:
+            pass
+    if cov is not None and not np.all(np.isfinite(cov)):
         cov = None
     if converged and cov is None:
         converged, reason = False, "non-finite covariance"
@@ -154,9 +165,7 @@ def fit_logbin_ml(design, y, max_iter: int = MAX_ITER) -> LogBinFit:
     boundary; it is reported via ``converged``/``failure_reason``, never
     raised.  The barrier fitter is the safeguarded alternative.
     """
-    X = design.X if isinstance(design, DesignMatrix) else np.asarray(design, float)
-    dm = design if isinstance(design, DesignMatrix) else None
-    y = np.asarray(y, dtype=float)
+    X, dm, y = _arrays(design, y)
     n = X.shape[0]
     tol = GRAD_TOL * n
 
@@ -170,9 +179,11 @@ def fit_logbin_ml(design, y, max_iter: int = MAX_ITER) -> LogBinFit:
         w = mu / (1.0 - mu)          # (dmu/deta)^2 / var for the log link
         z = eta + (y - mu) / mu
         xtw = X.T * w
+        xtwx = xtw @ X
         try:
-            beta = scipy.linalg.solve(xtw @ X, xtw @ z, assume_a="pos")
-        except scipy.linalg.LinAlgError:
+            np.linalg.cholesky(xtwx)    # raises unless positive definite
+            beta = np.linalg.solve(xtwx, xtw @ z)
+        except np.linalg.LinAlgError:
             return _finish(X, y, last_feasible, False, True, it,
                            "singular weighted least squares", dm)
         eta = X @ beta
@@ -199,9 +210,7 @@ def fit_logbin_barrier(design, y, max_iter: int = MAX_ITER) -> LogBinFit:
     feasible, so the method handles boundary optima that defeat plain
     Newton.
     """
-    X = design.X if isinstance(design, DesignMatrix) else np.asarray(design, float)
-    dm = design if isinstance(design, DesignMatrix) else None
-    y = np.asarray(y, dtype=float)
+    X, dm, y = _arrays(design, y)
     n = X.shape[0]
     beta = feasible_start(X, y)
     total_iter = 0
@@ -213,10 +222,13 @@ def fit_logbin_barrier(design, y, max_iter: int = MAX_ITER) -> LogBinFit:
             eta = _eta(X, beta)
             grad = logbin_gradient(X, y, beta) + t * (X.T @ (1.0 / eta))
             hess = logbin_hessian(X, y, beta) - t * ((X.T * (1.0 / eta**2)) @ X)
+            # Only a step that raises the finite barrier objective is taken,
+            # so even a direction from a non-finite system is safe to try.
             try:
-                delta = scipy.linalg.solve(-hess, grad, assume_a="pos")
-            except scipy.linalg.LinAlgError:
-                delta = scipy.linalg.lstsq(-hess, grad)[0]
+                np.linalg.cholesky(-hess)   # raises unless positive definite
+                delta = np.linalg.solve(-hess, grad)
+            except np.linalg.LinAlgError:
+                delta = np.linalg.lstsq(-hess, grad, rcond=None)[0]
             alpha = _truncate_step(eta, X @ delta, cap=0.0, frac=0.99)
             if alpha <= 1e-16:
                 break

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import riskratio
 from riskratio.cli import main
 from riskratio.rng import stream
 from riskratio.simlab import generate, get_scenario
@@ -25,6 +30,17 @@ def write_scenario_csv(tmp_path, scenario, n, stream_key):
     path = tmp_path / f"{scenario}.csv"
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def test_cli_import_does_not_load_scipy():
+    # SciPy alone would add about a second to every CLI call's start-up.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(riskratio.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, riskratio.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 class TestFit:

@@ -86,6 +86,25 @@ class TestFit:
             irls = fit_robust_poisson(X, y, solver="irls")
             np.testing.assert_allclose(newton.beta, irls.beta, atol=1e-8)
 
+    def test_instrument_column_transform_gives_default_fit(self):
+        # M = X T spans the same estimating equations, so the root and the
+        # sandwich are unchanged; -J = T'X'WX is not symmetric.
+        rng = stream(31, 5)
+        n = 1000
+        l = rng.standard_normal(n)
+        a = (rng.random(n) < 0.5).astype(float)
+        y = (rng.random(n) < np.exp(-1.4 + 0.3 * a + 0.2 * l)).astype(float)
+        X = np.column_stack([np.ones(n), a, l, a * l])
+        fit = fit_robust_poisson(X, y)
+        for k in range(10):
+            T = np.eye(4) + 0.3 * stream(33, k).standard_normal((4, 4))
+            assert np.linalg.cond(T) < 1e3
+            fit_m = fit_robust_poisson(X, y, M=X @ T)
+            np.testing.assert_allclose(fit_m.beta, fit.beta, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(
+                fit_m.cov_sandwich, fit.cov_sandwich, rtol=0, atol=1e-10
+            )
+
     def test_reparameterization_equivariance(self):
         rng = stream(31, 1)
         n = 500

@@ -28,6 +28,19 @@ def eight_row_dataset():
     )
 
 
+class TestNormalQuantile:
+    # standard normal quantiles at 0.5 + level/2, correctly rounded
+    @pytest.mark.parametrize("level, quantile", [
+        (0.90, 1.6448536269514726),
+        (0.95, 1.9599639845400543),
+        (0.99, 2.575829303548901),
+    ])
+    def test_z(self, level, quantile):
+        from riskratio.inference import _z
+
+        np.testing.assert_allclose(_z(level), quantile, rtol=1e-15, atol=0)
+
+
 class TestCoefficientRR:
     def test_2x2_closed_form(self):
         data = two_by_two()

@@ -56,7 +56,44 @@ class TestLoglik:
             np.testing.assert_allclose(hess, fd, rtol=1e-5, atol=1e-4)
 
 
+@pytest.mark.parametrize("fitter", [fit_logbin_ml, fit_logbin_barrier])
+def test_non_finite_input_rejected(fitter):
+    X = np.column_stack([np.ones(6), [0, 1, 0, 1, 0, 1.0]])
+    y = np.array([1, 0, np.nan, 1, 0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        fitter(X, y)
+    X[0, 1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        fitter(X, np.nan_to_num(y))
+
+
 class TestMlFitter:
+    def test_programming_error_in_hessian_propagates(self, monkeypatch):
+        from riskratio import logbin
+
+        def broken(X, y, beta):
+            raise TypeError("broken hessian")
+
+        monkeypatch.setattr(logbin, "logbin_hessian", broken)
+        data = two_by_two()
+        dm = build_design_matrix(data, parse_spec("1 + A"), exposure="A")
+        with pytest.raises(TypeError, match="broken hessian"):
+            fit_logbin_ml(dm, data.y)
+
+    def test_non_finite_hessian_gives_no_covariance(self, monkeypatch):
+        # the inverse of this matrix is finite, so only a check of the
+        # Hessian itself can refuse it
+        from riskratio import logbin
+
+        monkeypatch.setattr(logbin, "logbin_hessian",
+                            lambda X, y, beta: np.array([[-np.inf, -1.0], [-1.0, -1.0]]))
+        data = two_by_two()
+        dm = build_design_matrix(data, parse_spec("1 + A"), exposure="A")
+        fit = fit_logbin_ml(dm, data.y)
+        assert fit.cov_model is None
+        assert not fit.converged
+        assert fit.failure_reason == "non-finite covariance"
+
     def test_saturated_2x2_matches_robust_poisson(self):
         data = two_by_two()
         dm = build_design_matrix(data, parse_spec("1 + A"), exposure="A")
