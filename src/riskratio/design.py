@@ -10,7 +10,7 @@ data (see ``realize``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -127,7 +127,9 @@ class DesignMatrix:
     ``terms`` are the fully resolved terms (spline knots and categorical
     levels frozen), so the same basis can be rebuilt on modified data.
     ``exposure_cols`` indexes columns derived from the exposure column,
-    when one was named at build time.
+    when one was named at build time; they are the blocks of the terms
+    that read it, in term order.  ``data`` is the dataset ``X`` was built
+    from.
     """
 
     X: np.ndarray
@@ -136,6 +138,7 @@ class DesignMatrix:
     exposure: str | None = None
     exposure_cols: tuple[int, ...] = ()
     rank_deficient: bool = False
+    data: Dataset | None = field(default=None, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -249,6 +252,7 @@ def build_design_matrix(
         exposure=exposure,
         exposure_cols=tuple(exposure_cols),
         rank_deficient=rank < X.shape[1],
+        data=data,
     )
 
 

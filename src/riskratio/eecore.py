@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import DesignMatrix
-from .errors import NonConvergence, Overflow, SingularBread, SingularJacobian
+from .errors import (
+    DataError,
+    NonConvergence,
+    Overflow,
+    SingularBread,
+    SingularJacobian,
+)
 
 # Linear predictors beyond this overflow exp(); iterates are step-halved
 # away from this region rather than clamped.
@@ -101,13 +107,14 @@ def fit_robust_poisson(
     ``solver`` is "newton" (damped Newton on the estimating function) or
     "irls" (iteratively reweighted least squares with weights exp(x beta));
     both reach the same solution and the agreement is a tested invariant.
+    A design with more columns than rows raises ``DataError``.
     """
     X = design.X if isinstance(design, DesignMatrix) else np.asarray(design, float)
     dm = design if isinstance(design, DesignMatrix) else None
     y = np.asarray(y, dtype=float)
     n, p = X.shape
     if p > n:
-        raise ValueError(f"p={p} parameters with only n={n} observations")
+        raise DataError(f"p={p} parameters with only n={n} observations")
 
     # All-equal outcome: the score cannot vanish off the boundary, so
     # report the degenerate closed form instead of iterating.

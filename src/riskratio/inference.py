@@ -16,9 +16,9 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import Dataset
-from .design import DesignMatrix, realize
+from .design import _term_block, _term_columns, realize
 from .eecore import ETA_MAX, FitResult
-from .errors import NonFiniteStandardization, TooManyFailures
+from .errors import NonFiniteStandardization, RiskRatioError, TooManyFailures
 from .rng import stream
 
 
@@ -60,7 +60,17 @@ def _standardized_means(fit: FitResult, data: Dataset, a: float):
     """Mean fitted risk with the exposure forced to level a, plus the
     gradient of its log w.r.t. beta."""
     design = fit.design
-    Xa = realize(design, data.with_column(design.exposure, np.full(data.n, a)))
+    forced = data.with_column(design.exposure, np.full(data.n, a))
+    if data is design.data:
+        # Same sample: only the exposure terms' columns change, so rebuild
+        # just those.  Gives realize()'s matrix bit for bit.
+        Xa = design.X.copy()
+        blocks = [_term_block(t, forced)[0] for t in design.terms
+                  if design.exposure in _term_columns(t)]
+        if blocks:
+            Xa[:, list(design.exposure_cols)] = np.column_stack(blocks)
+    else:
+        Xa = realize(design, forced)
     eta = Xa @ fit.beta
     if np.any(eta > ETA_MAX):
         raise NonFiniteStandardization("exp overflow during standardization")
@@ -114,7 +124,7 @@ def bootstrap_rr(
         raise ValueError("B must be at least 100")
     try:
         point = estimand(fitter(data), data)
-    except Exception as exc:
+    except (RiskRatioError, np.linalg.LinAlgError) as exc:
         # the full-sample fit itself fails; every resample is moot
         raise TooManyFailures(B, B) from exc
     log_rrs = np.full(B, np.nan)
@@ -124,7 +134,7 @@ def bootstrap_rr(
         sample = data.take(idx)
         try:
             log_rrs[b] = estimand(fitter(sample), sample).log_rr
-        except Exception:
+        except (RiskRatioError, np.linalg.LinAlgError):
             continue
     ok = np.isfinite(log_rrs)
     failed = int(B - ok.sum())

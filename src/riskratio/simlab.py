@@ -294,16 +294,20 @@ def _spec_terms(scenario: Scenario, spec_name: str):
     return parse_spec(text)
 
 
-def _replicate(config: StudyConfig, scenario: Scenario, r: int) -> dict:
-    """One replication: returns {(method, spec, estimand): (rr, lo, hi) | None}."""
+def _replicate(
+    config: StudyConfig, scenario: Scenario, terms: dict, z: float, r: int
+) -> dict:
+    """One replication: returns {(method, spec, estimand): (rr, lo, hi) | None}.
+
+    ``terms`` maps each specification name to its parsed term list and ``z``
+    is the Wald quantile of ``config.level``; both are fixed for a study.
+    """
     rng = stream(config.base_seed, r)
     data = generate(scenario, config.n, rng=rng)
     out = {}
     for spec_name in config.specifications:
         try:
-            design = build_design_matrix(
-                data, _spec_terms(scenario, spec_name), exposure="A"
-            )
+            design = build_design_matrix(data, terms[spec_name], exposure="A")
         except RiskRatioError:
             for method in config.methods:
                 for est in config.estimands:
@@ -334,7 +338,6 @@ def _replicate(config: StudyConfig, scenario: Scenario, r: int) -> dict:
                     continue
                 try:
                     if est == "coefficient":
-                        z = inference._z(config.level)
                         se = float(np.sqrt(cov[j, j]))
                         rr = float(np.exp(beta[j]))
                         lo = float(np.exp(beta[j] - z * se))
@@ -404,12 +407,18 @@ def run_study(config: StudyConfig, threads: int = 1) -> dict:
     scenario = get_scenario(config.scenario)
     truth = monte_carlo_truth(scenario, config.truth_n, seed=config.base_seed)
 
+    terms = {s: _spec_terms(scenario, s) for s in config.specifications}
+    z = inference._z(config.level)
+
+    def replicate(r):
+        return _replicate(config, scenario, terms, z, r)
+
     indices = range(config.replications)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda r: _replicate(config, scenario, r), indices))
+            results = list(pool.map(replicate, indices))
     else:
-        results = [_replicate(config, scenario, r) for r in indices]
+        results = [replicate(r) for r in indices]
 
     cells = []
     any_ok = False

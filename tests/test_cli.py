@@ -201,6 +201,15 @@ class TestExitCodes:
         ]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_more_columns_than_rows_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "two.csv"
+        path.write_text("y,A,L\n1,1,0.5\n0,0,1.5\n")
+        assert main([
+            "fit", "--csv", str(path), "--outcome", "y", "--exposure", "A",
+            "--spec", "1 + A + L",
+        ]) == 3
+        assert "error:" in capsys.readouterr().err
+
     def test_degenerate_outcome_exits_3(self, tmp_path, capsys):
         path = tmp_path / "deg.csv"
         path.write_text("y,A\n2,1\n0,0\n")

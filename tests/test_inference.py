@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from riskratio import (
     marginal_rr,
     parse_spec,
 )
+from riskratio import inference
+from riskratio.design import realize
 from riskratio.errors import TooManyFailures
 from riskratio.rng import stream
 
@@ -137,6 +141,49 @@ class TestMarginalRR:
         np.testing.assert_allclose(g1 - g0, fd, rtol=1e-5, atol=1e-8)
 
 
+class TestStandardizedMeans:
+    """The exposure-column rebuild equals a full realize() bit for bit."""
+
+    @staticmethod
+    def _sample(r, n=400):
+        rng = stream(62, r)
+        return Dataset(
+            y=(rng.random(n) < 0.3).astype(float),
+            columns={"A": rng.integers(0, 3, size=n).astype(float),
+                     "L1": rng.standard_normal(n),
+                     "L2": rng.standard_normal(n)},
+        )
+
+    @staticmethod
+    def _reference(design, beta, data, a):
+        Xa = realize(design, data.with_column(design.exposure, np.full(data.n, a)))
+        mu = np.exp(Xa @ beta)
+        total = mu.sum()
+        return total / data.n, (Xa.T @ mu) / total
+
+    @pytest.mark.parametrize("spec", [
+        "1 + A + L1 + L2",
+        "1 + A + L1 + A:L1",
+        "1 + A + rcs(L1,4) + L2",
+        "1 + cat(A,ref=1) + rcs(L1,4) + L2",
+    ])
+    def test_equals_realize(self, spec, monkeypatch):
+        data, other = self._sample(0), self._sample(1)
+        design = build_design_matrix(data, parse_spec(spec), exposure="A")
+        beta = 0.1 * stream(62, 9).standard_normal(design.p)
+        fit = SimpleNamespace(beta=beta, design=design)
+        cases = [(d, a) for d in (data, other) for a in (0.0, 1.0, 2.0)]
+        expected = [self._reference(design, beta, d, a) for d, a in cases]
+        realized = []
+        monkeypatch.setattr(inference, "realize",
+                            lambda *args: realized.append(1) or realize(*args))
+        for (d, a), (m_ref, g_ref) in zip(cases, expected):
+            m, g = inference._standardized_means(fit, d, a)
+            assert m == m_ref and g.tobytes() == g_ref.tobytes()
+        # Only the other sample, of the same size, goes through realize().
+        assert len(realized) == 3
+
+
 class TestBootstrap:
     @staticmethod
     def _fitter(data):
@@ -173,3 +220,23 @@ class TestBootstrap:
         data = generate("simple", 100, rng=stream(61, 5))
         with pytest.raises(ValueError):
             bootstrap_rr(self._fitter, data, self._estimand, B=50, seed=0)
+
+    def test_programming_error_propagates(self):
+        data = generate("simple", 100, rng=stream(61, 6))
+
+        def broken(d):
+            raise TypeError("bug in the fitter")
+
+        with pytest.raises(TypeError):
+            bootstrap_rr(broken, data, self._estimand, B=100, seed=0)
+
+        calls = []
+
+        def broken_on_resamples(d):
+            calls.append(d)
+            if len(calls) > 1:
+                raise TypeError("bug in the fitter")
+            return self._fitter(d)
+
+        with pytest.raises(TypeError):
+            bootstrap_rr(broken_on_resamples, data, self._estimand, B=100, seed=0)

@@ -12,7 +12,8 @@ from riskratio import (
     logbin_loglik,
     parse_spec,
 )
-from riskratio.errors import InfeasiblePoint
+from riskratio.errors import InfeasiblePoint, NoFeasibleStart
+from riskratio.logbin import feasible_start
 from riskratio.rng import stream
 from riskratio.simlab import get_scenario
 
@@ -181,3 +182,11 @@ class TestBarrierFitter:
             )
             ab = fit_logbin_barrier(dm, data.y)
             assert np.max(dm.X @ ab.beta) <= 1e-10
+
+
+def test_feasible_start_with_more_columns_than_rows():
+    # No intercept column, so the start comes from a robust-Poisson fit,
+    # which cannot be made with p > n.
+    X = stream(705, 0).standard_normal((2, 3))
+    with pytest.raises(NoFeasibleStart):
+        feasible_start(X, np.array([1.0, 0.0]))
