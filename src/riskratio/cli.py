@@ -1,7 +1,8 @@
 """Command-line interface: fit, study, truth, figure, validate.
 
 Exit codes: 0 success (including NA study rows), 2 usage/config error,
-3 data error, 4 numerical failure of a requested single fit.
+3 data error, 4 numerical failure of a requested single fit (including
+``NoFiniteSolution``).
 """
 
 from __future__ import annotations

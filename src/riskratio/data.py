@@ -22,24 +22,22 @@ class Dataset:
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
-        if y.ndim != 1 or y.size < 1:
-            raise DataError("outcome must be a non-empty 1-D vector")
+        _check_outcome_shape(y)
         if not np.all(np.isin(y, (0.0, 1.0))):
             bad = int(np.flatnonzero(~np.isin(y, (0.0, 1.0)))[0])
             raise DataError(f"outcome must be 0/1; offending value at row {bad}")
         object.__setattr__(self, "y", y)
-        cols = {}
-        for name, values in self.columns.items():
-            v = np.asarray(values, dtype=float)
-            if v.shape != y.shape:
-                raise DataError(
-                    f"column {name!r} has length {v.size}, expected {y.size}"
-                )
-            if not np.all(np.isfinite(v)):
-                bad = int(np.flatnonzero(~np.isfinite(v))[0])
-                raise DataError(f"column {name!r} has a non-finite value at row {bad}")
-            cols[name] = v
+        cols = {name: _checked_column(name, values, y.shape)
+                for name, values in self.columns.items()}
         object.__setattr__(self, "columns", cols)
+
+    @classmethod
+    def _derived(cls, y, columns) -> "Dataset":
+        """Dataset over arrays of an already-validated one; not re-checked."""
+        data = object.__new__(cls)
+        object.__setattr__(data, "y", y)
+        object.__setattr__(data, "columns", columns)
+        return data
 
     @property
     def n(self) -> int:
@@ -52,15 +50,34 @@ class Dataset:
             raise UnknownColumn(name) from None
 
     def with_column(self, name: str, values) -> "Dataset":
-        """Copy of the dataset with one column replaced (or added)."""
+        """Copy of the dataset with one column replaced (or added).
+
+        Only the new column is validated; the rest already was."""
         cols = dict(self.columns)
-        cols[name] = np.asarray(values, dtype=float)
-        return Dataset(y=self.y, columns=cols)
+        cols[name] = _checked_column(name, values, self.y.shape)
+        return Dataset._derived(self.y, cols)
 
     def take(self, idx) -> "Dataset":
-        """Row subset / resample by integer index array."""
+        """Row subset / resample by integer index array.
+
+        Rows of a valid dataset are valid, so only the shape is checked."""
         idx = np.asarray(idx, dtype=int)
-        return Dataset(
-            y=self.y[idx],
-            columns={k: v[idx] for k, v in self.columns.items()},
-        )
+        y = self.y[idx]
+        _check_outcome_shape(y)
+        return Dataset._derived(y, {k: v[idx] for k, v in self.columns.items()})
+
+
+def _check_outcome_shape(y):
+    if y.ndim != 1 or y.size < 1:
+        raise DataError("outcome must be a non-empty 1-D vector")
+
+
+def _checked_column(name, values, shape) -> np.ndarray:
+    """``values`` as a float array, checked to be finite and of ``shape``."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != shape:
+        raise DataError(f"column {name!r} has length {v.size}, expected {shape[0]}")
+    if not np.all(np.isfinite(v)):
+        bad = int(np.flatnonzero(~np.isfinite(v))[0])
+        raise DataError(f"column {name!r} has a non-finite value at row {bad}")
+    return v

@@ -7,6 +7,13 @@ covariance is the sandwich B^{-1} W B^{-T} with bread
 B = sum_i M_i x_i' mu_i and meat W = sum_i M_i (y_i - mu_i)^2 M_i',
 which is valid under arbitrary misspecification of the outcome
 distribution as long as the log-linear mean model holds.
+
+The Newton loop keeps one state per accepted iterate, its fitted means
+mu = exp(X beta), and passes it to ``ee_jacobian``, ``ee_score`` and
+``sandwich_covariance`` through their ``mu=`` argument.  Conditioning of
+the Jacobian is checked where a Newton solve fails and once on the final
+Jacobian, not on every iteration; data without a finite root are caught
+before iterating.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import numpy as np
 from .design import DesignMatrix
 from .errors import (
     DataError,
+    NoFiniteSolution,
     NonConvergence,
     Overflow,
     SingularBread,
@@ -61,16 +69,24 @@ def _mu(X, beta):
     return np.exp(eta)
 
 
-def ee_score(X, y, beta, M=None) -> np.ndarray:
-    """Estimating function sum_i M_i (y_i - exp(x_i beta))."""
+def ee_score(X, y, beta, M=None, mu=None) -> np.ndarray:
+    """Estimating function sum_i M_i (y_i - exp(x_i beta)).
+
+    ``mu`` is exp(X beta) when the caller has it already.
+    """
     M = X if M is None else M
-    return M.T @ (y - _mu(X, beta))
+    mu = _mu(X, beta) if mu is None else mu
+    return M.T @ (y - mu)
 
 
-def ee_jacobian(X, y, beta, M=None) -> np.ndarray:
-    """Derivative of the score w.r.t. beta: -sum_i M_i x_i' exp(x_i beta)."""
+def ee_jacobian(X, y, beta, M=None, mu=None) -> np.ndarray:
+    """Derivative of the score w.r.t. beta: -sum_i M_i x_i' exp(x_i beta).
+
+    ``mu`` is exp(X beta) when the caller has it already.
+    """
     M = X if M is None else M
-    return -(M.T * _mu(X, beta)) @ X
+    mu = _mu(X, beta) if mu is None else mu
+    return -(M.T * mu) @ X
 
 
 def poisson_loglik(X, y, beta) -> float:
@@ -95,6 +111,47 @@ def _initial_beta(X, y):
     return beta
 
 
+def _check_finite_solution(X, y, labels=None):
+    """Raise ``NoFiniteSolution`` when the score equations X'(y - mu) = 0
+    have no finite root.
+
+    A column c = X d that is >= 0 everywhere, > 0 somewhere and 0 on every
+    row with y != 0 is a recession direction: along beta - s d the score's
+    component d'X'(y - mu) = -c'mu stays negative, so no beta solves the
+    equations.  An exposure stratum without events and an outcome without
+    events are such cases.  Tried: c = x_j and c = -x_j for every column
+    and, when X has an intercept, c = 1 - x_j.
+    """
+    def name(j):
+        return labels[j] if labels is not None else f"column {j}"
+
+    events = y != 0
+    n_events = np.count_nonzero(events)
+    on_events = events.astype(float) @ X   # exact for one-signed columns
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    one_signed = ((lo >= 0) & (hi > 0)) | ((hi <= 0) & (lo < 0))
+    zero = np.flatnonzero(one_signed & (on_events == 0))
+    if zero.size:
+        j = zero[0]
+        where = "on every row" if lo[j] == hi[j] else f"wherever {name(j)} != 0"
+        raise NoFiniteSolution(f"no finite solution: the outcome is 0 {where}")
+    if np.any((lo == 1) & (hi == 1)):
+        for j in np.flatnonzero((hi <= 1) & (lo < 1) & (on_events == n_events)):
+            if np.all(X[events, j] == 1):
+                raise NoFiniteSolution(
+                    f"no finite solution: the outcome is 0 wherever "
+                    f"{name(j)} != 1"
+                )
+
+
+def _check_conditioning(jac) -> float:
+    """cond(-J); raises ``SingularJacobian`` unless finite and <= COND_MAX."""
+    cond = float(np.linalg.cond(-jac))
+    if not np.isfinite(cond) or cond > COND_MAX:
+        raise SingularJacobian(cond)
+    return cond
+
+
 def fit_robust_poisson(
     design: DesignMatrix | np.ndarray,
     y,
@@ -107,7 +164,17 @@ def fit_robust_poisson(
     ``solver`` is "newton" (damped Newton on the estimating function) or
     "irls" (iteratively reweighted least squares with weights exp(x beta));
     both reach the same solution and the agreement is a tested invariant.
-    A design with more columns than rows raises ``DataError``.
+    A design with more columns than rows raises ``DataError``; with the
+    default instrument, data for which no finite root exists (see
+    ``_check_finite_solution``) raise ``NoFiniteSolution`` before iterating.
+
+    Each accepted iterate keeps its fitted means mu = exp(X beta), computed
+    once for the step-halving score and reused by the next Jacobian and,
+    at the solution, by ``mu_hat``, the final Jacobian and the sandwich.
+    Conditioning, cond(-J), is checked only where a Newton solve fails
+    (``LinAlgError`` or a non-finite step) and on the final Jacobian, whose
+    value is ``condition_estimate``; above ``COND_MAX`` it raises
+    ``SingularJacobian``.
     """
     X = design.X if isinstance(design, DesignMatrix) else np.asarray(design, float)
     dm = design if isinstance(design, DesignMatrix) else None
@@ -134,41 +201,47 @@ def fit_robust_poisson(
             degenerate_outcome=True,
             design=dm,
         )
+    if M is None:
+        _check_finite_solution(X, y, dm.labels if dm is not None else None)
 
     beta = _initial_beta(X, y)
     tol = SCORE_TOL * n
     iterations = 0
     converged = False
-    score = ee_score(X, y, beta, M)
+    mu = _mu(X, beta)
+    score = ee_score(X, y, beta, M, mu=mu)
 
     for iterations in range(1, max_iter + 1):
-        jac = ee_jacobian(X, y, beta, M)
-        cond = np.linalg.cond(-jac)
-        if not np.isfinite(cond) or cond > COND_MAX:
-            raise SingularJacobian(cond)
-        if solver == "newton":
-            # LU, not Cholesky: -J is not symmetric under a general M.  The
-            # bounded condition number above also rules out non-finite J.
-            delta = np.linalg.solve(-jac, score)
-        elif solver == "irls":
-            # Weighted LS update: beta <- solve(X'WX, X'W z), W = diag(mu),
-            # z = eta + (y - mu)/mu.  Algebraically the same Newton step
-            # when M = X.
-            mu = _mu(X, beta)
-            z = X @ beta + (y - mu) / mu
-            xtw = X.T * mu
-            delta = np.linalg.solve(xtw @ X, xtw @ z) - beta
-        else:
-            raise ValueError(f"unknown solver {solver!r}")
+        jac = ee_jacobian(X, y, beta, M, mu=mu)
+        try:
+            if solver == "newton":
+                # LU, not Cholesky: -J is not symmetric under a general M.
+                delta = np.linalg.solve(-jac, score)
+            elif solver == "irls":
+                # Weighted LS update: beta <- solve(X'WX, X'W z), W = diag(mu),
+                # z = eta + (y - mu)/mu.  Algebraically the same Newton step
+                # when M = X.
+                z = X @ beta + (y - mu) / mu
+                xtw = X.T * mu
+                delta = np.linalg.solve(xtw @ X, xtw @ z) - beta
+            else:
+                raise ValueError(f"unknown solver {solver!r}")
+        except np.linalg.LinAlgError:
+            raise SingularJacobian(float(np.linalg.cond(-jac))) from None
+        if not np.all(np.isfinite(delta)):
+            _check_conditioning(jac)
 
         # Step halving: accept the first step that reduces ||score||_inf
-        # (or keeps the linear predictor finite).
+        # (or keeps the linear predictor finite).  An overflowing candidate
+        # still goes through ee_score, which raises Overflow for it.
         norm0 = np.max(np.abs(score))
         step = 1.0
         for _ in range(MAX_HALVINGS + 1):
             candidate = beta + step * delta
+            eta = X @ candidate
+            mu = None if np.any(eta > ETA_MAX) else np.exp(eta)
             try:
-                new_score = ee_score(X, y, candidate, M)
+                new_score = ee_score(X, y, candidate, M, mu=mu)
             except Overflow:
                 step /= 2.0
                 continue
@@ -188,8 +261,8 @@ def fit_robust_poisson(
     if not converged:
         raise NonConvergence(iterations, max_abs_score)
 
-    mu = _mu(X, beta)
-    cov = sandwich_covariance(X, y, beta, M)
+    cond = _check_conditioning(ee_jacobian(X, y, beta, M, mu=mu))
+    cov = sandwich_covariance(X, y, beta, M, mu=mu)
     return FitResult(
         beta=beta,
         cov_sandwich=cov,
@@ -198,20 +271,21 @@ def fit_robust_poisson(
         max_abs_score=max_abs_score,
         mu_hat=mu,
         n_mu_gt1=int(np.sum(mu > 1.0)),
-        condition_estimate=float(np.linalg.cond(-ee_jacobian(X, y, beta, M))),
+        condition_estimate=cond,
         design=dm,
     )
 
 
-def sandwich_covariance(X, y, beta, M=None) -> np.ndarray:
+def sandwich_covariance(X, y, beta, M=None, mu=None) -> np.ndarray:
     """Robust covariance B^{-1} W B^{-T} of the coefficient estimates.
 
     B = sum_i M_i x_i' mu_i (bread), W = sum_i M_i r_i^2 M_i' (meat) with
-    residual r_i = y_i - mu_i.  Symmetrized after assembly.
+    residual r_i = y_i - mu_i.  Symmetrized after assembly.  ``mu`` is
+    exp(X beta) when the caller has it already.
     """
     X = X.X if isinstance(X, DesignMatrix) else np.asarray(X, float)
     M = X if M is None else M
-    mu = _mu(X, beta)
+    mu = _mu(X, beta) if mu is None else mu
     r = y - mu
     bread = (M.T * mu) @ X
     meat = (M.T * r**2) @ M

@@ -56,6 +56,10 @@ class SingularJacobian(RiskRatioError):
         self.condition_estimate = condition_estimate
 
 
+class NoFiniteSolution(RiskRatioError):
+    """The estimating equations have no finite root for this outcome."""
+
+
 class SingularBread(RiskRatioError):
     """Bread matrix of the sandwich covariance is not invertible."""
 

@@ -49,30 +49,73 @@ def _eta(X, beta):
     return X @ beta
 
 
-def logbin_loglik(X, y, beta) -> float:
-    """sum_i [y_i eta_i + (1 - y_i) log(1 - exp(eta_i))], eta = X beta."""
-    eta = _eta(X, beta)
+def _check_feasible(eta):
     if np.any(eta > 0):
         raise InfeasiblePoint("some x_i'beta > 0")
+
+
+def _loglik_eta(y, eta) -> float:
+    """Log-likelihood at a feasible linear predictor eta (not checked)."""
     with np.errstate(divide="ignore"):
         log1mexp = np.where(eta < 0, np.log(-np.expm1(np.minimum(eta, -1e-300))), -np.inf)
     return float(np.sum(y * eta + (1 - y) * log1mexp))
 
 
-def logbin_gradient(X, y, beta) -> np.ndarray:
-    eta = _eta(X, beta)
-    if np.any(eta > 0):
-        raise InfeasiblePoint("some x_i'beta > 0")
+def _q(eta):
+    """e^eta / (1 - e^eta); d/d eta of log(1 - e^eta) is -q."""
+    return np.exp(eta) / (-np.expm1(eta))
+
+
+def _gradient_q(X, y, q):
     # d/d eta: y - (1-y) e^eta / (1 - e^eta)
-    q = np.exp(eta) / (-np.expm1(eta))
     return X.T @ (y - (1 - y) * q)
 
 
-def logbin_hessian(X, y, beta) -> np.ndarray:
-    eta = _eta(X, beta)
-    q = np.exp(eta) / (-np.expm1(eta))
+def _hessian_q(X, y, q):
     h = (1 - y) * q * (1 + q)   # e^eta/(1-e^eta)^2 = q(1+q)
     return -(X.T * h) @ X
+
+
+def logbin_loglik(X, y, beta) -> float:
+    """sum_i [y_i eta_i + (1 - y_i) log(1 - exp(eta_i))], eta = X beta."""
+    eta = _eta(X, beta)
+    _check_feasible(eta)
+    return _loglik_eta(y, eta)
+
+
+def logbin_gradient(X, y, beta) -> np.ndarray:
+    eta = _eta(X, beta)
+    _check_feasible(eta)
+    return _gradient_q(X, y, _q(eta))
+
+
+def logbin_hessian(X, y, beta) -> np.ndarray:
+    return _hessian_q(X, y, _q(_eta(X, beta)))
+
+
+class _BarrierIterate:
+    """What the barrier loop keeps of an accepted, strictly feasible beta:
+    eta = X beta, the log-likelihood and the barrier sum(log(-eta)), each
+    computed once and reused for every barrier weight t."""
+
+    __slots__ = ("eta", "loglik", "logbar")
+
+    def __init__(self, y, eta):
+        self.eta = eta
+        self.loglik = _loglik_eta(y, eta)
+        self.logbar = np.sum(np.log(-eta))
+
+    def objective(self, t):
+        """loglik + t * sum_i log(-x_i'beta)."""
+        return self.loglik + t * self.logbar
+
+    def newton_system(self, X, y, t):
+        """Gradient and Hessian of the barrier objective, from one q."""
+        eta = self.eta
+        q = _q(eta)
+        grad = _gradient_q(X, y, q) + t * (X.T @ (1.0 / eta))
+        hess = _hessian_q(X, y, q) - t * ((X.T * (1.0 / eta**2)) @ X)
+        return grad, hess
 
 
 def _truncate_step(eta, direction_eta, cap=ETA_CAP, frac=1.0):
@@ -194,7 +237,7 @@ def fit_logbin_ml(design, y, max_iter: int = MAX_ITER) -> LogBinFit:
                            "infeasible iterate", dm)
         mu = np.exp(eta)
         last_feasible = beta
-        if np.max(np.abs(logbin_gradient(X, y, beta))) < tol:
+        if np.max(np.abs(_gradient_q(X, y, _q(eta)))) < tol:
             return _finish(X, y, beta, True, np.max(eta) > -BOUNDARY_EPS, it, None, dm)
 
     return _finish(X, y, last_feasible, False,
@@ -208,20 +251,24 @@ def fit_logbin_barrier(design, y, max_iter: int = MAX_ITER) -> LogBinFit:
     Maximizes loglik(beta) + t * sum_i log(-x_i'beta) for a decreasing
     schedule of t, warm-starting each stage; iterates stay strictly
     feasible, so the method handles boundary optima that defeat plain
-    Newton.
+    Newton.  Each accepted iterate keeps eta, its log-likelihood and its
+    barrier sum (``_BarrierIterate``): the Newton system and the objective
+    at the current beta, also at the start of a new stage, come from that
+    state, and each step-halving candidate costs one X @ beta.
     """
     X, dm, y = _arrays(design, y)
     n = X.shape[0]
     beta = feasible_start(X, y)
+    eta = _eta(X, beta)
+    _check_feasible(eta)
+    state = _BarrierIterate(y, eta)
     total_iter = 0
 
     t = BARRIER_T_START
     while t >= BARRIER_T_STOP * 0.999:
         for _ in range(max_iter):
             total_iter += 1
-            eta = _eta(X, beta)
-            grad = logbin_gradient(X, y, beta) + t * (X.T @ (1.0 / eta))
-            hess = logbin_hessian(X, y, beta) - t * ((X.T * (1.0 / eta**2)) @ X)
+            grad, hess = state.newton_system(X, y, t)
             # Only a step that raises the finite barrier objective is taken,
             # so even a direction from a non-finite system is safe to try.
             try:
@@ -229,10 +276,10 @@ def fit_logbin_barrier(design, y, max_iter: int = MAX_ITER) -> LogBinFit:
                 delta = np.linalg.solve(-hess, grad)
             except np.linalg.LinAlgError:
                 delta = np.linalg.lstsq(-hess, grad, rcond=None)[0]
-            alpha = _truncate_step(eta, X @ delta, cap=0.0, frac=0.99)
+            alpha = _truncate_step(state.eta, X @ delta, cap=0.0, frac=0.99)
             if alpha <= 1e-16:
                 break
-            obj = logbin_loglik(X, y, beta) + t * np.sum(np.log(-eta))
+            obj = state.objective(t)
             accepted = False
             for _ in range(MAX_HALVINGS + 1):
                 candidate = beta + alpha * delta
@@ -240,22 +287,22 @@ def fit_logbin_barrier(design, y, max_iter: int = MAX_ITER) -> LogBinFit:
                 if np.max(eta_c) >= 0:
                     alpha /= 2.0
                     continue
-                obj_c = logbin_loglik(X, y, candidate) + t * np.sum(np.log(-eta_c))
-                if obj_c >= obj - 1e-12:
+                new_state = _BarrierIterate(y, eta_c)
+                if new_state.objective(t) >= obj - 1e-12:
                     accepted = True
                     break
                 alpha /= 2.0
             if not accepted:
                 break
             step = np.max(np.abs(alpha * delta))
-            beta = candidate
+            beta, state = candidate, new_state
             if step < 1e-12 or np.max(np.abs(grad)) < GRAD_TOL * n:
                 break
         t *= BARRIER_T_FACTOR
 
-    eta = _eta(X, beta)
+    eta = state.eta
     on_boundary = np.max(eta) > -BOUNDARY_EPS * 10
-    grad = logbin_gradient(X, y, beta)
+    grad = _gradient_q(X, y, _q(eta))
     converged = bool(np.max(np.abs(grad)) < 1e-4 * n or on_boundary)
     reason = None if converged else "barrier did not reach stationarity"
     return _finish(X, y, beta, converged, on_boundary, total_iter, reason, dm)

@@ -217,3 +217,14 @@ class TestExitCodes:
             "fit", "--csv", str(path), "--outcome", "y", "--exposure", "A",
         ]) == 3
         capsys.readouterr()
+
+    def test_no_events_in_exposed_stratum_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "zero.csv"
+        rows = ["y,A,L"] + [f"0,1,{i % 7}" for i in range(50)]
+        rows += [f"{int(i % 3 == 0)},0,{i % 5}" for i in range(50)]
+        path.write_text("\n".join(rows) + "\n")
+        assert main([
+            "fit", "--csv", str(path), "--outcome", "y", "--exposure", "A",
+        ]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: no finite solution")

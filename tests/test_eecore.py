@@ -12,7 +12,8 @@ from riskratio import (
     sandwich_covariance,
     sandwich_covariance_lz,
 )
-from riskratio.errors import SingularJacobian
+from riskratio import eecore
+from riskratio.errors import NoFiniteSolution, Overflow, SingularJacobian
 from riskratio.rng import stream
 
 # fixed 8-row dataset used by the grid-refinement oracle and the
@@ -164,6 +165,99 @@ class TestFit:
         y = (rng.random(50) < 0.3).astype(float)
         with pytest.raises(SingularJacobian):
             fit_robust_poisson(X, y)
+
+
+def stratum_sample(n=200, seed=0):
+    """Intercept, binary A and continuous L, with a 0/1 outcome y."""
+    rng = stream(34, seed)
+    a = (rng.random(n) < 0.5).astype(float)
+    l = rng.standard_normal(n)
+    y = (rng.random(n) < 0.3).astype(float)
+    return np.column_stack([np.ones(n), a, l]), a, y
+
+
+class TestNoFiniteSolution:
+    @pytest.mark.parametrize("case, message", [
+        ("no events where A=1", "wherever A != 0"),
+        ("no events where A=0", "wherever A != 1"),
+        ("no events at all", "the outcome is 0 on every row"),
+    ])
+    def test_raises_before_iterating(self, monkeypatch, case, message):
+        X, a, y = stratum_sample()
+        if case == "no events where A=1":
+            y = y * (1 - a)
+        elif case == "no events where A=0":
+            y = y * a
+        else:
+            y = np.zeros_like(y)
+        dm = build_design_matrix(
+            Dataset(y=y, columns={"A": a, "L": X[:, 2]}), parse_spec("1 + A + L")
+        )
+        jacobians = []
+        monkeypatch.setattr(eecore, "ee_jacobian",
+                            lambda *args, **kw: jacobians.append(1))
+        with pytest.raises(NoFiniteSolution, match=message):
+            fit_robust_poisson(dm, y)
+        assert jacobians == []
+
+    def test_negative_indicator_column(self):
+        X, a, y = stratum_sample()
+        X[:, 1] = -a
+        with pytest.raises(NoFiniteSolution, match="column 1 != 0"):
+            fit_robust_poisson(X, y * (1 - a))
+
+
+class TestCallCounts:
+    """``bench/tracer.py`` derives iterations per fit and step halvings from
+    the calls of ``ee_score`` and ``ee_jacobian``: one Jacobian per
+    iteration plus the final one, one score per step-halving candidate plus
+    the initial one, overflowing candidates included."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = {"ee_score": [], "ee_jacobian": []}
+
+        def counted(name):
+            inner = getattr(eecore, name)
+
+            def wrapper(X, y, beta, M=None, mu=None):
+                overflow = bool(np.any(X @ beta > eecore.ETA_MAX))
+                try:
+                    result = inner(X, y, beta, M, mu=mu)
+                except Overflow:
+                    calls[name].append("overflow")
+                    raise
+                assert not overflow
+                calls[name].append("ok")
+                return result
+
+            monkeypatch.setattr(eecore, name, wrapper)
+
+        counted("ee_score")
+        counted("ee_jacobian")
+        return calls
+
+    def test_plain_fit(self, monkeypatch):
+        X, _, y = stratum_sample()
+        calls = self.count_calls(monkeypatch)
+        fit = fit_robust_poisson(X, y)
+        assert len(calls["ee_jacobian"]) == fit.iterations + 1
+        assert len(calls["ee_score"]) == fit.iterations + 1  # no halving
+
+    def test_overflowing_candidates_count(self, monkeypatch):
+        # An intercept start of -8 puts the first full Newton step far
+        # beyond ETA_MAX, so it is halved, overflowing candidates first.
+        X, _, y = stratum_sample()
+        reference = fit_robust_poisson(X, y)
+        start = np.array([-8.0, 0.0, 0.0])
+        monkeypatch.setattr(eecore, "_initial_beta", lambda X, y: start.copy())
+        calls = self.count_calls(monkeypatch)
+        fit = fit_robust_poisson(X, y)
+        assert len(calls["ee_jacobian"]) == fit.iterations + 1
+        assert calls["ee_score"].count("overflow") >= 1
+        halvings = len(calls["ee_score"]) - len(calls["ee_jacobian"])
+        assert halvings >= calls["ee_score"].count("overflow")
+        np.testing.assert_allclose(fit.beta, reference.beta, rtol=0, atol=1e-10)
 
 
 class TestScoreJacobian:

@@ -13,7 +13,7 @@ from riskratio import (
     parse_spec,
 )
 from riskratio.errors import InfeasiblePoint, NoFeasibleStart
-from riskratio.logbin import feasible_start
+from riskratio.logbin import _BarrierIterate, feasible_start
 from riskratio.rng import stream
 from riskratio.simlab import get_scenario
 
@@ -66,6 +66,29 @@ def test_non_finite_input_rejected(fitter):
     X[0, 1] = np.inf
     with pytest.raises(ValueError, match="finite"):
         fitter(X, np.nan_to_num(y))
+
+
+def test_barrier_iterate_matches_public_functions_bit_for_bit():
+    # The barrier loop builds its Newton system and objective from one
+    # stored state; they must be the very numbers of the public functions.
+    rng = stream(52, 0)
+    terms = parse_spec(get_scenario("moderate").rich_spec)
+    for r in range(10):
+        data = generate("moderate", 500, rng=stream(706, r))
+        X = build_design_matrix(data, terms, exposure="A").X
+        y = data.y
+        beta = feasible_start(X, y) + rng.normal(scale=1e-3, size=X.shape[1])
+        eta = X @ beta
+        assert np.max(eta) < 0
+        t = 10.0 ** rng.uniform(-8, 0)
+        state = _BarrierIterate(y, X @ beta)
+        grad, hess = state.newton_system(X, y, t)
+        np.testing.assert_array_equal(
+            grad, logbin_gradient(X, y, beta) + t * (X.T @ (1.0 / eta)))
+        np.testing.assert_array_equal(
+            hess, logbin_hessian(X, y, beta) - t * ((X.T * (1.0 / eta**2)) @ X))
+        assert state.objective(t) == (
+            logbin_loglik(X, y, beta) + t * np.sum(np.log(-eta)))
 
 
 class TestMlFitter:
