@@ -6,6 +6,9 @@ coefficient and standardized risk-ratio inference, and a deterministic
 Monte Carlo study runner.
 """
 
+# Set before the submodules load: simlab and cli import it from here.
+__version__ = "0.1.0"
+
 from .data import Dataset
 from .design import (
     Categorical,
@@ -25,11 +28,15 @@ from .eecore import (
     ee_jacobian,
     ee_score,
     fit_robust_poisson,
-    poisson_loglik,
     sandwich_covariance,
-    sandwich_covariance_lz,
 )
-from .inference import RREstimate, bootstrap_rr, coefficient_rr, marginal_rr
+from .inference import (
+    FIT_METHODS,
+    RREstimate,
+    bootstrap_rr,
+    coefficient_rr,
+    marginal_rr,
+)
 from .logbin import (
     LogBinFit,
     fit_logbin_barrier,
@@ -50,12 +57,11 @@ from .simlab import (
     run_study,
 )
 
-__version__ = "0.1.0"
-
 __all__ = [
     "Categorical",
     "Dataset",
     "DesignMatrix",
+    "FIT_METHODS",
     "FitResult",
     "Intercept",
     "Interaction",
@@ -84,11 +90,9 @@ __all__ = [
     "monte_carlo_truth",
     "parse_config",
     "parse_spec",
-    "poisson_loglik",
     "rcs_basis",
     "realize",
     "run_study",
     "sandwich_covariance",
-    "sandwich_covariance_lz",
     "stream",
 ]

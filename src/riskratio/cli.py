@@ -13,23 +13,19 @@ import sys
 
 import numpy as np
 
-from . import csvio, inference, report, simlab
+from . import __version__, csvio, inference, report, simlab
 from .design import Categorical, build_design_matrix, parse_spec
-from .eecore import fit_robust_poisson
 from .errors import (
     ConfigError,
     DataError,
     RiskRatioError,
     SpecParseError,
 )
-from .logbin import fit_logbin_barrier, fit_logbin_ml
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-VERSION = simlab.VERSION
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "log-linear (robust Poisson) method, log-binomial ML, and "
         "Monte Carlo study tools.",
     )
-    parser.add_argument("--version", action="version", version=VERSION)
+    parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     fit = sub.add_parser("fit", help="fit a model to a CSV file")
@@ -48,8 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--exposure", required=True)
     fit.add_argument("--spec", default=None,
                      help="term spec, e.g. '1 + A + rcs(L1,4) + L1:L2'")
-    fit.add_argument("--method", default="robust-poisson",
-                     choices=["robust-poisson", "logbin-ml", "logbin-ab"])
+    fit.add_argument("--method", default=inference.DEFAULT_METHOD,
+                     choices=list(inference.FIT_METHODS))
     fit.add_argument("--estimand", default="coefficient",
                      choices=["coefficient", "marginal", "both"])
     fit.add_argument("--level", type=float, default=0.95)
@@ -96,23 +92,13 @@ def _default_spec(data, exposure: str) -> str:
 
 def _fit_estimates(args, data, design, level):
     """One RR row per exposure contrast, for the chosen method/estimand."""
-    if args.method == "robust-poisson":
-        fit = fit_robust_poisson(design, data.y)
-        cov = fit.cov_sandwich
-        warnings = []
-        if fit.n_mu_gt1:
-            warnings.append(f"{fit.n_mu_gt1} fitted means exceed 1")
-    else:
-        fitter = fit_logbin_ml if args.method == "logbin-ml" else fit_logbin_barrier
-        lb = fitter(design, data.y)
-        if not lb.converged or lb.cov_model is None:
-            raise RiskRatioError(
-                f"{args.method} failed: {lb.failure_reason or 'non-convergence'} "
-                f"(iterations={lb.iterations}, on_boundary={lb.on_boundary})"
-            )
-        fit = simlab._as_fit(lb.beta, lb.cov_model, design)
-        cov = lb.cov_model
-        warnings = ["on_boundary"] if lb.on_boundary else []
+    fit_method = inference.FIT_METHODS[args.method]
+    fit = fit_method(design, data.y)
+    warnings = []
+    if fit.n_mu_gt1:
+        warnings.append(f"{fit.n_mu_gt1} fitted means exceed 1")
+    if fit.on_boundary:
+        warnings.append("on_boundary")
     if design.rank_deficient:
         warnings.append("design matrix is numerically rank deficient")
 
@@ -153,7 +139,7 @@ def _fit_estimates(args, data, design, level):
     if args.boot:
         def fitter_fn(d):
             dm = build_design_matrix(d, list(design.terms), exposure=args.exposure)
-            return fit_robust_poisson(dm, d.y)
+            return fit_method(dm, d.y)
 
         def estimand_fn(f, d):
             return inference.coefficient_rr(f, design.exposure_cols[0], level)
@@ -189,7 +175,7 @@ def cmd_fit(args) -> int:
     }
     if args.format == "machine":
         envelope = {
-            "version": VERSION,
+            "version": __version__,
             "command": "fit",
             "config": resolved,
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -198,7 +184,7 @@ def cmd_fit(args) -> int:
         }
         _emit(report.to_machine_json(envelope), args.out)
     else:
-        lines = [f"riskratio fit  (v{VERSION})",
+        lines = [f"riskratio fit  (v{__version__})",
                  "config: " + " ".join(f"{k}={v}" for k, v in resolved.items()),
                  ""]
         lines.append(report.fit_table(estimates, args.level))

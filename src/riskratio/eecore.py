@@ -1,12 +1,12 @@
 """Semiparametric log-linear estimating equations and sandwich covariance.
 
-Fits log E[Y|X] = X beta by solving sum_i M_i (y_i - exp(x_i beta)) = 0
-with the default instrument M_i = x_i, i.e. the score equations of a
-Poisson regression -- but no outcome distribution is assumed.  The
-covariance is the sandwich B^{-1} W B^{-T} with bread
-B = sum_i M_i x_i' mu_i and meat W = sum_i M_i (y_i - mu_i)^2 M_i',
-which is valid under arbitrary misspecification of the outcome
-distribution as long as the log-linear mean model holds.
+Fits log E[Y|X] = X beta by solving sum_i x_i (y_i - exp(x_i beta)) = 0,
+the score equations of a Poisson regression -- but no outcome
+distribution is assumed.  The covariance is the sandwich B^{-1} W B^{-T}
+with bread B = sum_i x_i x_i' mu_i and meat
+W = sum_i x_i (y_i - mu_i)^2 x_i', which is valid under arbitrary
+misspecification of the outcome distribution as long as the log-linear
+mean model holds.
 
 The Newton loop keeps one state per accepted iterate, its fitted means
 mu = exp(X beta), and passes it to ``ee_jacobian``, ``ee_score`` and
@@ -45,21 +45,25 @@ COND_MAX = 1e12
 
 @dataclass
 class FitResult:
-    """Solution of the estimating equations plus diagnostics."""
+    """A fitted log-linear risk model: coefficients, their covariance and
+    diagnostics.
+
+    ``on_boundary`` marks a log-binomial optimum with some fitted risk at 1.
+    The fields from ``max_abs_score`` on are computed by
+    ``fit_robust_poisson`` alone; other fitters leave their defaults.
+    """
 
     beta: np.ndarray
     cov_sandwich: np.ndarray
     converged: bool
     iterations: int
-    max_abs_score: float
-    mu_hat: np.ndarray
-    n_mu_gt1: int
-    condition_estimate: float
-    degenerate_outcome: bool = False
     design: DesignMatrix | None = field(default=None, repr=False)
-
-    def se(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.cov_sandwich))
+    on_boundary: bool = False
+    max_abs_score: float | None = None
+    mu_hat: np.ndarray | None = None
+    n_mu_gt1: int | None = None
+    condition_estimate: float | None = None
+    degenerate_outcome: bool = False
 
 
 def _mu(X, beta):
@@ -69,36 +73,22 @@ def _mu(X, beta):
     return np.exp(eta)
 
 
-def ee_score(X, y, beta, M=None, mu=None) -> np.ndarray:
-    """Estimating function sum_i M_i (y_i - exp(x_i beta)).
+def ee_score(X, y, beta, mu=None) -> np.ndarray:
+    """Estimating function sum_i x_i (y_i - exp(x_i beta)).
 
     ``mu`` is exp(X beta) when the caller has it already.
     """
-    M = X if M is None else M
     mu = _mu(X, beta) if mu is None else mu
-    return M.T @ (y - mu)
+    return X.T @ (y - mu)
 
 
-def ee_jacobian(X, y, beta, M=None, mu=None) -> np.ndarray:
-    """Derivative of the score w.r.t. beta: -sum_i M_i x_i' exp(x_i beta).
+def ee_jacobian(X, y, beta, mu=None) -> np.ndarray:
+    """Derivative of the score w.r.t. beta: -sum_i x_i x_i' exp(x_i beta).
 
     ``mu`` is exp(X beta) when the caller has it already.
     """
-    M = X if M is None else M
     mu = _mu(X, beta) if mu is None else mu
-    return -(M.T * mu) @ X
-
-
-def poisson_loglik(X, y, beta) -> float:
-    """Poisson log-likelihood; for 0/1 outcomes the log(y!) term vanishes.
-
-    Diagnostic only: the estimator does not rely on the Poisson
-    distribution, but shares its score function.
-    """
-    eta = X @ beta
-    if np.any(eta > ETA_MAX):
-        raise Overflow("linear predictor overflow")
-    return float(np.sum(y * eta - np.exp(eta)))
+    return -(X.T * mu) @ X
 
 
 def _initial_beta(X, y):
@@ -152,21 +142,13 @@ def _check_conditioning(jac) -> float:
     return cond
 
 
-def fit_robust_poisson(
-    design: DesignMatrix | np.ndarray,
-    y,
-    M=None,
-    solver: str = "newton",
-    max_iter: int = MAX_ITER,
-) -> FitResult:
-    """Solve the log-linear estimating equations and attach the sandwich.
+def fit_robust_poisson(design: DesignMatrix | np.ndarray, y) -> FitResult:
+    """Solve the log-linear estimating equations by damped Newton and
+    attach the sandwich.
 
-    ``solver`` is "newton" (damped Newton on the estimating function) or
-    "irls" (iteratively reweighted least squares with weights exp(x beta));
-    both reach the same solution and the agreement is a tested invariant.
-    A design with more columns than rows raises ``DataError``; with the
-    default instrument, data for which no finite root exists (see
-    ``_check_finite_solution``) raise ``NoFiniteSolution`` before iterating.
+    A design with more columns than rows raises ``DataError``; data for
+    which no finite root exists (see ``_check_finite_solution``) raise
+    ``NoFiniteSolution`` before iterating.
 
     Each accepted iterate keeps its fitted means mu = exp(X beta), computed
     once for the step-halving score and reused by the next Jacobian and,
@@ -201,31 +183,19 @@ def fit_robust_poisson(
             degenerate_outcome=True,
             design=dm,
         )
-    if M is None:
-        _check_finite_solution(X, y, dm.labels if dm is not None else None)
+    _check_finite_solution(X, y, dm.labels if dm is not None else None)
 
     beta = _initial_beta(X, y)
     tol = SCORE_TOL * n
     iterations = 0
     converged = False
     mu = _mu(X, beta)
-    score = ee_score(X, y, beta, M, mu=mu)
+    score = ee_score(X, y, beta, mu=mu)
 
-    for iterations in range(1, max_iter + 1):
-        jac = ee_jacobian(X, y, beta, M, mu=mu)
+    for iterations in range(1, MAX_ITER + 1):
+        jac = ee_jacobian(X, y, beta, mu=mu)
         try:
-            if solver == "newton":
-                # LU, not Cholesky: -J is not symmetric under a general M.
-                delta = np.linalg.solve(-jac, score)
-            elif solver == "irls":
-                # Weighted LS update: beta <- solve(X'WX, X'W z), W = diag(mu),
-                # z = eta + (y - mu)/mu.  Algebraically the same Newton step
-                # when M = X.
-                z = X @ beta + (y - mu) / mu
-                xtw = X.T * mu
-                delta = np.linalg.solve(xtw @ X, xtw @ z) - beta
-            else:
-                raise ValueError(f"unknown solver {solver!r}")
+            delta = np.linalg.solve(-jac, score)
         except np.linalg.LinAlgError:
             raise SingularJacobian(float(np.linalg.cond(-jac))) from None
         if not np.all(np.isfinite(delta)):
@@ -241,7 +211,7 @@ def fit_robust_poisson(
             eta = X @ candidate
             mu = None if np.any(eta > ETA_MAX) else np.exp(eta)
             try:
-                new_score = ee_score(X, y, candidate, M, mu=mu)
+                new_score = ee_score(X, y, candidate, mu=mu)
             except Overflow:
                 step /= 2.0
                 continue
@@ -261,8 +231,8 @@ def fit_robust_poisson(
     if not converged:
         raise NonConvergence(iterations, max_abs_score)
 
-    cond = _check_conditioning(ee_jacobian(X, y, beta, M, mu=mu))
-    cov = sandwich_covariance(X, y, beta, M, mu=mu)
+    cond = _check_conditioning(ee_jacobian(X, y, beta, mu=mu))
+    cov = sandwich_covariance(X, y, beta, mu=mu)
     return FitResult(
         beta=beta,
         cov_sandwich=cov,
@@ -276,19 +246,18 @@ def fit_robust_poisson(
     )
 
 
-def sandwich_covariance(X, y, beta, M=None, mu=None) -> np.ndarray:
+def sandwich_covariance(X, y, beta, mu=None) -> np.ndarray:
     """Robust covariance B^{-1} W B^{-T} of the coefficient estimates.
 
-    B = sum_i M_i x_i' mu_i (bread), W = sum_i M_i r_i^2 M_i' (meat) with
+    B = sum_i x_i x_i' mu_i (bread), W = sum_i x_i r_i^2 x_i' (meat) with
     residual r_i = y_i - mu_i.  Symmetrized after assembly.  ``mu`` is
     exp(X beta) when the caller has it already.
     """
     X = X.X if isinstance(X, DesignMatrix) else np.asarray(X, float)
-    M = X if M is None else M
     mu = _mu(X, beta) if mu is None else mu
     r = y - mu
-    bread = (M.T * mu) @ X
-    meat = (M.T * r**2) @ M
+    bread = (X.T * mu) @ X
+    meat = (X.T * r**2) @ X
     try:
         binv = np.linalg.inv(bread)
     except np.linalg.LinAlgError:
@@ -296,22 +265,3 @@ def sandwich_covariance(X, y, beta, M=None, mu=None) -> np.ndarray:
     cov = binv @ meat @ binv.T
     return (cov + cov.T) / 2.0
 
-
-def sandwich_covariance_lz(X, y, beta) -> np.ndarray:
-    """Sandwich assembled in the Liang-Zeger GEE form.
-
-    Uses per-observation mean derivatives d_i = x_i mu_i and explicit
-    1/mu_i working-variance factors: bread sum_i d_i mu_i^{-1} d_i',
-    meat sum_i d_i mu_i^{-1} r_i^2 mu_i^{-1} d_i'.  Algebraically equal
-    to ``sandwich_covariance``; kept as an independent assembly for
-    verification.
-    """
-    X = X.X if isinstance(X, DesignMatrix) else np.asarray(X, float)
-    mu = _mu(X, beta)
-    r = y - mu
-    d = X * mu[:, None]
-    bread = (d.T / mu) @ d
-    meat = (d.T * (r**2 / mu**2)) @ d
-    binv = np.linalg.inv(bread)
-    cov = binv @ meat @ binv.T
-    return (cov + cov.T) / 2.0

@@ -76,6 +76,10 @@ class NoFeasibleStart(RiskRatioError):
     """No strictly feasible starting point found for the barrier method."""
 
 
+class FitFailed(RiskRatioError):
+    """A log-binomial fit did not converge or has no usable covariance."""
+
+
 class NonFiniteStandardization(RiskRatioError):
     """Overflow while standardizing fitted means over the sample."""
 

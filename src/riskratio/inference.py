@@ -1,6 +1,8 @@
-"""Risk-ratio estimands and intervals from fitted models.
+"""Fitting by method name, and risk-ratio estimands and intervals.
 
-Two estimands: the exponentiated coefficient (conditional RR from the
+``FIT_METHODS`` maps each method name to a fitter (design, y) ->
+``FitResult``; the CLI and the study runner both fit through it.  Two
+estimands: the exponentiated coefficient (conditional RR from the
 log-linear model) and the standardized marginal RR obtained by averaging
 model-predicted risks over the estimation sample with the exposure forced
 to each level (g-computation).  Intervals are Wald on the log scale, with
@@ -17,8 +19,14 @@ import numpy as np
 
 from .data import Dataset
 from .design import _term_block, _term_columns, realize
-from .eecore import ETA_MAX, FitResult
-from .errors import NonFiniteStandardization, RiskRatioError, TooManyFailures
+from .eecore import ETA_MAX, FitResult, fit_robust_poisson
+from .errors import (
+    FitFailed,
+    NonFiniteStandardization,
+    RiskRatioError,
+    TooManyFailures,
+)
+from .logbin import LogBinFit, fit_logbin_barrier, fit_logbin_ml
 from .rng import stream
 
 
@@ -35,25 +43,58 @@ class RREstimate:
     extra: dict | None = None
 
 
+def _usable(method: str, lb: LogBinFit) -> FitResult:
+    """The ``FitResult`` of a converged log-binomial fit with a covariance;
+    any other fit raises ``FitFailed``."""
+    if not lb.converged or lb.cov_model is None:
+        raise FitFailed(
+            f"{method} failed: {lb.failure_reason or 'non-convergence'} "
+            f"(iterations={lb.iterations}, on_boundary={lb.on_boundary})"
+        )
+    return FitResult(
+        beta=lb.beta, cov_sandwich=lb.cov_model, converged=True,
+        iterations=lb.iterations, design=lb.design, on_boundary=lb.on_boundary,
+    )
+
+
+# Each entry looks its fitter up when called, so a module attribute replaced
+# after import (as bench/tracer.py does) is the one that runs.
+FIT_METHODS = {
+    "robust-poisson": lambda design, y: fit_robust_poisson(design, y),
+    "logbin-ml": lambda design, y: _usable("logbin-ml", fit_logbin_ml(design, y)),
+    "logbin-ab": lambda design, y: _usable("logbin-ab", fit_logbin_barrier(design, y)),
+}
+DEFAULT_METHOD = "robust-poisson"
+
+
 def _z(level: float) -> float:
     return NormalDist().inv_cdf(0.5 + level / 2.0)
 
 
-def coefficient_rr(fit: FitResult, j: int, level: float = 0.95) -> RREstimate:
-    """RR = exp(beta_j) with a Wald sandwich interval on the log scale."""
-    log_rr = float(fit.beta[j])
-    se = float(np.sqrt(fit.cov_sandwich[j, j]))
+def _wald(estimand: str, log_rr: float, var, method: str, level: float) -> RREstimate:
+    """exp(log_rr) with the Wald interval exp(log_rr -/+ z sqrt(var)).
+
+    A variance below zero, an exact zero lost to rounding, gives a NaN
+    standard error and interval, which every caller treats as a failed fit.
+    """
+    se = float(np.sqrt(var)) if var >= 0 else np.nan
     z = _z(level)
     return RREstimate(
-        estimand=f"coefficient[{j}]",
+        estimand=estimand,
         log_rr=log_rr,
         se_log_rr=se,
         rr=float(np.exp(log_rr)),
         ci_low=float(np.exp(log_rr - z * se)),
         ci_high=float(np.exp(log_rr + z * se)),
-        method="wald-sandwich",
+        method=method,
         level=level,
     )
+
+
+def coefficient_rr(fit: FitResult, j: int, level: float = 0.95) -> RREstimate:
+    """RR = exp(beta_j) with a Wald sandwich interval on the log scale."""
+    return _wald(f"coefficient[{j}]", float(fit.beta[j]), fit.cov_sandwich[j, j],
+                 "wald-sandwich", level)
 
 
 def _standardized_means(fit: FitResult, data: Dataset, a: float):
@@ -95,18 +136,8 @@ def marginal_rr(
     m0, g0 = _standardized_means(fit, data, a0)
     log_rr = float(np.log(m1) - np.log(m0))
     g = g1 - g0
-    se = float(np.sqrt(g @ fit.cov_sandwich @ g))
-    z = _z(level)
-    return RREstimate(
-        estimand=f"marginal[{a1:g} vs {a0:g}]",
-        log_rr=log_rr,
-        se_log_rr=se,
-        rr=float(np.exp(log_rr)),
-        ci_low=float(np.exp(log_rr - z * se)),
-        ci_high=float(np.exp(log_rr + z * se)),
-        method="delta",
-        level=level,
-    )
+    return _wald(f"marginal[{a1:g} vs {a0:g}]", log_rr, g @ fit.cov_sandwich @ g,
+                 "delta", level)
 
 
 def bootstrap_rr(

@@ -41,9 +41,6 @@ class LogBinFit:
     failure_reason: str | None = None
     design: DesignMatrix | None = field(default=None, repr=False)
 
-    def se(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.cov_model))
-
 
 def _eta(X, beta):
     return X @ beta
@@ -197,7 +194,7 @@ def _finish(X, y, beta, converged, on_boundary, iterations, reason, dm):
     )
 
 
-def fit_logbin_ml(design, y, max_iter: int = MAX_ITER) -> LogBinFit:
+def fit_logbin_ml(design, y) -> LogBinFit:
     """Fisher-scoring IRLS for the log-binomial model, GLM style.
 
     Deliberately mirrors the standard unsafeguarded GLM iteration: the
@@ -218,7 +215,7 @@ def fit_logbin_ml(design, y, max_iter: int = MAX_ITER) -> LogBinFit:
     beta = None
     last_feasible = feasible_start(X, y)
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         w = mu / (1.0 - mu)          # (dmu/deta)^2 / var for the log link
         z = eta + (y - mu) / mu
         xtw = X.T * w
@@ -242,10 +239,10 @@ def fit_logbin_ml(design, y, max_iter: int = MAX_ITER) -> LogBinFit:
 
     return _finish(X, y, last_feasible, False,
                    np.max(_eta(X, last_feasible)) > -BOUNDARY_EPS,
-                   max_iter, "iteration cap", dm)
+                   MAX_ITER, "iteration cap", dm)
 
 
-def fit_logbin_barrier(design, y, max_iter: int = MAX_ITER) -> LogBinFit:
+def fit_logbin_barrier(design, y) -> LogBinFit:
     """Log-barrier maximization of the log-binomial likelihood.
 
     Maximizes loglik(beta) + t * sum_i log(-x_i'beta) for a decreasing
@@ -266,7 +263,7 @@ def fit_logbin_barrier(design, y, max_iter: int = MAX_ITER) -> LogBinFit:
 
     t = BARRIER_T_START
     while t >= BARRIER_T_STOP * 0.999:
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             total_iter += 1
             grad, hess = state.newton_system(X, y, t)
             # Only a step that raises the finite barrier objective is taken,

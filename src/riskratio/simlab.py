@@ -20,18 +20,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import inference
+from . import __version__, inference
 from .data import Dataset
 from .design import build_design_matrix, parse_spec
 from .eecore import fit_robust_poisson
 from .errors import AllReplicationsFailed, ConfigError, RiskRatioError
-from .logbin import fit_logbin_barrier, fit_logbin_ml
 from .rng import stream
 
 # Stream indices reserved for non-replication draws.
 TRUTH_STREAM = 1 << 48
-
-VERSION = "0.1.0"
 
 
 def expit(x):
@@ -207,7 +204,6 @@ def monte_carlo_truth(scenario: Scenario | str, n: int = 1_000_000, seed: int = 
 
 # --- study runner -----------------------------------------------------------
 
-METHODS = ("robust-poisson", "logbin-ml", "logbin-ab")
 SPECIFICATIONS = ("simple", "rich")
 ESTIMANDS = ("coefficient", "marginal")
 
@@ -218,10 +214,9 @@ class StudyConfig:
     n: int = 1000
     replications: int = 1000
     base_seed: int = 0
-    methods: tuple[str, ...] = ("robust-poisson",)
+    methods: tuple[str, ...] = (inference.DEFAULT_METHOD,)
     specifications: tuple[str, ...] = ("simple",)
     estimands: tuple[str, ...] = ("coefficient", "marginal")
-    bootstrap_B: int = 0
     level: float = 0.95
     truth_n: int = 1_000_000
 
@@ -232,7 +227,7 @@ class StudyConfig:
         if self.n < 1:
             raise ConfigError("must be >= 1", key="n")
         for m in self.methods:
-            if m not in METHODS:
+            if m not in inference.FIT_METHODS:
                 raise ConfigError(f"unknown method {m!r}", key="methods")
         for s in self.specifications:
             if s not in SPECIFICATIONS:
@@ -250,7 +245,6 @@ _CONFIG_KEYS = {
     "methods": None,
     "specifications": None,
     "estimands": None,
-    "bootstrap.B": int,
     "level": float,
     "truth_n": int,
 }
@@ -278,12 +272,12 @@ def parse_config(text: str) -> StudyConfig:
     for key, value in values.items():
         cast = _CONFIG_KEYS[key]
         if cast is None:
-            kwargs[key.replace(".", "_")] = tuple(
+            kwargs[key] = tuple(
                 part.strip() for part in value.split(",") if part.strip()
             )
         else:
             try:
-                kwargs[key.replace(".", "_")] = cast(value)
+                kwargs[key] = cast(value)
             except ValueError:
                 raise ConfigError(f"cannot parse {value!r}", key=key) from None
     return StudyConfig(**kwargs)
@@ -295,80 +289,46 @@ def _spec_terms(scenario: Scenario, spec_name: str):
 
 
 def _replicate(
-    config: StudyConfig, scenario: Scenario, terms: dict, z: float, r: int
+    config: StudyConfig, scenario: Scenario, terms: dict, r: int
 ) -> dict:
     """One replication: returns {(method, spec, estimand): (rr, lo, hi) | None}.
 
-    ``terms`` maps each specification name to its parsed term list and ``z``
-    is the Wald quantile of ``config.level``; both are fixed for a study.
+    ``terms`` maps each specification name to its parsed term list, fixed
+    for a study.  A fit on the log-binomial boundary counts as failed.
     """
     rng = stream(config.base_seed, r)
     data = generate(scenario, config.n, rng=rng)
-    out = {}
+    out = dict.fromkeys(
+        (m, s, e) for m in config.methods for s in config.specifications
+        for e in config.estimands
+    )
     for spec_name in config.specifications:
         try:
             design = build_design_matrix(data, terms[spec_name], exposure="A")
         except RiskRatioError:
-            for method in config.methods:
-                for est in config.estimands:
-                    out[(method, spec_name, est)] = None
             continue
         j = design.exposure_cols[0]
         for method in config.methods:
-            beta = cov = fit = None
             try:
-                if method == "robust-poisson":
-                    fit = fit_robust_poisson(design, data.y)
-                    beta, cov = fit.beta, fit.cov_sandwich
-                else:
-                    fitter = fit_logbin_ml if method == "logbin-ml" else fit_logbin_barrier
-                    lb = fitter(design, data.y)
-                    failed = (
-                        not lb.converged or lb.cov_model is None or lb.on_boundary
-                    )
-                    if not failed:
-                        beta, cov = lb.beta, lb.cov_model
-            except RiskRatioError:
-                beta = None
-            except np.linalg.LinAlgError:
-                beta = None
+                fit = inference.FIT_METHODS[method](design, data.y)
+            except (RiskRatioError, np.linalg.LinAlgError):
+                continue
+            if fit.on_boundary:
+                continue
             for est in config.estimands:
-                if beta is None:
-                    out[(method, spec_name, est)] = None
-                    continue
                 try:
                     if est == "coefficient":
-                        se = float(np.sqrt(cov[j, j]))
-                        rr = float(np.exp(beta[j]))
-                        lo = float(np.exp(beta[j] - z * se))
-                        hi = float(np.exp(beta[j] + z * se))
+                        e = inference.coefficient_rr(fit, j, config.level)
                     else:
-                        est_obj = inference.marginal_rr(
-                            _as_fit(beta, cov, design), data, 1.0, 0.0,
-                            level=config.level,
-                        )
-                        rr, lo, hi = est_obj.rr, est_obj.ci_low, est_obj.ci_high
-                    if not (np.isfinite(rr) and np.isfinite(lo) and np.isfinite(hi)):
-                        out[(method, spec_name, est)] = None
-                    else:
-                        out[(method, spec_name, est)] = (rr, lo, hi)
+                        e = inference.marginal_rr(fit, data, 1.0, 0.0, level=config.level)
                 except RiskRatioError:
-                    out[(method, spec_name, est)] = None
+                    continue
+                if np.isfinite(e.rr) and np.isfinite(e.ci_low) and np.isfinite(e.ci_high):
+                    out[(method, spec_name, est)] = (e.rr, e.ci_low, e.ci_high)
     return out
 
 
-def _as_fit(beta, cov, design):
-    """Minimal FitResult wrapper so marginal_rr works for any method."""
-    from .eecore import FitResult
-
-    return FitResult(
-        beta=beta, cov_sandwich=cov, converged=True, iterations=0,
-        max_abs_score=0.0, mu_hat=np.empty(0), n_mu_gt1=0,
-        condition_estimate=0.0, design=design,
-    )
-
-
-def _cell_metrics(values, truth, level):
+def _cell_metrics(values, truth):
     """Bias/RMSE/coverage with MCSEs over non-failed replications."""
     R = len(values)
     ok = [v for v in values if v is not None]
@@ -408,10 +368,9 @@ def run_study(config: StudyConfig, threads: int = 1) -> dict:
     truth = monte_carlo_truth(scenario, config.truth_n, seed=config.base_seed)
 
     terms = {s: _spec_terms(scenario, s) for s in config.specifications}
-    z = inference._z(config.level)
 
     def replicate(r):
-        return _replicate(config, scenario, terms, z, r)
+        return _replicate(config, scenario, terms, r)
 
     indices = range(config.replications)
     if threads > 1:
@@ -427,7 +386,7 @@ def run_study(config: StudyConfig, threads: int = 1) -> dict:
             for est in config.estimands:
                 key = (method, spec_name, est)
                 values = [res[key] for res in results]
-                cell = _cell_metrics(values, truth["rr_true"], config.level)
+                cell = _cell_metrics(values, truth["rr_true"])
                 if cell["r_effective"] > 0:
                     any_ok = True
                 cell.update(method=method, specification=spec_name, estimand=est)
@@ -436,7 +395,7 @@ def run_study(config: StudyConfig, threads: int = 1) -> dict:
         raise AllReplicationsFailed("no cell produced any successful replication")
 
     return {
-        "version": VERSION,
+        "version": __version__,
         "config": {
             "scenario": config.scenario,
             "n": config.n,
@@ -445,7 +404,6 @@ def run_study(config: StudyConfig, threads: int = 1) -> dict:
             "methods": list(config.methods),
             "specifications": list(config.specifications),
             "estimands": list(config.estimands),
-            "bootstrap.B": config.bootstrap_B,
             "level": config.level,
             "truth_n": config.truth_n,
         },

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -117,6 +118,20 @@ class TestFit:
         assert code == 0
         assert "bootstrap(100)" in out
 
+    def test_bootstrap_refits_the_requested_method(self, tmp_path):
+        csv = write_scenario_csv(tmp_path, "simple", 400, (82, 0))
+        out_path = tmp_path / "fit.json"
+        code = main([
+            "fit", "--csv", csv, "--outcome", "y", "--exposure", "A",
+            "--spec", "1 + A + L1 + L2", "--method", "logbin-ab",
+            "--boot", "100", "--seed", "5", "--format", "machine",
+            "--out", str(out_path),
+        ])
+        assert code == 0
+        coef, boot = json.loads(out_path.read_text())["results"]["estimates"]
+        assert boot["method"] == "bootstrap(100)"
+        assert boot["rr"] == coef["rr"]
+
 
 class TestStudy:
     SMOKE = (
@@ -142,6 +157,20 @@ class TestStudy:
         assert main(["study", str(cfg), "--format", "machine",
                      "--out", str(b), "--threads", "4"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestVersion:
+    def test_one_version(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--version"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.strip() == riskratio.__version__
+        cfg = tmp_path / "smoke.cfg"
+        cfg.write_text(TestStudy.SMOKE)
+        out = tmp_path / "report.json"
+        assert main(["study", str(cfg), "--format", "machine",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["version"] == riskratio.__version__
 
 
 class TestOtherCommands:

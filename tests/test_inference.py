@@ -1,9 +1,11 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from riskratio import (
+    FIT_METHODS,
     Categorical,
     Dataset,
     Intercept,
@@ -12,6 +14,7 @@ from riskratio import (
     bootstrap_rr,
     build_design_matrix,
     coefficient_rr,
+    fit_logbin_barrier,
     fit_robust_poisson,
     generate,
     marginal_rr,
@@ -19,8 +22,9 @@ from riskratio import (
 )
 from riskratio import inference
 from riskratio.design import realize
-from riskratio.errors import TooManyFailures
+from riskratio.errors import FitFailed, TooManyFailures
 from riskratio.rng import stream
+from riskratio.simlab import get_scenario
 
 from test_eecore import EIGHT_ROWS, two_by_two
 
@@ -80,6 +84,20 @@ class TestCoefficientRR:
         assert len(estimates) == 4
         for est in estimates:
             assert est.ci_low < est.rr < est.ci_high
+
+    def test_variance_rounded_below_zero_gives_nan_interval(self):
+        # Every L1=1 row has y=1, so the residuals there are exactly 0 and
+        # the A variance is 0 up to rounding; here it rounds to -3.5e-34.
+        data = generate("figure-demo", 10, rng=stream(0, 41))
+        dm = build_design_matrix(data, parse_spec("1 + A + L1"), exposure="A")
+        fit = fit_robust_poisson(dm, data.y)
+        assert fit.cov_sandwich[1, 1] < 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = coefficient_rr(fit, 1)
+        assert np.isfinite(est.rr)
+        assert np.isnan(est.se_log_rr)
+        assert np.isnan(est.ci_low) and np.isnan(est.ci_high)
 
 
 class TestMarginalRR:
@@ -182,6 +200,56 @@ class TestStandardizedMeans:
             assert m == m_ref and g.tobytes() == g_ref.tobytes()
         # Only the other sample, of the same size, goes through realize().
         assert len(realized) == 3
+
+
+class TestFitMethods:
+    @staticmethod
+    def complex_design(key):
+        data = generate("complex", 1000, rng=stream(*key))
+        terms = parse_spec(get_scenario("complex").simple_spec)
+        return build_design_matrix(data, terms, exposure="A"), data.y
+
+    def test_unusable_logbin_fit_raises(self):
+        dm, y = self.complex_design((81, 0))
+        with pytest.raises(FitFailed) as info:
+            FIT_METHODS["logbin-ml"](dm, y)
+        assert str(info.value) == (
+            "logbin-ml failed: infeasible iterate (iterations=1, on_boundary=True)"
+        )
+
+    def test_boundary_fit_is_flagged(self):
+        dm, y = self.complex_design((703, 0))
+        lb = fit_logbin_barrier(dm, y)
+        assert lb.converged and lb.on_boundary
+        fit = FIT_METHODS["logbin-ab"](dm, y)
+        assert fit.on_boundary and fit.design is dm
+        np.testing.assert_array_equal(fit.beta, lb.beta)
+        np.testing.assert_array_equal(fit.cov_sandwich, lb.cov_model)
+        assert fit.mu_hat is None and fit.n_mu_gt1 is None
+        assert not FIT_METHODS["robust-poisson"](dm, y).on_boundary
+
+    @pytest.mark.parametrize("method, attr", [
+        ("robust-poisson", "fit_robust_poisson"),
+        ("logbin-ml", "fit_logbin_ml"),
+        ("logbin-ab", "fit_logbin_barrier"),
+    ])
+    def test_entries_call_the_module_attribute(self, method, attr, monkeypatch):
+        # A wrapper installed on the module after import must be the one
+        # that runs, as for the benchmark's tracer.
+        dm, y = self.complex_design((703, 0))
+        calls = []
+        inner = getattr(inference, attr)
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(inference, attr, counted)
+        try:
+            FIT_METHODS[method](dm, y)
+        except FitFailed:
+            pass
+        assert len(calls) == 1
 
 
 class TestBootstrap:

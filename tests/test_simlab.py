@@ -99,7 +99,7 @@ class TestConfig:
         cfg = parse_config(
             "scenario = simple\nn = 500\nreplications = 20\nbase_seed = 7\n"
             "methods = robust-poisson, logbin-ml\nspecifications = simple\n"
-            "estimands = coefficient\nbootstrap.B = 0\n"
+            "estimands = coefficient\n"
         )
         assert cfg == StudyConfig(
             scenario="simple", n=500, replications=20, base_seed=7,
@@ -114,6 +114,7 @@ class TestConfig:
         "scenario = simple\nn = many",             # bad int
         "scenario = simple\nmethods = magic",      # unknown method
         "scenario = simple\nn = 10\nn = 20",       # duplicate key
+        "scenario = simple\nbootstrap.B = 0",      # removed key
     ])
     def test_errors(self, text):
         with pytest.raises(ConfigError):
