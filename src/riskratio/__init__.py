@@ -38,7 +38,6 @@ from .inference import (
     marginal_rr,
 )
 from .logbin import (
-    LogBinFit,
     fit_logbin_barrier,
     fit_logbin_ml,
     logbin_gradient,
@@ -65,7 +64,6 @@ __all__ = [
     "FitResult",
     "Intercept",
     "Interaction",
-    "LogBinFit",
     "Main",
     "RREstimate",
     "SCENARIOS",

@@ -90,6 +90,16 @@ def _default_spec(data, exposure: str) -> str:
     return " + ".join(["1", exposure] + others)
 
 
+def _row(label, estimand, est) -> dict:
+    """One estimate row of the fit report."""
+    return {
+        "label": label, "estimand": estimand,
+        "rr": est.rr, "ci_low": est.ci_low, "ci_high": est.ci_high,
+        "log_rr": est.log_rr, "se_log_rr": est.se_log_rr,
+        "method": est.method,
+    }
+
+
 def _fit_estimates(args, data, design, level):
     """One RR row per exposure contrast, for the chosen method/estimand."""
     fit_method = inference.FIT_METHODS[args.method]
@@ -102,21 +112,14 @@ def _fit_estimates(args, data, design, level):
     if design.rank_deficient:
         warnings.append("design matrix is numerically rank deficient")
 
-    cat = next((t for t in design.terms if isinstance(t, Categorical)
-                and t.column == args.exposure), None)
     estimates = []
-
-    def add_coeff():
+    if args.estimand in ("coefficient", "both"):
         for j in design.exposure_cols:
             est = inference.coefficient_rr(fit, j, level)
-            estimates.append({
-                "label": design.labels[j], "estimand": "coefficient",
-                "rr": est.rr, "ci_low": est.ci_low, "ci_high": est.ci_high,
-                "log_rr": est.log_rr, "se_log_rr": est.se_log_rr,
-                "method": est.method,
-            })
-
-    def add_marginal():
+            estimates.append(_row(design.labels[j], "coefficient", est))
+    if args.estimand in ("marginal", "both"):
+        cat = next((t for t in design.terms if isinstance(t, Categorical)
+                    and t.column == args.exposure), None)
         if cat is not None:
             pairs = [(lev, cat.reference) for lev in cat.levels
                      if lev != cat.reference]
@@ -124,18 +127,8 @@ def _fit_estimates(args, data, design, level):
             pairs = [(1.0, 0.0)]
         for a1, a0 in pairs:
             est = inference.marginal_rr(fit, data, a1, a0, level=level)
-            estimates.append({
-                "label": f"{args.exposure}={a1:g} vs {a0:g}",
-                "estimand": "marginal",
-                "rr": est.rr, "ci_low": est.ci_low, "ci_high": est.ci_high,
-                "log_rr": est.log_rr, "se_log_rr": est.se_log_rr,
-                "method": est.method,
-            })
-
-    if args.estimand in ("coefficient", "both"):
-        add_coeff()
-    if args.estimand in ("marginal", "both"):
-        add_marginal()
+            estimates.append(_row(f"{args.exposure}={a1:g} vs {a0:g}",
+                                  "marginal", est))
     if args.boot:
         def fitter_fn(d):
             dm = build_design_matrix(d, list(design.terms), exposure=args.exposure)
@@ -147,13 +140,8 @@ def _fit_estimates(args, data, design, level):
         boot = inference.bootstrap_rr(
             fitter_fn, data, estimand_fn, B=args.boot, seed=args.seed, level=level
         )
-        estimates.append({
-            "label": design.labels[design.exposure_cols[0]],
-            "estimand": "coefficient",
-            "rr": boot.rr, "ci_low": boot.ci_low, "ci_high": boot.ci_high,
-            "log_rr": boot.log_rr, "se_log_rr": boot.se_log_rr,
-            "method": boot.method,
-        })
+        estimates.append(_row(design.labels[design.exposure_cols[0]],
+                              "coefficient", boot))
     return estimates, warnings
 
 

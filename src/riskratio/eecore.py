@@ -12,8 +12,11 @@ The Newton loop keeps one state per accepted iterate, its fitted means
 mu = exp(X beta), and passes it to ``ee_jacobian``, ``ee_score`` and
 ``sandwich_covariance`` through their ``mu=`` argument.  Conditioning of
 the Jacobian is checked where a Newton solve fails and once on the final
-Jacobian, not on every iteration; data without a finite root are caught
-before iterating.
+Jacobian, not on every iteration; data without a finite root, such as an
+outcome that is 0 on every row, are caught before iterating.
+
+``FitResult`` is the result type of every fitter in the package, the
+log-binomial ones in ``logbin`` included.
 """
 
 from __future__ import annotations
@@ -46,24 +49,35 @@ COND_MAX = 1e12
 @dataclass
 class FitResult:
     """A fitted log-linear risk model: coefficients, their covariance and
-    diagnostics.
+    diagnostics.  Every fitter returns one.
 
-    ``on_boundary`` marks a log-binomial optimum with some fitted risk at 1.
-    The fields from ``max_abs_score`` on are computed by
-    ``fit_robust_poisson`` alone; other fitters leave their defaults.
+    ``cov_sandwich`` is the coefficient covariance of the kind named by
+    ``variance``: the sandwich (``"sandwich"``, robust Poisson) or the
+    model-based inverse information (``"model"``, log-binomial ML); it is
+    None when that covariance could not be formed.  ``converged`` is False
+    only on a log-binomial fit returned straight from its fitter, which
+    then names the cause in ``failure_reason``: ``fit_robust_poisson``
+    raises rather than return an unconverged fit, and ``FIT_METHODS``
+    raises ``FitFailed`` for an unconverged log-binomial one.
+    ``on_boundary`` marks a log-binomial optimum with some fitted risk at 1,
+    and ``loglik`` is the log-binomial log-likelihood at ``beta``.  The
+    fields from ``max_abs_score`` on are computed by ``fit_robust_poisson``
+    alone; other fitters leave their defaults.
     """
 
     beta: np.ndarray
-    cov_sandwich: np.ndarray
+    cov_sandwich: np.ndarray | None
     converged: bool
     iterations: int
+    variance: str = "sandwich"
     design: DesignMatrix | None = field(default=None, repr=False)
     on_boundary: bool = False
+    loglik: float | None = None
+    failure_reason: str | None = None
     max_abs_score: float | None = None
     mu_hat: np.ndarray | None = None
     n_mu_gt1: int | None = None
     condition_estimate: float | None = None
-    degenerate_outcome: bool = False
 
 
 def _mu(X, beta):
@@ -147,8 +161,10 @@ def fit_robust_poisson(design: DesignMatrix | np.ndarray, y) -> FitResult:
     attach the sandwich.
 
     A design with more columns than rows raises ``DataError``; data for
-    which no finite root exists (see ``_check_finite_solution``) raise
-    ``NoFiniteSolution`` before iterating.
+    which no finite root exists (see ``_check_finite_solution``), an
+    outcome that is 0 on every row among them, raise ``NoFiniteSolution``
+    before iterating.  A fit that does not converge raises
+    ``NonConvergence``, so the result always has ``converged`` set.
 
     Each accepted iterate keeps its fitted means mu = exp(X beta), computed
     once for the step-halving score and reused by the next Jacobian and,
@@ -165,24 +181,6 @@ def fit_robust_poisson(design: DesignMatrix | np.ndarray, y) -> FitResult:
     if p > n:
         raise DataError(f"p={p} parameters with only n={n} observations")
 
-    # All-equal outcome: the score cannot vanish off the boundary, so
-    # report the degenerate closed form instead of iterating.
-    if np.all(y == y[0]) and p == 1 and np.all(X == 1.0):
-        ybar = float(y[0])
-        beta = np.array([np.log(ybar) if ybar > 0 else -np.inf])
-        mu = np.full(n, ybar)
-        return FitResult(
-            beta=beta,
-            cov_sandwich=np.zeros((1, 1)),
-            converged=True,
-            iterations=0,
-            max_abs_score=0.0,
-            mu_hat=mu,
-            n_mu_gt1=0,
-            condition_estimate=1.0,
-            degenerate_outcome=True,
-            design=dm,
-        )
     _check_finite_solution(X, y, dm.labels if dm is not None else None)
 
     beta = _initial_beta(X, y)

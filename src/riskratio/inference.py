@@ -26,7 +26,7 @@ from .errors import (
     RiskRatioError,
     TooManyFailures,
 )
-from .logbin import LogBinFit, fit_logbin_barrier, fit_logbin_ml
+from .logbin import fit_logbin_barrier, fit_logbin_ml
 from .rng import stream
 
 
@@ -43,18 +43,15 @@ class RREstimate:
     extra: dict | None = None
 
 
-def _usable(method: str, lb: LogBinFit) -> FitResult:
-    """The ``FitResult`` of a converged log-binomial fit with a covariance;
-    any other fit raises ``FitFailed``."""
-    if not lb.converged or lb.cov_model is None:
+def _usable(method: str, fit: FitResult) -> FitResult:
+    """A log-binomial fit as its fitter returned it, if it converged (a fit
+    without a covariance never has); any other fit raises ``FitFailed``."""
+    if not fit.converged:
         raise FitFailed(
-            f"{method} failed: {lb.failure_reason or 'non-convergence'} "
-            f"(iterations={lb.iterations}, on_boundary={lb.on_boundary})"
+            f"{method} failed: {fit.failure_reason or 'non-convergence'} "
+            f"(iterations={fit.iterations}, on_boundary={fit.on_boundary})"
         )
-    return FitResult(
-        beta=lb.beta, cov_sandwich=lb.cov_model, converged=True,
-        iterations=lb.iterations, design=lb.design, on_boundary=lb.on_boundary,
-    )
+    return fit
 
 
 # Each entry looks its fitter up when called, so a module attribute replaced
@@ -92,9 +89,11 @@ def _wald(estimand: str, log_rr: float, var, method: str, level: float) -> RREst
 
 
 def coefficient_rr(fit: FitResult, j: int, level: float = 0.95) -> RREstimate:
-    """RR = exp(beta_j) with a Wald sandwich interval on the log scale."""
+    """RR = exp(beta_j) with a Wald interval on the log scale, from the
+    fit's covariance; the method reads ``wald-sandwich`` or ``wald-model``
+    after ``fit.variance``."""
     return _wald(f"coefficient[{j}]", float(fit.beta[j]), fit.cov_sandwich[j, j],
-                 "wald-sandwich", level)
+                 f"wald-{fit.variance}", level)
 
 
 def _standardized_means(fit: FitResult, data: Dataset, a: float):
@@ -125,7 +124,8 @@ def marginal_rr(
     fit: FitResult, data: Dataset, a1: float = 1.0, a0: float = 0.0,
     level: float = 0.95,
 ) -> RREstimate:
-    """Standardized (marginal) RR with a delta-method sandwich interval.
+    """Standardized (marginal) RR with a delta-method interval from the
+    fit's covariance.
 
     RR = mean_i exp(x_i(a1) beta) / mean_i exp(x_i(a0) beta), forcing the
     exposure to a1 / a0 while covariates keep their observed values.

@@ -4,18 +4,19 @@ The log link requires exp(x_i beta) <= 1, i.e. x_i beta <= 0, for every
 observation.  Two fitters are provided: plain Newton with step halving and
 step truncation at the feasibility boundary (the classic approach, which
 stalls when the optimum sits on the boundary), and a log-barrier method
-that shrinks the barrier weight toward zero.  Non-convergence is an
-expected outcome for this model, reported via the ``converged`` flag and
-``failure_reason`` rather than an exception.
+that shrinks the barrier weight toward zero.  Both return an
+``eecore.FitResult`` with ``variance="model"``: its ``cov_sandwich`` holds
+the model-based inverse information, and ``loglik`` the log-likelihood.
+Non-convergence is an expected outcome for this model, reported via the
+``converged`` flag and ``failure_reason`` rather than an exception.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .design import DesignMatrix
+from .eecore import FitResult
 from .errors import InfeasiblePoint, NoFeasibleStart, RiskRatioError
 from . import eecore
 
@@ -28,18 +29,6 @@ MAX_HALVINGS = 30
 BARRIER_T_START = 1.0
 BARRIER_T_STOP = 1e-8
 BARRIER_T_FACTOR = 0.1
-
-
-@dataclass
-class LogBinFit:
-    beta: np.ndarray
-    cov_model: np.ndarray | None
-    converged: bool
-    on_boundary: bool
-    loglik: float
-    iterations: int
-    failure_reason: str | None = None
-    design: DesignMatrix | None = field(default=None, repr=False)
 
 
 def _eta(X, beta):
@@ -166,6 +155,8 @@ def _arrays(design, y):
 
 
 def _finish(X, y, beta, converged, on_boundary, iterations, reason, dm):
+    """The ``FitResult`` at beta, with the inverse information as its
+    covariance; a converged fit without a finite one becomes unconverged."""
     try:
         ll = logbin_loglik(X, y, beta)
     except InfeasiblePoint:
@@ -182,19 +173,20 @@ def _finish(X, y, beta, converged, on_boundary, iterations, reason, dm):
         cov = None
     if converged and cov is None:
         converged, reason = False, "non-finite covariance"
-    return LogBinFit(
+    return FitResult(
         beta=beta,
-        cov_model=cov,
+        cov_sandwich=cov,
         converged=converged,
-        on_boundary=on_boundary,
-        loglik=ll,
         iterations=iterations,
-        failure_reason=reason,
+        variance="model",
         design=dm,
+        on_boundary=bool(on_boundary),
+        loglik=ll,
+        failure_reason=reason,
     )
 
 
-def fit_logbin_ml(design, y) -> LogBinFit:
+def fit_logbin_ml(design, y) -> FitResult:
     """Fisher-scoring IRLS for the log-binomial model, GLM style.
 
     Deliberately mirrors the standard unsafeguarded GLM iteration: the
@@ -242,7 +234,7 @@ def fit_logbin_ml(design, y) -> LogBinFit:
                    MAX_ITER, "iteration cap", dm)
 
 
-def fit_logbin_barrier(design, y) -> LogBinFit:
+def fit_logbin_barrier(design, y) -> FitResult:
     """Log-barrier maximization of the log-binomial likelihood.
 
     Maximizes loglik(beta) + t * sum_i log(-x_i'beta) for a decreasing

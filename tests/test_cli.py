@@ -132,6 +132,23 @@ class TestFit:
         assert boot["method"] == "bootstrap(100)"
         assert boot["rr"] == coef["rr"]
 
+    @pytest.mark.parametrize("method, label", [
+        ("robust-poisson", "wald-sandwich"),
+        ("logbin-ab", "wald-model"),
+    ])
+    def test_coefficient_row_names_its_covariance(self, tmp_path, method, label):
+        csv = write_scenario_csv(tmp_path, "simple", 400, (82, 0))
+        out_path = tmp_path / "fit.json"
+        code = main([
+            "fit", "--csv", csv, "--outcome", "y", "--exposure", "A",
+            "--method", method, "--estimand", "both", "--format", "machine",
+            "--out", str(out_path),
+        ])
+        assert code == 0
+        coef, marginal = json.loads(out_path.read_text())["results"]["estimates"]
+        assert coef["method"] == label
+        assert marginal["method"] == "delta"
+
 
 class TestStudy:
     SMOKE = (

@@ -8,6 +8,7 @@ from riskratio import (
     FIT_METHODS,
     Categorical,
     Dataset,
+    FitResult,
     Intercept,
     Interaction,
     Main,
@@ -224,7 +225,7 @@ class TestFitMethods:
         fit = FIT_METHODS["logbin-ab"](dm, y)
         assert fit.on_boundary and fit.design is dm
         np.testing.assert_array_equal(fit.beta, lb.beta)
-        np.testing.assert_array_equal(fit.cov_sandwich, lb.cov_model)
+        np.testing.assert_array_equal(fit.cov_sandwich, lb.cov_sandwich)
         assert fit.mu_hat is None and fit.n_mu_gt1 is None
         assert not FIT_METHODS["robust-poisson"](dm, y).on_boundary
 
@@ -250,6 +251,27 @@ class TestFitMethods:
         except FitFailed:
             pass
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("method, attr", [
+        ("robust-poisson", "fit_robust_poisson"),
+        ("logbin-ml", "fit_logbin_ml"),
+        ("logbin-ab", "fit_logbin_barrier"),
+    ])
+    def test_entries_return_the_fitters_own_result(self, method, attr, monkeypatch):
+        data = generate("simple", 1000, rng=stream(700, 0))
+        dm = build_design_matrix(data, parse_spec("1 + A + L1 + L2"), exposure="A")
+        returned = []
+        inner = getattr(inference, attr)
+
+        def recorded(*args):
+            returned.append(inner(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(inference, attr, recorded)
+        fit = FIT_METHODS[method](dm, data.y)
+        assert isinstance(fit, FitResult) and fit is returned[0]
+        assert fit.converged and fit.design is dm
+        assert fit.variance == ("sandwich" if method == "robust-poisson" else "model")
 
 
 class TestBootstrap:

@@ -114,7 +114,7 @@ class TestMlFitter:
         data = two_by_two()
         dm = build_design_matrix(data, parse_spec("1 + A"), exposure="A")
         fit = fit_logbin_ml(dm, data.y)
-        assert fit.cov_model is None
+        assert fit.cov_sandwich is None
         assert not fit.converged
         assert fit.failure_reason == "non-finite covariance"
 
@@ -145,7 +145,7 @@ class TestMlFitter:
             data = generate("moderate", 1000, rng=stream(701, r))
             dm = build_design_matrix(data, terms, exposure="A")
             fit = fit_logbin_ml(dm, data.y)
-            if not fit.converged or fit.on_boundary or fit.cov_model is None:
+            if not fit.converged or fit.on_boundary or fit.cov_sandwich is None:
                 failed += 1
         assert failed > 25
 
