@@ -130,15 +130,10 @@ def _fit_estimates(args, data, design, level):
             estimates.append(_row(f"{args.exposure}={a1:g} vs {a0:g}",
                                   "marginal", est))
     if args.boot:
-        def fitter_fn(d):
-            dm = build_design_matrix(d, list(design.terms), exposure=args.exposure)
-            return fit_method(dm, d.y)
-
-        def estimand_fn(f, d):
-            return inference.coefficient_rr(f, design.exposure_cols[0], level)
-
         boot = inference.bootstrap_rr(
-            fitter_fn, data, estimand_fn, B=args.boot, seed=args.seed, level=level
+            lambda dm: fit_method(dm, dm.data.y), design,
+            lambda f, dm: inference.coefficient_rr(f, design.exposure_cols[0], level),
+            B=args.boot, seed=args.seed, level=level,
         )
         estimates.append(_row(design.labels[design.exposure_cols[0]],
                               "coefficient", boot))
@@ -146,6 +141,10 @@ def _fit_estimates(args, data, design, level):
 
 
 def cmd_fit(args) -> int:
+    if args.boot and args.boot < 100:
+        raise ConfigError(f"--boot must be 0 or at least 100, got {args.boot}")
+    if not 0.0 < args.level < 1.0:
+        raise ConfigError(f"--level must be between 0 and 1, got {args.level}")
     data = csvio.read_csv_dataset(args.csv, args.outcome)
     spec_text = args.spec or _default_spec(data, args.exposure)
     terms = parse_spec(spec_text)

@@ -109,9 +109,11 @@ def _initial_beta(X, y):
     """Zeros except an intercept at log(max(ybar, 1/(2n)))."""
     n, p = X.shape
     beta = np.zeros(p)
-    intercept = np.flatnonzero(np.all(X == 1.0, axis=0))
-    if intercept.size:
-        beta[intercept[0]] = np.log(max(y.mean(), 1.0 / (2 * n)))
+    # Only a column that is 1 on the first row can be all ones.
+    for j in np.flatnonzero(X[0] == 1.0):
+        if np.all(X[:, j] == 1.0):
+            beta[j] = np.log(max(y.mean(), 1.0 / (2 * n)))
+            break
     return beta
 
 

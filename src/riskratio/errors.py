@@ -96,7 +96,7 @@ class AllReplicationsFailed(RiskRatioError):
 
 
 class ConfigError(RiskRatioError):
-    """Invalid study configuration."""
+    """Invalid study configuration or command-line option value."""
 
     def __init__(self, message, key=None):
         if key is not None:

@@ -18,7 +18,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import Dataset
-from .design import _term_block, _term_columns, realize
+from .design import DesignMatrix, _term_block, _term_columns, realize
 from .eecore import ETA_MAX, FitResult, fit_robust_poisson
 from .errors import (
     FitFailed,
@@ -141,30 +141,33 @@ def marginal_rr(
 
 
 def bootstrap_rr(
-    fitter, data: Dataset, estimand, B: int = 1000, seed: int = 0,
-    level: float = 0.95,
+    fitter, sample: Dataset | DesignMatrix, estimand, B: int = 1000,
+    seed: int = 0, level: float = 0.95,
 ) -> RREstimate:
     """Nonparametric percentile bootstrap of any scalar RR estimand.
 
-    ``fitter(dataset) -> fit`` and ``estimand(fit, dataset) -> RREstimate``
-    are re-run on each resample.  Deterministic given ``seed``; resamples
-    are aggregated in resample-index order.  More than 20% failed re-fits
+    ``sample`` is a ``Dataset`` or a built ``DesignMatrix``; each resample
+    is ``sample.take(idx)``, for a design the rows of its matrix, equal to
+    a rebuild from the resampled data.  ``fitter(sample) -> fit`` and
+    ``estimand(fit, sample) -> RREstimate`` are re-run on each resample;
+    one that raises, a design resample with a constant column included,
+    counts as failed.  Deterministic given ``seed``; resamples are
+    aggregated in resample-index order.  More than 20% failed re-fits
     raises ``TooManyFailures``.
     """
     if B < 100:
         raise ValueError("B must be at least 100")
     try:
-        point = estimand(fitter(data), data)
+        point = estimand(fitter(sample), sample)
     except (RiskRatioError, np.linalg.LinAlgError) as exc:
         # the full-sample fit itself fails; every resample is moot
         raise TooManyFailures(B, B) from exc
     log_rrs = np.full(B, np.nan)
     for b in range(B):
-        rng = stream(seed, b)
-        idx = rng.integers(0, data.n, size=data.n)
-        sample = data.take(idx)
+        idx = stream(seed, b).integers(0, sample.n, size=sample.n)
         try:
-            log_rrs[b] = estimand(fitter(sample), sample).log_rr
+            resample = sample.take(idx)
+            log_rrs[b] = estimand(fitter(resample), resample).log_rr
         except (RiskRatioError, np.linalg.LinAlgError):
             continue
     ok = np.isfinite(log_rrs)

@@ -226,6 +226,8 @@ class StudyConfig:
             raise ConfigError("must be >= 1", key="replications")
         if self.n < 1:
             raise ConfigError("must be >= 1", key="n")
+        if not 0.0 < self.level < 1.0:
+            raise ConfigError("must be between 0 and 1", key="level")
         for m in self.methods:
             if m not in inference.FIT_METHODS:
                 raise ConfigError(f"unknown method {m!r}", key="methods")

@@ -4,6 +4,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from riskratio.design import build_design_matrix
+from riskratio.errors import RiskRatioError
+from riskratio.rng import stream
+
 
 def fit_irls(X, y, max_iter=100, tol=1e-12):
     """Root of the robust-Poisson score equations by iteratively reweighted
@@ -54,3 +58,33 @@ def sandwich_covariance_lz(X, y, beta) -> np.ndarray:
     binv = np.linalg.inv(bread)
     cov = binv @ meat @ binv.T
     return (cov + cov.T) / 2.0
+
+
+def bootstrap_rebuild(fitter, design, estimand, B, seed, level=0.95):
+    """Percentile bootstrap that rebuilds the design on every resample.
+
+    Each resample draws the same rows as ``bootstrap_rr`` (stream(seed, b)),
+    resamples ``design.data`` and builds the design again from the frozen
+    terms; ``fitter(design)`` and ``estimand(fit, design)`` then run on the
+    rebuilt design.  A resample whose rebuild or fit raises counts as
+    failed.  Returns ``log_rr`` (full sample), ``ci_low``, ``ci_high``,
+    ``se_log_rr`` and ``failed_resamples``.
+    """
+    data = design.data
+    point = estimand(fitter(design), design)
+    log_rrs = []
+    failed = 0
+    for b in range(B):
+        idx = stream(seed, b).integers(0, data.n, size=data.n)
+        try:
+            dm = build_design_matrix(data.take(idx), list(design.terms),
+                                     design.exposure)
+            log_rrs.append(estimand(fitter(dm), dm).log_rr)
+        except (RiskRatioError, np.linalg.LinAlgError):
+            failed += 1
+    alpha = 1.0 - level
+    lo, hi = np.quantile(log_rrs, [alpha / 2, 1 - alpha / 2])
+    return SimpleNamespace(
+        log_rr=point.log_rr, ci_low=float(np.exp(lo)), ci_high=float(np.exp(hi)),
+        se_log_rr=float(np.std(log_rrs, ddof=1)), failed_resamples=failed,
+    )

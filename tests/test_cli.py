@@ -225,6 +225,23 @@ class TestExitCodes:
         assert main(["study", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["--boot", "50"], ["--boot", "-1"],
+        ["--level", "1.5"], ["--level", "0"], ["--level", "nan"],
+    ])
+    def test_bad_boot_or_level_exits_2(self, two_by_two_csv, capsys, args):
+        assert main([
+            "fit", "--csv", two_by_two_csv, "--outcome", "y", "--exposure", "A",
+            *args,
+        ]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {args[0]} must be")
+
+    def test_study_level_out_of_range_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "level.cfg"
+        cfg.write_text("scenario = simple\nlevel = 2\n")
+        assert main(["study", str(cfg)]) == 2
+        assert "config key 'level'" in capsys.readouterr().err
+
     def test_bad_spec_exits_2(self, two_by_two_csv, capsys):
         assert main([
             "fit", "--csv", two_by_two_csv, "--outcome", "y", "--exposure", "A",

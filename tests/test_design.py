@@ -13,6 +13,7 @@ from riskratio import (
     build_design_matrix,
     default_knots,
     fit_robust_poisson,
+    generate,
     parse_spec,
     rcs_basis,
 )
@@ -227,3 +228,75 @@ def test_affine_encoding_invariance():
     np.testing.assert_allclose(fit0.beta[1], fit1.beta[1], atol=1e-8)  # exposure
     np.testing.assert_allclose(fit0.beta[2], fit1.beta[2], atol=1e-8)  # slope
     assert abs(fit0.beta[0] - fit1.beta[0]) > 0.1  # intercept absorbs the shift
+
+
+def take_sample(n=200):
+    """A ``moderate`` sample with an added binary column B, and its design
+    under a spec holding every term kind."""
+    data = generate("moderate", n, rng=stream(7, 0))
+    data = data.with_column("B", (stream(7, 1).random(n) < 0.3).astype(float))
+    spec = parse_spec("1 + A + rcs(L1,4) + L1:L2 + cat(B,ref=0)")
+    return data, build_design_matrix(data, spec, "A")
+
+
+def _x_or_error(build):
+    try:
+        return build().X
+    except DegenerateColumn as exc:
+        return str(exc)
+
+
+class TestTake:
+    DATA, DESIGN = take_sample()
+
+    @settings(max_examples=60)
+    @given(st.lists(st.integers(0, 199), min_size=10, max_size=400))
+    def test_equals_rebuild(self, idx):
+        data, design = self.DATA, self.DESIGN
+        taken = _x_or_error(lambda: design.take(idx))
+        rebuilt = _x_or_error(lambda: build_design_matrix(
+            data.take(idx), list(design.terms), "A"))
+        if isinstance(rebuilt, str):
+            assert taken == rebuilt
+        else:
+            assert taken.shape == rebuilt.shape
+            assert taken.tobytes() == rebuilt.tobytes()
+
+    def test_carries_the_design(self):
+        design = self.DESIGN
+        idx = stream(7, 2).integers(0, design.n, size=design.n)
+        taken = design.take(idx)
+        assert (taken.labels, taken.terms, taken.exposure, taken.exposure_cols) == (
+            design.labels, design.terms, design.exposure, design.exposure_cols)
+        np.testing.assert_array_equal(taken.data.y, design.data.y[idx])
+
+    @pytest.mark.parametrize("rows", ["B zero", "one row"])
+    def test_constant_column_error_matches_rebuild(self, rows):
+        data, design = self.DATA, self.DESIGN
+        if rows == "B zero":
+            idx = np.flatnonzero(data.column("B") == 0.0)
+        else:
+            idx = np.zeros(data.n, dtype=int)
+        with pytest.raises(DegenerateColumn) as rebuilt:
+            build_design_matrix(data.take(idx), list(design.terms), "A")
+        with pytest.raises(DegenerateColumn) as taken:
+            design.take(idx)
+        assert str(taken.value) == str(rebuilt.value)
+        assert taken.value.name == ("B[1]" if rows == "B zero" else "A")
+
+    def test_rank_is_computed_only_when_read(self, monkeypatch):
+        calls = []
+        matrix_rank = np.linalg.matrix_rank
+
+        def counted(X):
+            calls.append(X.shape)
+            return matrix_rank(X)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+        _, design = take_sample()
+        resample = design.take(stream(7, 3).integers(0, design.n, size=design.n))
+        assert calls == []
+        assert not design.rank_deficient and not design.rank_deficient
+        assert calls == [design.X.shape]
+        assert not resample.rank_deficient
+        assert len(calls) == 2

@@ -27,6 +27,7 @@ from riskratio.errors import FitFailed, TooManyFailures
 from riskratio.rng import stream
 from riskratio.simlab import get_scenario
 
+from oracles import bootstrap_rebuild
 from test_eecore import EIGHT_ROWS, two_by_two
 
 
@@ -330,3 +331,37 @@ class TestBootstrap:
 
         with pytest.raises(TypeError):
             bootstrap_rr(broken_on_resamples, data, self._estimand, B=100, seed=0)
+
+
+class TestDesignBootstrap:
+    """``bootstrap_rr`` over a built design resamples rows of its matrix;
+    the result must be that of rebuilding the design on every resample."""
+
+    @staticmethod
+    def _fitter(design):
+        return fit_robust_poisson(design, design.data.y)
+
+    @staticmethod
+    def _estimand(fit, design):
+        return coefficient_rr(fit, design.exposure_cols[0])
+
+    def test_equals_rebuild_per_resample(self):
+        # B is 1 on two cases and two non-cases: resamples that miss B, or
+        # hold only its non-cases, fail on both paths.
+        data = generate("moderate", 300, rng=stream(62, 0))
+        rows = np.r_[np.flatnonzero(data.y == 1)[:2], np.flatnonzero(data.y == 0)[:2]]
+        b = np.zeros(data.n)
+        b[rows] = 1.0
+        data = data.with_column("B", b)
+        design = build_design_matrix(
+            data, parse_spec("1 + A + rcs(L1,4) + L1:L2 + cat(B,ref=0)"), "A")
+        missing_b = sum(not np.isin(stream(4, i).integers(0, 300, size=300), rows).any()
+                        for i in range(100))
+        assert missing_b >= 1
+
+        boot = bootstrap_rr(self._fitter, design, self._estimand, B=100, seed=4)
+        ref = bootstrap_rebuild(self._fitter, design, self._estimand, B=100, seed=4)
+        assert ref.failed_resamples > missing_b
+        assert boot.extra["failed_resamples"] == ref.failed_resamples
+        assert (boot.log_rr, boot.ci_low, boot.ci_high, boot.se_log_rr) == (
+            ref.log_rr, ref.ci_low, ref.ci_high, ref.se_log_rr)

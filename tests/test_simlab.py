@@ -120,6 +120,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(text)
 
+    @pytest.mark.parametrize("level", ["2", "1", "0", "-0.5", "nan"])
+    def test_level_outside_unit_interval(self, level):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"scenario = simple\nlevel = {level}")
+        assert err.value.key == "level"
+
 
 class TestStudy:
     CFG = StudyConfig(
