@@ -137,6 +137,9 @@ def _fit_estimates(args, data, design, level):
         )
         estimates.append(_row(design.labels[design.exposure_cols[0]],
                               "coefficient", boot))
+        failed = boot.extra["failed_resamples"]
+        if failed:
+            warnings.append(f"{failed} of {args.boot} bootstrap resamples failed")
     return estimates, warnings
 
 

@@ -130,8 +130,10 @@ class DesignMatrix:
     ``exposure_cols`` indexes columns derived from the exposure column,
     when one was named at build time; they are the blocks of the terms
     that read it, in term order.  ``data`` is the dataset ``X`` was built
-    from.  ``take`` resamples rows without rebuilding, and
-    ``rank_deficient`` runs its SVD only when first read.
+    from.  ``take`` resamples rows without rebuilding.  Two properties
+    are computed on first read and kept: ``column_ranges``, each column's
+    (min, max), which the constant-column checks and the robust-Poisson
+    fit's no-finite-root check share, and ``rank_deficient``, one SVD.
     """
 
     X: np.ndarray
@@ -150,6 +152,11 @@ class DesignMatrix:
         return self.X.shape[1]
 
     @cached_property
+    def column_ranges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each column's (min, max), from one pass over ``X``."""
+        return column_ranges(self.X)
+
+    @cached_property
     def rank_deficient(self) -> bool:
         """Numerical rank of ``X`` below p; one SVD, on first read."""
         return bool(np.linalg.matrix_rank(self.X) < self.p)
@@ -162,16 +169,44 @@ class DesignMatrix:
         would build; like that rebuild, the first non-intercept column
         constant on these rows raises ``DegenerateColumn`` with its label.
         A built design's only constant columns are its intercepts, so a
-        column is non-intercept when it varies in ``X``.
+        column is non-intercept when it varies in ``X``.  The resample's
+        ``column_ranges`` are computed here and kept for its fit.
         """
         data = self.data.take(idx)
-        X = self.X.take(idx, axis=0)
-        # Reducing a row-major X along axis 0 runs a p-wide inner loop per
-        # row; its transposed copy reduces along contiguous rows, 4x faster.
-        for j in np.flatnonzero(np.ptp(X.T.copy(), axis=1) == 0.0):
-            if np.ptp(self.X[:, j]) != 0.0:
-                raise DegenerateColumn(self.labels[j])
-        return replace(self, X=X, data=data)
+        taken = replace(self, X=self.X.take(idx, axis=0), data=data)
+        lost = np.flatnonzero(
+            _varies(*self.column_ranges) & ~_varies(*taken.column_ranges))
+        if lost.size:
+            raise DegenerateColumn(self.labels[lost[0]])
+        return taken
+
+
+# Rows per chunk in ``column_ranges``: a transposed chunk of p columns stays
+# small (8192 x 9 floats is 576 kB) whatever n is.
+RANGE_CHUNK_ROWS = 8192
+
+
+def column_ranges(X) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's (min, max) of a 2-D array, equal to ``X.min(axis=0)``
+    and ``X.max(axis=0)``.
+
+    Reducing a row-major ``X`` along axis 0 runs a p-wide inner loop per
+    row; a transposed copy reduces along contiguous rows, several times
+    faster.  The copies are of ``RANGE_CHUNK_ROWS`` rows at a time, so no
+    n x p copy is made.  Min and max are exact, so chunking changes no value.
+    """
+    X = np.asarray(X, dtype=float)
+    lo, hi = np.full(X.shape[1], np.inf), np.full(X.shape[1], -np.inf)
+    for start in range(0, X.shape[0], RANGE_CHUNK_ROWS):
+        block = X[start:start + RANGE_CHUNK_ROWS].T.copy()
+        np.minimum(lo, block.min(axis=1), out=lo)
+        np.maximum(hi, block.max(axis=1), out=hi)
+    return lo, hi
+
+
+def _varies(lo, hi) -> np.ndarray:
+    """Columns whose range, max - min as ``np.ptp`` takes it, is not 0."""
+    return hi - lo != 0.0
 
 
 def _resolve_term(term: Term, data: Dataset) -> Term:
@@ -249,34 +284,39 @@ def build_design_matrix(
     """Realize a term list against a dataset.
 
     Spline knots and categorical levels are resolved from the data and
-    frozen into the returned terms.  Non-intercept constant columns raise
-    ``DegenerateColumn``.
+    frozen into the returned terms.  The first non-intercept constant
+    column, in column order, raises ``DegenerateColumn``; the check reads
+    the design's ``column_ranges``, which its fit then reuses.
     """
     resolved = tuple(_resolve_term(t, data) for t in spec)
-    blocks, labels, exposure_cols = [], [], []
+    blocks, labels, exposure_cols, intercept_cols = [], [], [], []
     col = 0
     for term in resolved:
         block, block_labels = _term_block(term, data)
-        if not isinstance(term, Intercept):
-            for j, lab in enumerate(block_labels):
-                if np.ptp(block[:, j]) == 0.0:
-                    raise DegenerateColumn(lab)
+        cols = range(col, col + block.shape[1])
+        if isinstance(term, Intercept):
+            intercept_cols.extend(cols)
         if exposure is not None and exposure in _term_columns(term):
-            exposure_cols.extend(range(col, col + block.shape[1]))
+            exposure_cols.extend(cols)
         blocks.append(block)
         labels.extend(block_labels)
         col += block.shape[1]
-    X = np.column_stack(blocks)
-    if len(set(labels)) != len(labels):
-        raise SpecParseError(f"duplicate design columns: {labels}")
-    return DesignMatrix(
-        X=X,
+    design = DesignMatrix(
+        X=np.column_stack(blocks),
         labels=tuple(labels),
         terms=resolved,
         exposure=exposure,
         exposure_cols=tuple(exposure_cols),
         data=data,
     )
+    constant = ~_varies(*design.column_ranges)
+    constant[intercept_cols] = False
+    bad = np.flatnonzero(constant)
+    if bad.size:
+        raise DegenerateColumn(labels[bad[0]])
+    if len(set(labels)) != len(labels):
+        raise SpecParseError(f"duplicate design columns: {labels}")
+    return design
 
 
 def realize(design: DesignMatrix, data: Dataset) -> np.ndarray:

@@ -12,8 +12,11 @@ The Newton loop keeps one state per accepted iterate, its fitted means
 mu = exp(X beta), and passes it to ``ee_jacobian``, ``ee_score`` and
 ``sandwich_covariance`` through their ``mu=`` argument.  Conditioning of
 the Jacobian is checked where a Newton solve fails and once on the final
-Jacobian, not on every iteration; data without a finite root, such as an
-outcome that is 0 on every row, are caught before iterating.
+Jacobian, not on every iteration; that final Jacobian is the negated
+bread, so the sandwich takes it through ``jac=`` instead of forming the
+bread again.  Data without a finite root, such as an outcome that is 0 on
+every row, are caught before iterating, from the column ranges a
+``DesignMatrix`` keeps (``DesignMatrix.column_ranges``).
 
 ``FitResult`` is the result type of every fitter in the package, the
 log-binomial ones in ``logbin`` included.
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import DesignMatrix
+from .design import DesignMatrix, column_ranges
 from .errors import (
     DataError,
     NoFiniteSolution,
@@ -82,7 +85,7 @@ class FitResult:
 
 def _mu(X, beta):
     eta = X @ beta
-    if np.any(eta > ETA_MAX):
+    if (eta > ETA_MAX).any():
         raise Overflow("linear predictor overflow")
     return np.exp(eta)
 
@@ -102,7 +105,7 @@ def ee_jacobian(X, y, beta, mu=None) -> np.ndarray:
     ``mu`` is exp(X beta) when the caller has it already.
     """
     mu = _mu(X, beta) if mu is None else mu
-    return -(X.T * mu) @ X
+    return -((X.T * mu) @ X)
 
 
 def _initial_beta(X, y):
@@ -117,7 +120,7 @@ def _initial_beta(X, y):
     return beta
 
 
-def _check_finite_solution(X, y, labels=None):
+def _check_finite_solution(X, y, labels=None, ranges=None):
     """Raise ``NoFiniteSolution`` when the score equations X'(y - mu) = 0
     have no finite root.
 
@@ -126,7 +129,8 @@ def _check_finite_solution(X, y, labels=None):
     component d'X'(y - mu) = -c'mu stays negative, so no beta solves the
     equations.  An exposure stratum without events and an outcome without
     events are such cases.  Tried: c = x_j and c = -x_j for every column
-    and, when X has an intercept, c = 1 - x_j.
+    and, when X has an intercept, c = 1 - x_j.  ``ranges`` is X's column
+    (min, max) when the caller has it already.
     """
     def name(j):
         return labels[j] if labels is not None else f"column {j}"
@@ -134,7 +138,7 @@ def _check_finite_solution(X, y, labels=None):
     events = y != 0
     n_events = np.count_nonzero(events)
     on_events = events.astype(float) @ X   # exact for one-signed columns
-    lo, hi = X.min(axis=0), X.max(axis=0)
+    lo, hi = column_ranges(X) if ranges is None else ranges
     one_signed = ((lo >= 0) & (hi > 0)) | ((hi <= 0) & (lo < 0))
     zero = np.flatnonzero(one_signed & (on_events == 0))
     if zero.size:
@@ -170,7 +174,8 @@ def fit_robust_poisson(design: DesignMatrix | np.ndarray, y) -> FitResult:
 
     Each accepted iterate keeps its fitted means mu = exp(X beta), computed
     once for the step-halving score and reused by the next Jacobian and,
-    at the solution, by ``mu_hat``, the final Jacobian and the sandwich.
+    at the solution, by ``mu_hat``, the final Jacobian and the sandwich,
+    which takes its bread from that Jacobian.
     Conditioning, cond(-J), is checked only where a Newton solve fails
     (``LinAlgError`` or a non-finite step) and on the final Jacobian, whose
     value is ``condition_estimate``; above ``COND_MAX`` it raises
@@ -183,7 +188,10 @@ def fit_robust_poisson(design: DesignMatrix | np.ndarray, y) -> FitResult:
     if p > n:
         raise DataError(f"p={p} parameters with only n={n} observations")
 
-    _check_finite_solution(X, y, dm.labels if dm is not None else None)
+    if dm is not None:
+        _check_finite_solution(X, y, dm.labels, dm.column_ranges)
+    else:
+        _check_finite_solution(X, y)
 
     beta = _initial_beta(X, y)
     tol = SCORE_TOL * n
@@ -198,24 +206,24 @@ def fit_robust_poisson(design: DesignMatrix | np.ndarray, y) -> FitResult:
             delta = np.linalg.solve(-jac, score)
         except np.linalg.LinAlgError:
             raise SingularJacobian(float(np.linalg.cond(-jac))) from None
-        if not np.all(np.isfinite(delta)):
+        if not np.isfinite(delta).all():
             _check_conditioning(jac)
 
         # Step halving: accept the first step that reduces ||score||_inf
         # (or keeps the linear predictor finite).  An overflowing candidate
         # still goes through ee_score, which raises Overflow for it.
-        norm0 = np.max(np.abs(score))
+        norm0 = np.abs(score).max()
         step = 1.0
         for _ in range(MAX_HALVINGS + 1):
             candidate = beta + step * delta
             eta = X @ candidate
-            mu = None if np.any(eta > ETA_MAX) else np.exp(eta)
+            mu = None if (eta > ETA_MAX).any() else np.exp(eta)
             try:
                 new_score = ee_score(X, y, candidate, mu=mu)
             except Overflow:
                 step /= 2.0
                 continue
-            if np.max(np.abs(new_score)) < norm0 or norm0 < tol:
+            if np.abs(new_score).max() < norm0 or norm0 < tol:
                 break
             step /= 2.0
         else:
@@ -223,16 +231,17 @@ def fit_robust_poisson(design: DesignMatrix | np.ndarray, y) -> FitResult:
 
         beta = candidate
         score = new_score
-        if np.max(np.abs(score)) < tol and np.max(np.abs(step * delta)) < STEP_TOL:
+        if np.abs(score).max() < tol and np.abs(step * delta).max() < STEP_TOL:
             converged = True
             break
 
-    max_abs_score = float(np.max(np.abs(score)))
+    max_abs_score = float(np.abs(score).max())
     if not converged:
         raise NonConvergence(iterations, max_abs_score)
 
-    cond = _check_conditioning(ee_jacobian(X, y, beta, mu=mu))
-    cov = sandwich_covariance(X, y, beta, mu=mu)
+    jac = ee_jacobian(X, y, beta, mu=mu)
+    cond = _check_conditioning(jac)
+    cov = sandwich_covariance(X, y, beta, mu=mu, jac=jac)
     return FitResult(
         beta=beta,
         cov_sandwich=cov,
@@ -246,17 +255,19 @@ def fit_robust_poisson(design: DesignMatrix | np.ndarray, y) -> FitResult:
     )
 
 
-def sandwich_covariance(X, y, beta, mu=None) -> np.ndarray:
+def sandwich_covariance(X, y, beta, mu=None, jac=None) -> np.ndarray:
     """Robust covariance B^{-1} W B^{-T} of the coefficient estimates.
 
     B = sum_i x_i x_i' mu_i (bread), W = sum_i x_i r_i^2 x_i' (meat) with
     residual r_i = y_i - mu_i.  Symmetrized after assembly.  ``mu`` is
-    exp(X beta) when the caller has it already.
+    exp(X beta) and ``jac`` is ``ee_jacobian`` at beta when the caller has
+    them already; the bread is then -jac, the same matrix bit for bit,
+    since negation is exact.
     """
     X = X.X if isinstance(X, DesignMatrix) else np.asarray(X, float)
     mu = _mu(X, beta) if mu is None else mu
     r = y - mu
-    bread = (X.T * mu) @ X
+    bread = (X.T * mu) @ X if jac is None else -jac
     meat = (X.T * r**2) @ X
     try:
         binv = np.linalg.inv(bread)

@@ -7,6 +7,14 @@ import numpy as np
 import pytest
 
 import riskratio
+from riskratio import (
+    Dataset,
+    bootstrap_rr,
+    build_design_matrix,
+    coefficient_rr,
+    fit_robust_poisson,
+    parse_spec,
+)
 from riskratio.cli import main
 from riskratio.rng import stream
 from riskratio.simlab import generate, get_scenario
@@ -131,6 +139,48 @@ class TestFit:
         coef, boot = json.loads(out_path.read_text())["results"]["estimates"]
         assert boot["method"] == "bootstrap(100)"
         assert boot["rr"] == coef["rr"]
+
+    def test_failed_resamples_are_reported(self, tmp_path, capsys):
+        # B is 1 on 15 rows, 3 of them events: a resample that draws none of
+        # those 3 has no finite solution, which happens to a few of 100.
+        rng = stream(83, 0)
+        n = 300
+        y = (rng.random(n) < 0.3).astype(float)
+        b = np.zeros(n)
+        b[np.flatnonzero(y == 1)[:3]] = 1.0
+        b[np.flatnonzero(y == 0)[:12]] = 1.0
+        data = Dataset(y=y, columns={"A": (rng.random(n) < 0.5).astype(float),
+                                     "L": rng.standard_normal(n), "B": b})
+        path = tmp_path / "sparse.csv"
+        path.write_text("y,A,L,B\n" + "".join(
+            f"{y[i]:g},{data.column('A')[i]:g},{data.column('L')[i]:.17g},{b[i]:g}\n"
+            for i in range(n)))
+        spec = "1 + A + L + B"
+        design = build_design_matrix(data, parse_spec(spec), exposure="A")
+        failed = bootstrap_rr(
+            lambda dm: fit_robust_poisson(dm, dm.data.y), design,
+            lambda f, dm: coefficient_rr(f, 1), B=100, seed=0,
+        ).extra["failed_resamples"]
+        assert 0 < failed <= 20
+        warning = f"{failed} of 100 bootstrap resamples failed"
+        args = ["fit", "--csv", str(path), "--outcome", "y", "--exposure", "A",
+                "--spec", spec, "--boot", "100"]
+
+        assert main(args + ["--format", "machine", "--out", str(tmp_path / "r.json")]) == 0
+        assert json.loads((tmp_path / "r.json").read_text())["warnings"] == [warning]
+        assert main(args) == 0
+        assert f"warning: {warning}" in capsys.readouterr().out
+
+    def test_no_warning_without_failed_resamples(self, tmp_path):
+        csv = write_scenario_csv(tmp_path, "simple", 400, (82, 0))
+        out_path = tmp_path / "fit.json"
+        code = main([
+            "fit", "--csv", csv, "--outcome", "y", "--exposure", "A",
+            "--spec", "1 + A + L1 + L2", "--boot", "100", "--seed", "5",
+            "--format", "machine", "--out", str(out_path),
+        ])
+        assert code == 0
+        assert json.loads(out_path.read_text())["warnings"] == []
 
     @pytest.mark.parametrize("method, label", [
         ("robust-poisson", "wald-sandwich"),

@@ -23,6 +23,7 @@ from riskratio.errors import (
     SpecParseError,
     UnknownColumn,
 )
+from riskratio.design import RANGE_CHUNK_ROWS, column_ranges
 from riskratio.rng import stream
 
 
@@ -300,3 +301,44 @@ class TestTake:
         assert calls == [design.X.shape]
         assert not resample.rank_deficient
         assert len(calls) == 2
+
+
+class TestColumnRanges:
+    @pytest.mark.parametrize("n, p", [
+        (100, 9),
+        (RANGE_CHUNK_ROWS, 9),
+        (RANGE_CHUNK_ROWS + 1, 9),
+        (RANGE_CHUNK_ROWS + 1, 1),
+    ])
+    def test_equal_axis0_min_max(self, n, p):
+        X = stream(8, n).standard_normal((n, p))
+        X[-1, 0] = 50.0  # an extreme in the last chunk
+        lo, hi = column_ranges(X)
+        np.testing.assert_array_equal(lo, X.min(axis=0))
+        np.testing.assert_array_equal(hi, X.max(axis=0))
+
+    def test_design_keeps_its_ranges(self):
+        _, design = take_sample()
+        lo, hi = design.column_ranges
+        np.testing.assert_array_equal(lo, design.X.min(axis=0))
+        np.testing.assert_array_equal(hi, design.X.max(axis=0))
+        assert design.column_ranges is design.column_ranges
+
+    @pytest.mark.parametrize("spec, label", [
+        ("1 + L + A:B + A", "A:B"),
+        ("1 + A + C + L", "C"),
+        ("1 + A + rcs(L,3) + C + A:B", "C"),
+    ])
+    def test_first_constant_column_in_column_order(self, spec, label):
+        n = 40
+        rng = stream(8, 1)
+        a = (np.arange(n) % 2).astype(float)
+        data = Dataset(
+            y=(rng.random(n) < 0.4).astype(float),
+            columns={"A": a, "B": 1.0 - a, "C": np.full(n, 3.0),
+                     "L": rng.standard_normal(n)},
+        )
+        with pytest.raises(DegenerateColumn) as err:
+            build_design_matrix(data, parse_spec(spec), exposure="A")
+        assert str(err.value) == (
+            f"column {label!r} is constant and cannot enter the model")

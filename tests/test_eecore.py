@@ -328,3 +328,45 @@ class TestSandwich:
         cov = fit.cov_sandwich
         np.testing.assert_array_equal(cov, cov.T)
         assert np.all(np.linalg.eigvalsh(cov) > -1e-12)
+
+
+class TestBitIdentity:
+    """The fit's shortcuts give the matrices of the plain formulas, bit for
+    bit: the sandwich's bread is the negated final Jacobian, and the
+    no-finite-root check reads a design's kept column ranges."""
+
+    @pytest.mark.parametrize("n, p", [(1000, 4), (1000, 9), (5000, 9)])
+    def test_jacobian_equals_negated_operand_product(self, n, p):
+        rng = stream(35, p)
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+        beta = rng.standard_normal(p) * 0.1
+        mu = np.exp(X @ beta)
+        expected = -(X.T * mu) @ X
+        assert ee_jacobian(X, None, beta, mu=mu).tobytes() == expected.tobytes()
+
+    def test_sandwich_with_jacobian_equals_without(self):
+        X, _, y = stratum_sample(n=500)
+        beta = fit_robust_poisson(X, y).beta
+        plain = sandwich_covariance(X, y, beta)
+        given = sandwich_covariance(X, y, beta, jac=ee_jacobian(X, y, beta))
+        assert given.tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("case", ["fits", "no events where A=1",
+                                      "no events where A=0", "no events"])
+    def test_finite_solution_check_on_design_and_array(self, case):
+        X, a, y = stratum_sample()
+        y = {"fits": y, "no events where A=1": y * (1 - a),
+             "no events where A=0": y * a, "no events": 0 * y}[case]
+        dm = build_design_matrix(
+            Dataset(y=y, columns={"A": a, "L": X[:, 2]}), parse_spec("1 + A + L")
+        )
+
+        def verdict(*ranges):
+            try:
+                eecore._check_finite_solution(dm.X, y, dm.labels, *ranges)
+            except NoFiniteSolution as exc:
+                return str(exc)
+            return None
+
+        assert verdict(dm.column_ranges) == verdict()
+        assert (verdict() is None) == (case == "fits")

@@ -69,3 +69,17 @@ def test_standardized_rr_without_interaction_is_the_coefficient_rr(sample):
     beta_a = result.beta[result.design.exposure_cols[0]]
     np.testing.assert_allclose(marginal_rr(result, data).rr, np.exp(beta_a),
                                rtol=1e-12)
+
+
+@settings(max_examples=20)
+@given(samples, st.floats(0.1, 10.0), st.floats(-5.0, 5.0))
+def test_affine_rescale_of_a_covariate_leaves_the_exposure_coefficient(
+        sample, a, b):
+    # Knots follow L1's quantiles, so every column of L1's terms is rescaled
+    # and the intercept absorbs the shift; the column space is unchanged.
+    scenario, spec, seed = sample
+    data = draw(scenario, seed)
+    base = fit(data, scenario, spec)
+    rescaled = fit(data.with_column("L1", a * data.column("L1") + b), scenario, spec)
+    j = base.design.exposure_cols[0]
+    np.testing.assert_allclose(rescaled.beta[j], base.beta[j], rtol=1e-8)
