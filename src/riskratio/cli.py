@@ -196,6 +196,8 @@ def cmd_study(args) -> int:
 
 
 def cmd_truth(args) -> int:
+    if args.n < 2:
+        raise ConfigError(f"--n must be at least 2, got {args.n}")
     result = simlab.monte_carlo_truth(args.scenario, n=args.n, seed=args.seed)
     sys.stdout.write(
         f"scenario={args.scenario} n={args.n} seed={args.seed}\n"

@@ -52,13 +52,13 @@ def _q(eta):
     return np.exp(eta) / (-np.expm1(eta))
 
 
-def _gradient_q(X, y, q):
-    # d/d eta: y - (1-y) e^eta / (1 - e^eta)
-    return X.T @ (y - (1 - y) * q)
+def _gradient_q(X, y, ny, q):
+    # d/d eta: y - (1-y) e^eta / (1 - e^eta); ny is 1 - y
+    return X.T @ (y - ny * q)
 
 
-def _hessian_q(X, y, q):
-    h = (1 - y) * q * (1 + q)   # e^eta/(1-e^eta)^2 = q(1+q)
+def _hessian_q(X, ny, q):
+    h = ny * q * (1 + q)   # e^eta/(1-e^eta)^2 = q(1+q)
     return -(X.T * h) @ X
 
 
@@ -72,23 +72,29 @@ def logbin_loglik(X, y, beta) -> float:
 def logbin_gradient(X, y, beta) -> np.ndarray:
     eta = _eta(X, beta)
     _check_feasible(eta)
-    return _gradient_q(X, y, _q(eta))
+    return _gradient_q(X, y, 1 - y, _q(eta))
 
 
 def logbin_hessian(X, y, beta) -> np.ndarray:
-    return _hessian_q(X, y, _q(_eta(X, beta)))
+    return _hessian_q(X, 1 - y, _q(_eta(X, beta)))
 
 
 class _BarrierIterate:
     """What the barrier loop keeps of an accepted, strictly feasible beta:
     eta = X beta, the log-likelihood and the barrier sum(log(-eta)), each
-    computed once and reused for every barrier weight t."""
+    computed once and reused for every barrier weight t.
 
-    __slots__ = ("eta", "loglik", "logbar")
+    ``ny`` is 1 - y, which the fit computes once.  Since every eta < 0,
+    1 - e^eta is positive and the log-likelihood needs none of the guards
+    of ``_loglik_eta``.
+    """
 
-    def __init__(self, y, eta):
+    __slots__ = ("eta", "ny", "loglik", "logbar")
+
+    def __init__(self, y, eta, ny):
         self.eta = eta
-        self.loglik = _loglik_eta(y, eta)
+        self.ny = ny
+        self.loglik = float(np.sum(y * eta + ny * np.log(-np.expm1(eta))))
         self.logbar = np.sum(np.log(-eta))
 
     def objective(self, t):
@@ -99,18 +105,17 @@ class _BarrierIterate:
         """Gradient and Hessian of the barrier objective, from one q."""
         eta = self.eta
         q = _q(eta)
-        grad = _gradient_q(X, y, q) + t * (X.T @ (1.0 / eta))
-        hess = _hessian_q(X, y, q) - t * ((X.T * (1.0 / eta**2)) @ X)
+        grad = _gradient_q(X, y, self.ny, q) + t * (X.T @ (1.0 / eta))
+        hess = _hessian_q(X, self.ny, q) - t * ((X.T * (1.0 / eta**2)) @ X)
         return grad, hess
 
 
 def _truncate_step(eta, direction_eta, cap=ETA_CAP, frac=1.0):
     """Largest step alpha <= 1 with eta + alpha*direction <= cap everywhere."""
     rising = direction_eta > 0
-    if not np.any(rising):
-        return 1.0
-    alpha = np.min((cap - eta[rising]) / direction_eta[rising])
-    return min(1.0, frac * max(alpha, 0.0))
+    room = np.divide(cap - eta, direction_eta, out=np.full_like(eta, np.inf),
+                     where=rising)
+    return min(1.0, frac * max(room.min(), 0.0))
 
 
 def feasible_start(X, y) -> np.ndarray:
@@ -200,6 +205,7 @@ def fit_logbin_ml(design, y) -> FitResult:
     X, dm, y = _arrays(design, y)
     n = X.shape[0]
     tol = GRAD_TOL * n
+    ny = 1 - y
 
     # GLM-style start: mu = (y + 1/2)/2, always strictly feasible for 0/1 y
     mu = (y + 0.5) / 2.0
@@ -226,7 +232,7 @@ def fit_logbin_ml(design, y) -> FitResult:
                            "infeasible iterate", dm)
         mu = np.exp(eta)
         last_feasible = beta
-        if np.max(np.abs(_gradient_q(X, y, _q(eta)))) < tol:
+        if np.max(np.abs(_gradient_q(X, y, ny, _q(eta)))) < tol:
             return _finish(X, y, beta, True, np.max(eta) > -BOUNDARY_EPS, it, None, dm)
 
     return _finish(X, y, last_feasible, False,
@@ -250,7 +256,8 @@ def fit_logbin_barrier(design, y) -> FitResult:
     beta = feasible_start(X, y)
     eta = _eta(X, beta)
     _check_feasible(eta)
-    state = _BarrierIterate(y, eta)
+    ny = 1 - y
+    state = _BarrierIterate(y, eta, ny)
     total_iter = 0
 
     t = BARRIER_T_START
@@ -276,7 +283,7 @@ def fit_logbin_barrier(design, y) -> FitResult:
                 if np.max(eta_c) >= 0:
                     alpha /= 2.0
                     continue
-                new_state = _BarrierIterate(y, eta_c)
+                new_state = _BarrierIterate(y, eta_c, ny)
                 if new_state.objective(t) >= obj - 1e-12:
                     accepted = True
                     break
@@ -291,7 +298,7 @@ def fit_logbin_barrier(design, y) -> FitResult:
 
     eta = state.eta
     on_boundary = np.max(eta) > -BOUNDARY_EPS * 10
-    grad = _gradient_q(X, y, _q(eta))
+    grad = _gradient_q(X, y, ny, _q(eta))
     converged = bool(np.max(np.abs(grad)) < 1e-4 * n or on_boundary)
     reason = None if converged else "barrier did not reach stationarity"
     return _finish(X, y, beta, converged, on_boundary, total_iter, reason, dm)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +292,23 @@ class TestExitCodes:
         cfg.write_text("scenario = simple\nlevel = 2\n")
         assert main(["study", str(cfg)]) == 2
         assert "config key 'level'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("truth_n", ["0", "1", "-3"])
+    def test_study_truth_n_below_2_exits_2(self, tmp_path, capsys, truth_n):
+        cfg = tmp_path / "truth.cfg"
+        cfg.write_text(f"scenario = simple\nreplications = 2\ntruth_n = {truth_n}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["study", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: config key 'truth_n'")
+
+    def test_truth_n_below_2_exits_2(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["truth", "--scenario", "simple", "--n", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --n must be")
+        assert captured.out == ""
 
     def test_bad_spec_exits_2(self, two_by_two_csv, capsys):
         assert main([

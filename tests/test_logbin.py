@@ -81,7 +81,7 @@ def test_barrier_iterate_matches_public_functions_bit_for_bit():
         eta = X @ beta
         assert np.max(eta) < 0
         t = 10.0 ** rng.uniform(-8, 0)
-        state = _BarrierIterate(y, X @ beta)
+        state = _BarrierIterate(y, X @ beta, 1 - y)
         grad, hess = state.newton_system(X, y, t)
         np.testing.assert_array_equal(
             grad, logbin_gradient(X, y, beta) + t * (X.T @ (1.0 / eta)))

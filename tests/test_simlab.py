@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,65 @@ class TestExpit:
     def test_vectorized(self):
         x = np.array([-1.0, 0.0, 1.0])
         np.testing.assert_allclose(expit(x) + expit(-x), 1.0, atol=1e-15)
+
+    def test_absolute_error_against_mpmath(self):
+        # The tanh form is accurate in absolute, not relative, terms: below
+        # about -37 it returns 0 for a true value near 1e-16.
+        import mpmath
+
+        x = np.linspace(-50.0, 50.0, 4001)
+        with mpmath.workdps(40):
+            exact = np.array([float(1 / (1 + mpmath.exp(-mpmath.mpf(v)))) for v in x])
+        assert np.max(np.abs(expit(x) - exact)) <= 4.5e-16
+
+
+def draws_digest(data):
+    """sha256 over y and every column (name, then bytes) of a dataset."""
+    h = hashlib.sha256(data.y.tobytes())
+    for name in sorted(data.columns):
+        h.update(name.encode())
+        h.update(data.column(name).tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedDraws:
+    """The simulator's draws, bit for bit.  A rewrite of the scenario
+    arithmetic may move a probability by an ulp or two, but no sampled
+    outcome, exposure or covariate may change; these digests and truths
+    fail on the first flipped draw."""
+
+    DIGESTS = {
+        ("simple", 0): "dd18afb20cd792c42135e5d6204e20431bdfd9aa32e565abda42d91ca253edf1",
+        ("simple", 1): "905600ad429fbcc17964251ca94b76d8a863411d5d9a3f29ba6592ee3bc10fcb",
+        ("simple", 2): "1ac7f51a69006b2ab5f9edc2b1501ed7398c2248f1fe911930ce1fab81431bf5",
+        ("moderate", 0): "ac21f71b63dba1f0f4f686964a482aa60a7af86ab03d274ab0a251869ff9bb86",
+        ("moderate", 1): "eea3b6fcb7984b8ca043df9fcb5e3b35c6931c827dc44b2731fea351182ffbb9",
+        ("moderate", 2): "22027abba36a15380549c31ced413104d98cade77430280a2215d10c0f6e27cb",
+        ("complex", 0): "2bf99e5775716dffd1a33366f92e53d3edd1c2f1c08bd6f90acf1881a1f86c59",
+        ("complex", 1): "611fc4f6acb982127d49a90760323acd47505c24755fd30a23f0ef54adf3e087",
+        ("complex", 2): "e982feb5662d11e05acf30eb2b3b3e89eee70e8fa0767bf67154611b398667c6",
+        ("figure-demo", 0): "6287cd67e644f394e1d8b9de3e9dd8f76332140bb3f33c3c01821dd95f2fdb51",
+        ("figure-demo", 1): "0d0b733edf4015f07b904f8210df1ce0e3a0f0c8f79c4d6f818b64d580e49a7d",
+        ("figure-demo", 2): "0c4a5584191a5768793b5e8e0d1e57204452d4c7ad0409665e5f2d858b39a7b4",
+    }
+
+    TRUTHS = {
+        "simple": {"rr_true": 1.3483406448684372, "mcse": 0.0024124201553229587,
+                   "mean_y1": 0.451504, "mean_y0": 0.334859, "n": 1_000_000},
+        "moderate": {"rr_true": 1.2834131121883798, "mcse": 0.002037514931251986,
+                     "mean_y1": 0.505136, "mean_y0": 0.393588, "n": 1_000_000},
+        "complex": {"rr_true": 1.2514325409378946, "mcse": 0.002461036297484266,
+                    "mean_y1": 0.383718, "mean_y0": 0.306623, "n": 1_000_000},
+    }
+
+    @pytest.mark.parametrize("scenario, seed", sorted(DIGESTS))
+    def test_generate(self, scenario, seed):
+        data = generate(scenario, 1000, seed=seed)
+        assert draws_digest(data) == self.DIGESTS[(scenario, seed)]
+
+    @pytest.mark.parametrize("scenario", sorted(TRUTHS))
+    def test_monte_carlo_truth(self, scenario):
+        assert monte_carlo_truth(scenario, 1_000_000, seed=2024) == self.TRUTHS[scenario]
 
 
 class TestGenerate:
