@@ -133,7 +133,7 @@ def _fit_estimates(args, data, design, level):
         boot = inference.bootstrap_rr(
             lambda dm: fit_method(dm, dm.data.y), design,
             lambda f, dm: inference.coefficient_rr(f, design.exposure_cols[0], level),
-            B=args.boot, seed=args.seed, level=level,
+            B=args.boot, seed=args.seed, level=level, fit=fit,
         )
         estimates.append(_row(design.labels[design.exposure_cols[0]],
                               "coefficient", boot))

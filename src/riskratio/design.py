@@ -5,6 +5,14 @@ categorical dummies).  ``build_design_matrix`` realizes the terms against a
 dataset; spline knots are resolved from the data at build time and frozen in
 the returned object so the same basis can be re-evaluated on counterfactual
 data (see ``realize``) or on resampled rows (see ``DesignMatrix.take``).
+
+Every design matrix is stored column-major (Fortran order).  The fitters
+form ``X.T * w`` and ``X.T @ v`` on every Newton step, sandwich and
+Hessian; with ``X`` column-major, ``X.T`` is a C-contiguous p x n array, so
+these products and the per-column reductions read contiguous memory
+instead of walking a strided transposed view.  ``build_design_matrix``,
+``realize`` and ``DesignMatrix.take`` all return this layout, filled in
+place, without a row-major intermediate.
 """
 
 from __future__ import annotations
@@ -89,7 +97,9 @@ def rcs_basis(x, knots) -> np.ndarray:
         [(x-t_j)+^3 - (x-t_{k-1})+^3 (t_k-t_j)/(t_k-t_{k-1})
                     + (x-t_k)+^3 (t_{k-1}-t_j)/(t_k-t_{k-1})] / (t_k-t_1)^2
 
-    which is linear outside [t_1, t_k] by construction.
+    which is linear outside [t_1, t_k] by construction.  The cubes are
+    products, u * u * u: ``u ** 3`` costs many times more per element and
+    can differ from the product in the last bit.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(knots, dtype=float)
@@ -100,14 +110,20 @@ def rcs_basis(x, knots) -> np.ndarray:
     out[:, 0] = x
     scale = (t[-1] - t[0]) ** 2
     denom = t[-1] - t[-2]
-    pk = np.maximum(x - t[-1], 0.0) ** 3
-    pkm1 = np.maximum(x - t[-2], 0.0) ** 3
+    pk = _cube_plus(x - t[-1])
+    pkm1 = _cube_plus(x - t[-2])
     for j in range(k - 2):
-        pj = np.maximum(x - t[j], 0.0) ** 3
+        pj = _cube_plus(x - t[j])
         out[:, j + 1] = (
             pj - pkm1 * (t[-1] - t[j]) / denom + pk * (t[-2] - t[j]) / denom
         ) / scale
     return out
+
+
+def _cube_plus(u) -> np.ndarray:
+    """(u)+^3 as a product of the truncated values."""
+    v = np.maximum(u, 0.0)
+    return v * v * v
 
 
 def default_knots(x, nknots: int) -> np.ndarray:
@@ -170,10 +186,11 @@ class DesignMatrix:
         constant on these rows raises ``DegenerateColumn`` with its label.
         A built design's only constant columns are its intercepts, so a
         column is non-intercept when it varies in ``X``.  The resample's
-        ``column_ranges`` are computed here and kept for its fit.
+        ``column_ranges`` are computed here and kept for its fit.  Its
+        ``X`` is column-major, like every built design's.
         """
         data = self.data.take(idx)
-        taken = replace(self, X=self.X.take(idx, axis=0), data=data)
+        taken = replace(self, X=self.X.T.take(idx, axis=1).T, data=data)
         lost = np.flatnonzero(
             _varies(*self.column_ranges) & ~_varies(*taken.column_ranges))
         if lost.size:
@@ -190,12 +207,16 @@ def column_ranges(X) -> tuple[np.ndarray, np.ndarray]:
     """Each column's (min, max) of a 2-D array, equal to ``X.min(axis=0)``
     and ``X.max(axis=0)``.
 
-    Reducing a row-major ``X`` along axis 0 runs a p-wide inner loop per
-    row; a transposed copy reduces along contiguous rows, several times
-    faster.  The copies are of ``RANGE_CHUNK_ROWS`` rows at a time, so no
-    n x p copy is made.  Min and max are exact, so chunking changes no value.
+    A column-major ``X`` (every built design) is reduced along its
+    contiguous columns directly.  Reducing a row-major ``X`` along axis 0
+    runs a p-wide inner loop per row; a transposed copy reduces along
+    contiguous rows, several times faster.  The copies are of
+    ``RANGE_CHUNK_ROWS`` rows at a time, so no n x p copy is made.  Min and
+    max are exact, so neither the layout nor chunking changes a value.
     """
     X = np.asarray(X, dtype=float)
+    if X.T.flags.c_contiguous:
+        return X.T.min(axis=1, initial=np.inf), X.T.max(axis=1, initial=-np.inf)
     lo, hi = np.full(X.shape[1], np.inf), np.full(X.shape[1], -np.inf)
     for start in range(0, X.shape[0], RANGE_CHUNK_ROWS):
         block = X[start:start + RANGE_CHUNK_ROWS].T.copy()
@@ -286,8 +307,11 @@ def build_design_matrix(
     Spline knots and categorical levels are resolved from the data and
     frozen into the returned terms.  The first non-intercept constant
     column, in column order, raises ``DegenerateColumn``; the check reads
-    the design's ``column_ranges``, which its fit then reuses.
+    the design's ``column_ranges``, which its fit then reuses.  An empty
+    term list raises ``SpecParseError``.
     """
+    if not spec:
+        raise SpecParseError("a model needs at least one term")
     resolved = tuple(_resolve_term(t, data) for t in spec)
     blocks, labels, exposure_cols, intercept_cols = [], [], [], []
     col = 0
@@ -302,7 +326,7 @@ def build_design_matrix(
         labels.extend(block_labels)
         col += block.shape[1]
     design = DesignMatrix(
-        X=np.column_stack(blocks),
+        X=_column_major(blocks, data.n),
         labels=tuple(labels),
         terms=resolved,
         exposure=exposure,
@@ -320,9 +344,21 @@ def build_design_matrix(
 
 
 def realize(design: DesignMatrix, data: Dataset) -> np.ndarray:
-    """Evaluate an already-built design (frozen knots/levels) on new data."""
+    """Evaluate an already-built design (frozen knots/levels) on new data;
+    column-major, like the design's own ``X``."""
     blocks = [_term_block(t, data)[0] for t in design.terms]
-    return np.column_stack(blocks)
+    return _column_major(blocks, data.n)
+
+
+def _column_major(blocks, n: int) -> np.ndarray:
+    """The n x p column-major matrix of the column blocks, side by side,
+    filled block by block (no row-major intermediate)."""
+    X = np.empty((n, sum(b.shape[1] for b in blocks)), order="F")
+    col = 0
+    for block in blocks:
+        X[:, col:col + block.shape[1]] = block
+        col += block.shape[1]
+    return X
 
 
 # --- term mini-language -----------------------------------------------------

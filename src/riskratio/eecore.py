@@ -18,6 +18,12 @@ bread again.  Data without a finite root, such as an outcome that is 0 on
 every row, are caught before iterating, from the column ranges a
 ``DesignMatrix`` keeps (``DesignMatrix.column_ranges``).
 
+The score, Jacobian and sandwich products have the form ``X.T * w`` or
+``X.T @ v``.  A built design's ``X`` is column-major (see ``design``), so
+``X.T`` is contiguous and these products read contiguous memory;
+``fit_robust_poisson`` converts a bare array to the same layout once, so
+its Newton loop sees one layout whatever it is given.
+
 ``FitResult`` is the result type of every fitter in the package, the
 log-binomial ones in ``logbin`` included.
 """
@@ -166,6 +172,8 @@ def fit_robust_poisson(design: DesignMatrix | np.ndarray, y) -> FitResult:
     """Solve the log-linear estimating equations by damped Newton and
     attach the sandwich.
 
+    ``design`` is a ``DesignMatrix`` or a bare n x p array, which is
+    converted once to the column-major layout of a built design.
     A design with more columns than rows raises ``DataError``; data for
     which no finite root exists (see ``_check_finite_solution``), an
     outcome that is 0 on every row among them, raise ``NoFiniteSolution``
@@ -181,8 +189,10 @@ def fit_robust_poisson(design: DesignMatrix | np.ndarray, y) -> FitResult:
     value is ``condition_estimate``; above ``COND_MAX`` it raises
     ``SingularJacobian``.
     """
-    X = design.X if isinstance(design, DesignMatrix) else np.asarray(design, float)
-    dm = design if isinstance(design, DesignMatrix) else None
+    if isinstance(design, DesignMatrix):
+        X, dm = design.X, design
+    else:
+        X, dm = np.asfortranarray(design, dtype=float), None
     y = np.asarray(y, dtype=float)
     n, p = X.shape
     if p > n:

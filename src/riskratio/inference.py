@@ -103,8 +103,9 @@ def _standardized_means(fit: FitResult, data: Dataset, a: float):
     forced = data.with_column(design.exposure, np.full(data.n, a))
     if data is design.data:
         # Same sample: only the exposure terms' columns change, so rebuild
-        # just those.  Gives realize()'s matrix bit for bit.
-        Xa = design.X.copy()
+        # just those.  Gives realize()'s matrix bit for bit, in its
+        # column-major layout.
+        Xa = design.X.copy(order="K")
         blocks = [_term_block(t, forced)[0] for t in design.terms
                   if design.exposure in _term_columns(t)]
         if blocks:
@@ -142,7 +143,7 @@ def marginal_rr(
 
 def bootstrap_rr(
     fitter, sample: Dataset | DesignMatrix, estimand, B: int = 1000,
-    seed: int = 0, level: float = 0.95,
+    seed: int = 0, level: float = 0.95, fit: FitResult | None = None,
 ) -> RREstimate:
     """Nonparametric percentile bootstrap of any scalar RR estimand.
 
@@ -151,14 +152,16 @@ def bootstrap_rr(
     a rebuild from the resampled data.  ``fitter(sample) -> fit`` and
     ``estimand(fit, sample) -> RREstimate`` are re-run on each resample;
     one that raises, a design resample with a constant column included,
-    counts as failed.  Deterministic given ``seed``; resamples are
-    aggregated in resample-index order.  More than 20% failed re-fits
-    raises ``TooManyFailures``.
+    counts as failed.  ``fit`` is ``fitter(sample)`` when the caller has
+    it already; the point estimate is then ``estimand(fit, sample)``,
+    without a refit of the full sample.  Deterministic given ``seed``;
+    resamples are aggregated in resample-index order.  More than 20%
+    failed re-fits raises ``TooManyFailures``.
     """
     if B < 100:
         raise ValueError("B must be at least 100")
     try:
-        point = estimand(fitter(sample), sample)
+        point = estimand(fitter(sample) if fit is None else fit, sample)
     except (RiskRatioError, np.linalg.LinAlgError) as exc:
         # the full-sample fit itself fails; every resample is moot
         raise TooManyFailures(B, B) from exc

@@ -197,6 +197,8 @@ def monte_carlo_truth(scenario: Scenario | str, n: int = 1_000_000, seed: int = 
     Draws n covariate vectors, generates counterfactual outcomes under
     exposure and no exposure (independent Bernoulli draws given their
     probabilities), and returns mean(Y1)/mean(Y0) with a delta-method MCSE.
+    An arm without events, whose ratio or MCSE is not finite, raises
+    ``ConfigError`` (key ``truth_n``): n is too small for the scenario.
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
@@ -207,6 +209,11 @@ def monte_carlo_truth(scenario: Scenario | str, n: int = 1_000_000, seed: int = 
     y1 = (rng.random(n) < p1).astype(float)
     y0 = (rng.random(n) < p0).astype(float)
     m1, m0 = y1.mean(), y0.mean()
+    if m1 == 0.0 or m0 == 0.0:
+        arm = "exposed" if m1 == 0.0 else "unexposed"
+        raise ConfigError(
+            f"no events in the {arm} arm of {n} Monte Carlo draws; "
+            f"use more draws", key="truth_n")
     rr = m1 / m0
     v1, v0 = y1.var(ddof=1), y0.var(ddof=1)
     mcse = rr * np.sqrt(v1 / (n * m1**2) + v0 / (n * m0**2))

@@ -310,6 +310,29 @@ class TestExitCodes:
         assert captured.err.startswith("error: --n must be")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("seed, arm", [(1, "exposed"), (3, "unexposed")])
+    def test_truth_without_events_in_an_arm_exits_2(self, capsys, seed, arm):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["truth", "--scenario", "simple", "--n", "2",
+                         "--seed", str(seed)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: config key 'truth_n': no events in the {arm} arm of 2 "
+            f"Monte Carlo draws; use more draws\n")
+        assert captured.out == ""
+
+    def test_study_truth_without_events_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "truth.cfg"
+        cfg.write_text("scenario = simple\nreplications = 2\nbase_seed = 3\n"
+                       "truth_n = 2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["study", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'truth_n': no events in the")
+        assert err.count("\n") == 1
+
     def test_bad_spec_exits_2(self, two_by_two_csv, capsys):
         assert main([
             "fit", "--csv", two_by_two_csv, "--outcome", "y", "--exposure", "A",

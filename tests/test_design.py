@@ -23,7 +23,7 @@ from riskratio.errors import (
     SpecParseError,
     UnknownColumn,
 )
-from riskratio.design import RANGE_CHUNK_ROWS, column_ranges
+from riskratio.design import RANGE_CHUNK_ROWS, column_ranges, realize
 from riskratio.rng import stream
 
 
@@ -342,3 +342,52 @@ class TestColumnRanges:
             build_design_matrix(data, parse_spec(spec), exposure="A")
         assert str(err.value) == (
             f"column {label!r} is constant and cannot enter the model")
+
+
+class TestColumnMajor:
+    """Every built, resampled or realized design matrix is column-major, so
+    its transpose is C-contiguous."""
+
+    @pytest.mark.parametrize("spec", [
+        "1",
+        "1 + A + L2",
+        "1 + A + rcs(L1,4)",
+        "1 + A + L1 + L1:L2",
+        "1 + A + cat(B,ref=0)",
+        "1 + A + rcs(L1,4) + L1:L2 + cat(B,ref=0)",
+    ])
+    def test_build_take_realize(self, spec):
+        data, _ = take_sample()
+        design = build_design_matrix(data, parse_spec(spec), "A")
+        row_major = np.column_stack([
+            build_design_matrix(data, [term], "A").X for term in design.terms])
+        assert design.X.flags.f_contiguous and design.X.T.flags.c_contiguous
+        assert design.X.tobytes(order="C") == row_major.tobytes()
+
+        idx = stream(7, 4).integers(0, design.n, size=design.n)
+        taken = design.take(idx).X
+        assert taken.flags.f_contiguous
+        assert taken.tobytes(order="C") == row_major[idx].tobytes()
+
+        other = generate("moderate", 50, rng=stream(7, 5))
+        other = other.with_column("B", (np.arange(50) % 2).astype(float))
+        realized = realize(design, other)
+        assert realized.flags.f_contiguous
+        assert realized.shape == (50, design.p)
+
+    @pytest.mark.parametrize("n", [RANGE_CHUNK_ROWS - 1, RANGE_CHUNK_ROWS,
+                                   RANGE_CHUNK_ROWS + 1])
+    def test_column_ranges_exact_on_column_major(self, n):
+        X = np.asfortranarray(stream(8, n).standard_normal((n, 9)))
+        X[-1, 0], X[0, 8] = 50.0, -50.0
+        X[:, 1] -= 10.0   # a column below zero and one above it
+        X[:, 2] += 10.0
+        lo, hi = column_ranges(X)
+        np.testing.assert_array_equal(lo, np.ascontiguousarray(X).min(axis=0))
+        np.testing.assert_array_equal(hi, np.ascontiguousarray(X).max(axis=0))
+        assert (lo[8], hi[0]) == (-50.0, 50.0) and hi[1] < 0 < lo[2]
+
+
+def test_empty_term_list_raises():
+    with pytest.raises(SpecParseError, match="at least one term"):
+        build_design_matrix(small_dataset(), [])

@@ -370,3 +370,22 @@ class TestBitIdentity:
 
         assert verdict(dm.column_ranges) == verdict()
         assert (verdict() is None) == (case == "fits")
+
+
+class TestLayout:
+    """A bare row-major array is fitted in the column-major layout of a
+    built design, with the same result up to rounding."""
+
+    @pytest.mark.parametrize("spec", ["1 + A + L", "1 + A + rcs(L,4) + A:L"])
+    def test_row_major_array_fits_like_the_design(self, spec):
+        X, a, y = stratum_sample(n=2000, seed=3)
+        dm = build_design_matrix(
+            Dataset(y=y, columns={"A": a, "L": X[:, 2]}), parse_spec(spec))
+        assert dm.X.flags.f_contiguous
+        on_design = fit_robust_poisson(dm, y)
+        on_array = fit_robust_poisson(np.ascontiguousarray(dm.X), y)
+        assert (on_array.iterations, on_array.n_mu_gt1) == (
+            on_design.iterations, on_design.n_mu_gt1)
+        np.testing.assert_allclose(on_array.beta, on_design.beta, rtol=1e-12)
+        np.testing.assert_allclose(on_array.cov_sandwich, on_design.cov_sandwich,
+                                   rtol=1e-12)

@@ -365,3 +365,29 @@ class TestDesignBootstrap:
         assert boot.extra["failed_resamples"] == ref.failed_resamples
         assert (boot.log_rr, boot.ci_low, boot.ci_high, boot.se_log_rr) == (
             ref.log_rr, ref.ci_low, ref.ci_high, ref.se_log_rr)
+
+
+class TestBootstrapGivenFit:
+    """A caller's full-sample fit replaces the point refit: the fitter runs
+    once per resample only, and the result is unchanged bit for bit."""
+
+    def test_no_point_refit(self):
+        data = generate("moderate", 400, rng=stream(63, 0))
+        design = build_design_matrix(
+            data, parse_spec("1 + A + rcs(L1,4) + L2"), exposure="A")
+        calls = []
+
+        def fitter(dm):
+            calls.append(dm)
+            return fit_robust_poisson(dm, dm.data.y)
+
+        def estimand(fit, dm):
+            return coefficient_rr(fit, design.exposure_cols[0])
+
+        plain = bootstrap_rr(fitter, design, estimand, B=100, seed=5)
+        assert len(calls) == 101 and calls[0] is design
+        fit = fit_robust_poisson(design, data.y)
+        calls.clear()
+        given = bootstrap_rr(fitter, design, estimand, B=100, seed=5, fit=fit)
+        assert len(calls) == 100 and all(dm is not design for dm in calls)
+        assert given == plain   # every field, extra included
