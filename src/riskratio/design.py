@@ -12,7 +12,8 @@ Hessian; with ``X`` column-major, ``X.T`` is a C-contiguous p x n array, so
 these products and the per-column reductions read contiguous memory
 instead of walking a strided transposed view.  ``build_design_matrix``,
 ``realize`` and ``DesignMatrix.take`` all return this layout, filled in
-place, without a row-major intermediate.
+place, without a row-major intermediate; ``as_matrix`` converts a bare
+array given to a fitter to it, so only this module knows the layout.
 """
 
 from __future__ import annotations
@@ -198,31 +199,20 @@ class DesignMatrix:
         return taken
 
 
-# Rows per chunk in ``column_ranges``: a transposed chunk of p columns stays
-# small (8192 x 9 floats is 576 kB) whatever n is.
-RANGE_CHUNK_ROWS = 8192
+def as_matrix(X) -> np.ndarray:
+    """A bare n x p array as floats in the layout of a built design
+    (column-major); the fitters call this on arrays given in place of a
+    ``DesignMatrix``.  No copy when ``X`` already has that layout."""
+    return np.asfortranarray(X, dtype=float)
 
 
 def column_ranges(X) -> tuple[np.ndarray, np.ndarray]:
     """Each column's (min, max) of a 2-D array, equal to ``X.min(axis=0)``
-    and ``X.max(axis=0)``.
-
-    A column-major ``X`` (every built design) is reduced along its
-    contiguous columns directly.  Reducing a row-major ``X`` along axis 0
-    runs a p-wide inner loop per row; a transposed copy reduces along
-    contiguous rows, several times faster.  The copies are of
-    ``RANGE_CHUNK_ROWS`` rows at a time, so no n x p copy is made.  Min and
-    max are exact, so neither the layout nor chunking changes a value.
+    and ``X.max(axis=0)``.  On a column-major ``X`` (every built design)
+    NumPy reduces along the contiguous columns, with no copy.
     """
     X = np.asarray(X, dtype=float)
-    if X.T.flags.c_contiguous:
-        return X.T.min(axis=1, initial=np.inf), X.T.max(axis=1, initial=-np.inf)
-    lo, hi = np.full(X.shape[1], np.inf), np.full(X.shape[1], -np.inf)
-    for start in range(0, X.shape[0], RANGE_CHUNK_ROWS):
-        block = X[start:start + RANGE_CHUNK_ROWS].T.copy()
-        np.minimum(lo, block.min(axis=1), out=lo)
-        np.maximum(hi, block.max(axis=1), out=hi)
-    return lo, hi
+    return X.min(axis=0, initial=np.inf), X.max(axis=0, initial=-np.inf)
 
 
 def _varies(lo, hi) -> np.ndarray:

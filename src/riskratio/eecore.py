@@ -21,8 +21,9 @@ every row, are caught before iterating, from the column ranges a
 The score, Jacobian and sandwich products have the form ``X.T * w`` or
 ``X.T @ v``.  A built design's ``X`` is column-major (see ``design``), so
 ``X.T`` is contiguous and these products read contiguous memory;
-``fit_robust_poisson`` converts a bare array to the same layout once, so
-its Newton loop sees one layout whatever it is given.
+``fit_robust_poisson`` converts a bare array to the same layout once
+(``design.as_matrix``), so its Newton loop sees one layout whatever it is
+given.
 
 ``FitResult`` is the result type of every fitter in the package, the
 log-binomial ones in ``logbin`` included.
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import DesignMatrix, column_ranges
+from .design import DesignMatrix, as_matrix, column_ranges
 from .errors import (
     DataError,
     NoFiniteSolution,
@@ -192,7 +193,7 @@ def fit_robust_poisson(design: DesignMatrix | np.ndarray, y) -> FitResult:
     if isinstance(design, DesignMatrix):
         X, dm = design.X, design
     else:
-        X, dm = np.asfortranarray(design, dtype=float), None
+        X, dm = as_matrix(design), None
     y = np.asarray(y, dtype=float)
     n, p = X.shape
     if p > n:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .design import DesignMatrix
+from .design import DesignMatrix, as_matrix
 from .eecore import FitResult
 from .errors import InfeasiblePoint, NoFeasibleStart, RiskRatioError
 from . import eecore
@@ -150,9 +150,10 @@ def feasible_start(X, y) -> np.ndarray:
 
 
 def _arrays(design, y):
-    """(X, DesignMatrix or None, y) as floats; rejects non-finite input,
-    which the linear algebra below would otherwise carry along as NaN."""
-    X = design.X if isinstance(design, DesignMatrix) else np.asarray(design, float)
+    """(X, DesignMatrix or None, y) as floats, a bare array in the layout of
+    a built design (``design.as_matrix``); rejects non-finite input, which
+    the linear algebra below would otherwise carry along as NaN."""
+    X = design.X if isinstance(design, DesignMatrix) else as_matrix(design)
     y = np.asarray(y, dtype=float)
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("design matrix and outcome must be finite")

@@ -23,7 +23,7 @@ from riskratio.errors import (
     SpecParseError,
     UnknownColumn,
 )
-from riskratio.design import RANGE_CHUNK_ROWS, column_ranges, realize
+from riskratio.design import column_ranges, realize
 from riskratio.rng import stream
 
 
@@ -306,16 +306,19 @@ class TestTake:
 class TestColumnRanges:
     @pytest.mark.parametrize("n, p", [
         (100, 9),
-        (RANGE_CHUNK_ROWS, 9),
-        (RANGE_CHUNK_ROWS + 1, 9),
-        (RANGE_CHUNK_ROWS + 1, 1),
+        (8192, 9),
+        (8193, 9),
+        (8193, 1),
     ])
     def test_equal_axis0_min_max(self, n, p):
         X = stream(8, n).standard_normal((n, p))
-        X[-1, 0] = 50.0  # an extreme in the last chunk
-        lo, hi = column_ranges(X)
-        np.testing.assert_array_equal(lo, X.min(axis=0))
-        np.testing.assert_array_equal(hi, X.max(axis=0))
+        X[-1, 0] = 50.0  # an extreme in the last row
+        X[:, 1:2] -= 10.0  # a column below zero and one above it
+        X[:, 2:3] += 10.0
+        for layout in (X, np.asfortranarray(X)):
+            lo, hi = column_ranges(layout)
+            np.testing.assert_array_equal(lo, X.min(axis=0))
+            np.testing.assert_array_equal(hi, X.max(axis=0))
 
     def test_design_keeps_its_ranges(self):
         _, design = take_sample()
@@ -374,18 +377,6 @@ class TestColumnMajor:
         realized = realize(design, other)
         assert realized.flags.f_contiguous
         assert realized.shape == (50, design.p)
-
-    @pytest.mark.parametrize("n", [RANGE_CHUNK_ROWS - 1, RANGE_CHUNK_ROWS,
-                                   RANGE_CHUNK_ROWS + 1])
-    def test_column_ranges_exact_on_column_major(self, n):
-        X = np.asfortranarray(stream(8, n).standard_normal((n, 9)))
-        X[-1, 0], X[0, 8] = 50.0, -50.0
-        X[:, 1] -= 10.0   # a column below zero and one above it
-        X[:, 2] += 10.0
-        lo, hi = column_ranges(X)
-        np.testing.assert_array_equal(lo, np.ascontiguousarray(X).min(axis=0))
-        np.testing.assert_array_equal(hi, np.ascontiguousarray(X).max(axis=0))
-        assert (lo[8], hi[0]) == (-50.0, 50.0) and hi[1] < 0 < lo[2]
 
 
 def test_empty_term_list_raises():

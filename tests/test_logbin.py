@@ -68,6 +68,20 @@ def test_non_finite_input_rejected(fitter):
         fitter(X, np.nan_to_num(y))
 
 
+@pytest.mark.parametrize("fitter", [fit_logbin_ml, fit_logbin_barrier])
+def test_row_major_array_fits_like_the_design(fitter):
+    # A bare array is fitted in the column-major layout of a built design,
+    # so a row-major copy of the design gives the same fit bit for bit.
+    data = generate("moderate", 1000, rng=stream(707, 0))
+    dm = build_design_matrix(
+        data, parse_spec(get_scenario("moderate").rich_spec), exposure="A")
+    on_design = fitter(dm, data.y)
+    on_array = fitter(np.ascontiguousarray(dm.X), data.y)
+    assert (on_array.converged, on_array.iterations) == (
+        on_design.converged, on_design.iterations)
+    assert on_array.beta.tobytes() == on_design.beta.tobytes()
+
+
 def test_barrier_iterate_matches_public_functions_bit_for_bit():
     # The barrier loop builds its Newton system and objective from one
     # stored state; they must be the very numbers of the public functions.
