@@ -198,7 +198,14 @@ def cmd_study(args) -> int:
 def cmd_truth(args) -> int:
     if args.n < 2:
         raise ConfigError(f"--n must be at least 2, got {args.n}")
-    result = simlab.monte_carlo_truth(args.scenario, n=args.n, seed=args.seed)
+    try:
+        result = simlab.monte_carlo_truth(args.scenario, n=args.n, seed=args.seed)
+    except ConfigError as exc:
+        # name this command's option, not the study config key
+        option = {"truth_n": "--n", "scenario": "--scenario"}.get(exc.key)
+        if option is None:
+            raise
+        raise ConfigError(f"{option}: {exc.detail}") from None
     sys.stdout.write(
         f"scenario={args.scenario} n={args.n} seed={args.seed}\n"
         f"rr_true = {result['rr_true']:.4f} +/- {result['mcse']:.4f} (MCSE)\n"

@@ -8,7 +8,31 @@ W = sum_i x_i (y_i - mu_i)^2 x_i', which is valid under arbitrary
 misspecification of the outcome distribution as long as the log-linear
 mean model holds.
 
-The Newton loop keeps one state per accepted iterate, its fitted means
+One damped-Newton loop fits a stack of equal-shape designs at once
+(``fit_robust_poisson_stack``); ``fit_robust_poisson`` is its one-design
+case.  Every step runs on the whole stack: each ``np.matmul`` and LAPACK
+call serves all its designs, and per-row masks decide convergence, step
+halving and failure.  A study fits its replications as such stacks, so
+the fixed cost of a numpy call is shared by a block of small fits.
+
+Stacks and bit-identity: a stack of B designs of n rows and p columns is
+kept as one C-contiguous B x p x n array of the designs' ``X.T`` and used
+through its B x n x p transposed view, so each slice has the layout of a
+single built design (column-major ``X``, contiguous ``X.T``; see
+``design``).  Rows are only ever gathered from that C-contiguous stack,
+so BLAS and LAPACK take the same path per slice as on one design, and
+every design's fit equals its own one-design fit bit for bit, whatever
+stack it is fitted in.  Vectors of a stack are columns: beta is
+B x p x 1, y and mu are B x n x 1.  ``ee_score``, ``ee_jacobian`` and
+``sandwich_covariance`` take either one design with plain vectors or such
+a stack.  One design is a stack of one by a view (``X.T[None]``), without
+a copy of ``X``.
+
+Failures are per design: a stacked LAPACK call raises for the whole stack
+when one slice fails, and the call is then repeated design by design, so
+that each design gets the result, or the exception, it gets alone.
+
+The loop keeps one state per accepted iterate, its fitted means
 mu = exp(X beta), and passes it to ``ee_jacobian``, ``ee_score`` and
 ``sandwich_covariance`` through their ``mu=`` argument.  Conditioning of
 the Jacobian is checked where a Newton solve fails and once on the final
@@ -17,13 +41,6 @@ bread, so the sandwich takes it through ``jac=`` instead of forming the
 bread again.  Data without a finite root, such as an outcome that is 0 on
 every row, are caught before iterating, from the column ranges a
 ``DesignMatrix`` keeps (``DesignMatrix.column_ranges``).
-
-The score, Jacobian and sandwich products have the form ``X.T * w`` or
-``X.T @ v``.  A built design's ``X`` is column-major (see ``design``), so
-``X.T`` is contiguous and these products read contiguous memory;
-``fit_robust_poisson`` converts a bare array to the same layout once
-(``design.as_matrix``), so its Newton loop sees one layout whatever it is
-given.
 
 ``FitResult`` is the result type of every fitter in the package, the
 log-binomial ones in ``logbin`` included.
@@ -41,6 +58,7 @@ from .errors import (
     NoFiniteSolution,
     NonConvergence,
     Overflow,
+    RiskRatioError,
     SingularBread,
     SingularJacobian,
 )
@@ -71,8 +89,8 @@ class FitResult:
     raises ``FitFailed`` for an unconverged log-binomial one.
     ``on_boundary`` marks a log-binomial optimum with some fitted risk at 1,
     and ``loglik`` is the log-binomial log-likelihood at ``beta``.  The
-    fields from ``max_abs_score`` on are computed by ``fit_robust_poisson``
-    alone; other fitters leave their defaults.
+    fields from ``max_abs_score`` on are computed by the robust-Poisson
+    fit alone; other fitters leave their defaults.
     """
 
     beta: np.ndarray
@@ -97,22 +115,31 @@ def _mu(X, beta):
     return np.exp(eta)
 
 
+def _as_row(v):
+    """A stack's column vectors (B x k x 1) as rows (B x 1 x k), so that
+    ``X.mT * _as_row(w)`` scales the columns of each ``X.T``; a plain
+    vector as it is."""
+    return v if v.ndim == 1 else v.mT
+
+
 def ee_score(X, y, beta, mu=None) -> np.ndarray:
     """Estimating function sum_i x_i (y_i - exp(x_i beta)).
 
-    ``mu`` is exp(X beta) when the caller has it already.
+    ``X`` is one design or a stack (see the module docstring).  ``mu`` is
+    exp(X beta) when the caller has it already.
     """
     mu = _mu(X, beta) if mu is None else mu
-    return X.T @ (y - mu)
+    return X.mT @ (y - mu)
 
 
 def ee_jacobian(X, y, beta, mu=None) -> np.ndarray:
     """Derivative of the score w.r.t. beta: -sum_i x_i x_i' exp(x_i beta).
 
-    ``mu`` is exp(X beta) when the caller has it already.
+    ``X`` is one design or a stack (see the module docstring).  ``mu`` is
+    exp(X beta) when the caller has it already.
     """
     mu = _mu(X, beta) if mu is None else mu
-    return -((X.T * mu) @ X)
+    return -((X.mT * _as_row(mu)) @ X)
 
 
 def _initial_beta(X, y):
@@ -129,54 +156,106 @@ def _initial_beta(X, y):
 
 def _check_finite_solution(X, y, labels=None, ranges=None):
     """Raise ``NoFiniteSolution`` when the score equations X'(y - mu) = 0
-    have no finite root.
+    have no finite root: ``_no_finite_solution`` for one design.
+    ``ranges`` is X's column (min, max) when the caller has it already.
+    """
+    lo, hi = column_ranges(X) if ranges is None else ranges
+    failed = _no_finite_solution(X[None], y[None, :, None], lo[None], hi[None],
+                                 [labels])
+    if failed:
+        raise failed[0]
+
+
+def _no_finite_solution(X, y, lo, hi, labels) -> dict:
+    """The designs of a stack whose score equations have no finite root, as
+    {row: NoFiniteSolution}.
 
     A column c = X d that is >= 0 everywhere, > 0 somewhere and 0 on every
     row with y != 0 is a recession direction: along beta - s d the score's
     component d'X'(y - mu) = -c'mu stays negative, so no beta solves the
     equations.  An exposure stratum without events and an outcome without
     events are such cases.  Tried: c = x_j and c = -x_j for every column
-    and, when X has an intercept, c = 1 - x_j.  ``ranges`` is X's column
-    (min, max) when the caller has it already.
+    and, when X has an intercept, c = 1 - x_j.  ``lo`` and ``hi`` are each
+    design's column minima and maxima, ``labels`` its column labels or None.
     """
-    def name(j):
-        return labels[j] if labels is not None else f"column {j}"
+    def name(b, j):
+        return labels[b][j] if labels[b] is not None else f"column {j}"
 
-    events = y != 0
-    n_events = np.count_nonzero(events)
-    on_events = events.astype(float) @ X   # exact for one-signed columns
-    lo, hi = column_ranges(X) if ranges is None else ranges
+    events = y[:, :, 0] != 0
+    n_events = np.count_nonzero(events, axis=1)
+    # Exact where it is read: a sum of one-signed terms is 0 only if every
+    # term is, and a sum of k ones is k in any order.
+    on_events = (events.astype(float)[:, None, :] @ X)[:, 0]
     one_signed = ((lo >= 0) & (hi > 0)) | ((hi <= 0) & (lo < 0))
-    zero = np.flatnonzero(one_signed & (on_events == 0))
-    if zero.size:
-        j = zero[0]
-        where = "on every row" if lo[j] == hi[j] else f"wherever {name(j)} != 0"
-        raise NoFiniteSolution(f"no finite solution: the outcome is 0 {where}")
-    if np.any((lo == 1) & (hi == 1)):
-        for j in np.flatnonzero((hi <= 1) & (lo < 1) & (on_events == n_events)):
-            if np.all(X[events, j] == 1):
-                raise NoFiniteSolution(
-                    f"no finite solution: the outcome is 0 wherever "
-                    f"{name(j)} != 1"
-                )
+    zero = one_signed & (on_events == 0)
+    failed = {}
+    for b in np.flatnonzero(zero.any(axis=1)):
+        j = np.argmax(zero[b])
+        where = "on every row" if lo[b, j] == hi[b, j] else f"wherever {name(b, j)} != 0"
+        failed[b] = NoFiniteSolution(f"no finite solution: the outcome is 0 {where}")
+    intercept = ((lo == 1) & (hi == 1)).any(axis=1)
+    below_one = (hi <= 1) & (lo < 1) & (on_events == n_events[:, None])
+    for b, j in zip(*np.nonzero(below_one & intercept[:, None])):
+        if b not in failed and np.all(X[b][events[b], j] == 1):
+            failed[b] = NoFiniteSolution(
+                f"no finite solution: the outcome is 0 wherever {name(b, j)} != 1")
+    return failed
 
 
-def _check_conditioning(jac) -> float:
-    """cond(-J); raises ``SingularJacobian`` unless finite and <= COND_MAX."""
-    cond = float(np.linalg.cond(-jac))
-    if not np.isfinite(cond) or cond > COND_MAX:
-        raise SingularJacobian(cond)
+def _check_conditioning(jac) -> np.ndarray:
+    """cond(-J) of each Jacobian of a stack; raises ``SingularJacobian``
+    unless every one is finite and <= COND_MAX."""
+    cond = np.linalg.cond(-jac)
+    fine = cond <= COND_MAX     # False for NaN and inf too
+    if not fine.all():
+        raise SingularJacobian(float(cond[~fine][0]))
     return cond
+
+
+def _newton_step(jac, score):
+    """The Newton steps solve(-J, score) of a stack.  A stack of one whose
+    solve fails raises ``SingularJacobian``; a larger stack passes the
+    ``LinAlgError`` on, so that its designs are solved one by one."""
+    try:
+        return np.linalg.solve(-jac, score)
+    except np.linalg.LinAlgError:
+        if len(jac) > 1:
+            raise
+        raise SingularJacobian(float(np.linalg.cond(-jac[0]))) from None
+
+
+def _by_row(fn, like, *stacks):
+    """``fn(*stacks)`` as (value, {row: exception}).
+
+    Where ``fn`` raises for the whole stack, it runs on each row alone, as
+    a stack of one: the value is then an array shaped like ``like`` whose
+    row i is row i's result, and a row that raises alone gets its
+    exception instead (its row of the value stays 0), the one its
+    one-design fit raises.
+    """
+    try:
+        return fn(*stacks), {}
+    except (RiskRatioError, np.linalg.LinAlgError):
+        pass
+    out, errors = np.zeros_like(like), {}
+    for i in range(len(out)):
+        try:
+            out[i] = fn(*(s[i:i + 1] for s in stacks))[0]
+        except (RiskRatioError, np.linalg.LinAlgError) as exc:
+            errors[i] = exc
+    return out, errors
 
 
 def fit_robust_poisson(design: DesignMatrix | np.ndarray, y) -> FitResult:
     """Solve the log-linear estimating equations by damped Newton and
     attach the sandwich.
 
+    This is the one-design case of ``fit_robust_poisson_stack``: the
+    design is a stack of one, a view of its ``X``, not a copy.
     ``design`` is a ``DesignMatrix`` or a bare n x p array, which is
     converted once to the column-major layout of a built design.
     A design with more columns than rows raises ``DataError``; data for
-    which no finite root exists (see ``_check_finite_solution``), an
+    which no finite root exists (see ``_no_finite_solution``), an
     outcome that is 0 on every row among them, raise ``NoFiniteSolution``
     before iterating.  A fit that does not converge raises
     ``NonConvergence``, so the result always has ``converged`` set.
@@ -190,100 +269,262 @@ def fit_robust_poisson(design: DesignMatrix | np.ndarray, y) -> FitResult:
     value is ``condition_estimate``; above ``COND_MAX`` it raises
     ``SingularJacobian``.
     """
-    if isinstance(design, DesignMatrix):
-        X, dm = design.X, design
-    else:
-        X, dm = as_matrix(design), None
-    y = np.asarray(y, dtype=float)
-    n, p = X.shape
+    (fit,) = fit_robust_poisson_stack([design], [y])
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
+
+
+def fit_robust_poisson_stack(designs, ys) -> list:
+    """``fit_robust_poisson`` of each (design, y) pair, fitted as stacks.
+
+    Designs of equal shape are fitted together in one Newton loop.  Returns
+    one entry per design, in order: its ``FitResult`` or the
+    ``RiskRatioError``/``LinAlgError`` that ``fit_robust_poisson`` raises
+    on it alone; bit for bit the one-design fit either way.
+    """
+    fits = [None] * len(designs)
+    groups: dict[tuple, list] = {}
+    for i, design in enumerate(designs):
+        if isinstance(design, DesignMatrix):
+            X, dm = design.X, design
+        else:
+            X, dm = as_matrix(design), None
+        groups.setdefault(X.shape, []).append((i, X, dm, np.asarray(ys[i], float)))
+    for members in groups.values():
+        idx, Xs, dms, yv = zip(*members)
+        for i, fit in zip(idx, _fit_stack(Xs, yv, dms)):
+            fits[i] = fit
+    return fits
+
+
+def _fit_stack(Xs, ys, dms) -> list:
+    """Fit equal-shape column-major designs ``Xs`` with outcomes ``ys``;
+    ``dms`` holds each one's ``DesignMatrix`` or None."""
+    n, p = Xs[0].shape
     if p > n:
-        raise DataError(f"p={p} parameters with only n={n} observations")
-
-    if dm is not None:
-        _check_finite_solution(X, y, dm.labels, dm.column_ranges)
+        return [DataError(f"p={p} parameters with only n={n} observations")
+                for _ in Xs]
+    # The stack of X.T slices: a view for one design, one copy for more.
+    if len(Xs) == 1:
+        Xt, y = Xs[0].T[None], ys[0][None, :, None]
     else:
-        _check_finite_solution(X, y)
+        Xt, y = np.stack([X.T for X in Xs]), np.stack(ys)[:, :, None]
+    ranges = [column_ranges(X) if dm is None else dm.column_ranges
+              for X, dm in zip(Xs, dms)]
+    fits: list = [None] * len(Xs)
+    failed = _no_finite_solution(
+        Xt.mT, y, np.array([r[0] for r in ranges]), np.array([r[1] for r in ranges]),
+        [None if dm is None else dm.labels for dm in dms])
+    rows = np.arange(len(Xs))
+    if failed:
+        for i, exc in failed.items():
+            fits[i] = exc
+        rows = np.flatnonzero(_without(len(Xs), failed))
+        if not rows.size:
+            return fits
+        Xt, y = Xt[rows], y[rows]
+    beta = np.stack([_initial_beta(Xs[i], ys[i]) for i in rows])[:, :, None]
 
-    beta = _initial_beta(X, y)
+    done, errors = _newton(Xt, y, beta, n)
+    for k, exc in errors.items():
+        fits[rows[k]] = exc
+    if not done:
+        return fits
+
+    # Final Jacobian, conditioning and sandwich of every converged design,
+    # in one stack again, in row order.
+    at, beta, mu, max_score, iterations = done[0]
+    if len(done) > 1:
+        order = np.argsort(np.concatenate([d[0] for d in done]))
+        at, beta, mu, max_score, iterations = (
+            np.concatenate([d[j] for d in done])[order] for j in range(5))
+    if len(at) < len(rows):
+        Xt, y = Xt[at], y[at]
+    jac = ee_jacobian(Xt.mT, y, beta, mu=mu)
+    cond, failed = _by_row(_check_conditioning, max_score, jac)
+    if failed:
+        for k, exc in failed.items():
+            fits[rows[at[k]]] = exc
+        keep = _without(len(at), failed)
+        at, beta, mu, max_score, iterations, cond, jac, Xt, y = (
+            a[keep] for a in (at, beta, mu, max_score, iterations, cond, jac, Xt, y))
+        if not len(at):
+            return fits
+    cov, failed = _by_row(sandwich_covariance, jac, Xt.mT, y, beta, mu, jac)
+    n_mu_gt1 = (mu > 1.0).sum(axis=(1, 2))
+    for k, r in enumerate(at):
+        i = rows[r]
+        if k in failed:
+            fits[i] = failed[k]
+            continue
+        fits[i] = FitResult(
+            beta=beta[k, :, 0],
+            cov_sandwich=cov[k],
+            converged=True,
+            iterations=int(iterations[k]),
+            max_abs_score=float(max_score[k]),
+            mu_hat=mu[k, :, 0],
+            n_mu_gt1=int(n_mu_gt1[k]),
+            condition_estimate=float(cond[k]),
+            design=dms[i],
+        )
+    return fits
+
+
+def _newton(Xt, y, beta, n):
+    """Damped Newton on a stack from the starting points ``beta``.
+
+    Returns (done, errors).  ``done`` lists, per iteration at which some
+    rows converged, the tuple (rows, beta, mu, max |score|, iterations);
+    ``errors`` maps each failed row to its exception.  Rows are positions
+    in the given stack.  Converged and failed rows leave the stack, which
+    is then gathered anew from ``Xt``.
+    """
+    rows = np.arange(len(Xt))
+    done, errors = [], {}
+    mu, failed = _by_row(_mu, y, Xt.mT, beta)
+    if failed:
+        errors.update({rows[k]: exc for k, exc in failed.items()})
+        keep = _without(len(rows), failed)
+        Xt, y, beta, mu, rows = (a[keep] for a in (Xt, y, beta, mu, rows))
+        if not len(rows):
+            return done, errors
+    score = ee_score(Xt.mT, y, beta, mu=mu)
+    norm = np.abs(score).max(axis=(1, 2))       # ||score||_inf per row
     tol = SCORE_TOL * n
-    iterations = 0
-    converged = False
-    mu = _mu(X, beta)
-    score = ee_score(X, y, beta, mu=mu)
 
     for iterations in range(1, MAX_ITER + 1):
-        jac = ee_jacobian(X, y, beta, mu=mu)
-        try:
-            delta = np.linalg.solve(-jac, score)
-        except np.linalg.LinAlgError:
-            raise SingularJacobian(float(np.linalg.cond(-jac))) from None
+        jac = ee_jacobian(Xt.mT, y, beta, mu=mu)
+        delta, failed = _by_row(_newton_step, score, jac, score)
         if not np.isfinite(delta).all():
-            _check_conditioning(jac)
+            at = np.flatnonzero(~np.isfinite(delta).all(axis=(1, 2))
+                                & _without(len(rows), failed))
+            _, bad = _by_row(_check_conditioning, norm[at], jac[at])
+            failed.update({at[k]: exc for k, exc in bad.items()})
 
-        # Step halving: accept the first step that reduces ||score||_inf
-        # (or keeps the linear predictor finite).  An overflowing candidate
-        # still goes through ee_score, which raises Overflow for it.
-        norm0 = np.abs(score).max()
-        step = 1.0
-        for _ in range(MAX_HALVINGS + 1):
-            candidate = beta + step * delta
-            eta = X @ candidate
-            mu = None if (eta > ETA_MAX).any() else np.exp(eta)
-            try:
-                new_score = ee_score(X, y, candidate, mu=mu)
-            except Overflow:
-                step /= 2.0
-                continue
-            if np.abs(new_score).max() < norm0 or norm0 < tol:
+        step, beta, mu, score, norm, exhausted = _step_halving(
+            Xt, y, beta, delta, norm, tol, failed)
+        for k in exhausted:
+            failed[k] = Overflow("step halving exhausted without progress")
+
+        converged = norm < tol
+        any_converged = converged.any()
+        if any_converged:
+            converged &= np.abs(step * delta).max(axis=(1, 2)) < STEP_TOL
+            any_converged = converged.any()
+        if failed:
+            errors.update({rows[k]: exc for k, exc in failed.items()})
+            converged &= _without(len(rows), failed)
+            any_converged = converged.any()
+        if any_converged:
+            done.append((rows[converged], beta[converged], mu[converged],
+                         norm[converged],
+                         np.full(np.count_nonzero(converged), iterations)))
+        if failed or any_converged:
+            keep = ~converged
+            if failed:
+                keep &= _without(len(rows), failed)
+            Xt, y, beta, mu, score, norm, rows = (
+                a[keep] for a in (Xt, y, beta, mu, score, norm, rows))
+            if not len(rows):
                 break
-            step /= 2.0
-        else:
-            raise Overflow("step halving exhausted without progress")
 
-        beta = candidate
-        score = new_score
-        if np.abs(score).max() < tol and np.abs(step * delta).max() < STEP_TOL:
-            converged = True
+    for k, r in enumerate(rows):
+        errors[r] = NonConvergence(MAX_ITER, float(norm[k]))
+    return done, errors
+
+
+def _without(size, failed) -> np.ndarray:
+    """A mask of ``size`` rows, False on the rows in ``failed``."""
+    keep = np.ones(size, dtype=bool)
+    keep[list(failed)] = False
+    return keep
+
+
+def _step_halving(Xt, y, beta, delta, norm, tol, failed):
+    """Damped Newton steps for the rows of a stack, except the rows in
+    ``failed`` (positions); ``norm`` is each row's ||score||_inf.
+
+    Each row accepts the first of the steps 1, 1/2, ..., 2**-MAX_HALVINGS
+    that reduces its ||score||_inf, or, once that is below ``tol``, keeps
+    its linear predictor finite.  An overflowing candidate still goes
+    through ee_score, which raises Overflow for it, so that ee_score sees
+    every candidate.  Returns (step, beta, mu, score, ||score||_inf,
+    exhausted): the accepted iterate of each row (zeros for the rows in
+    ``failed``) and the rows that accepted no step.
+    """
+    size = len(Xt)
+    rows = np.flatnonzero(_without(size, failed)) if failed else np.arange(size)
+    # One step per row; a scalar while every row takes the full step.
+    step = np.ones((size, 1, 1)) if failed else 1.0
+    new = None
+
+    def take(sub):
+        return Xt.mT if len(sub) == size else Xt[sub].mT
+
+    for _ in range(MAX_HALVINGS + 1):
+        if not rows.size:
             break
-
-    max_abs_score = float(np.abs(score).max())
-    if not converged:
-        raise NonConvergence(iterations, max_abs_score)
-
-    jac = ee_jacobian(X, y, beta, mu=mu)
-    cond = _check_conditioning(jac)
-    cov = sandwich_covariance(X, y, beta, mu=mu, jac=jac)
-    return FitResult(
-        beta=beta,
-        cov_sandwich=cov,
-        converged=True,
-        iterations=iterations,
-        max_abs_score=max_abs_score,
-        mu_hat=mu,
-        n_mu_gt1=int(np.sum(mu > 1.0)),
-        condition_estimate=cond,
-        design=dm,
-    )
+        if len(rows) == size:
+            candidate = beta + step * delta
+            X, yr, start = Xt.mT, y, norm
+        else:
+            candidate = beta[rows] + step[rows] * delta[rows]
+            X, yr, start = take(rows), y[rows], norm[rows]
+        eta = X @ candidate
+        fine = rows
+        if (eta > ETA_MAX).any():
+            over = (eta > ETA_MAX).any(axis=(1, 2))
+            try:
+                ee_score(take(rows[over]), yr[over], candidate[over])
+            except Overflow:
+                pass
+            fine, start = rows[~over], start[~over]
+            X, yr, candidate, eta = take(fine), yr[~over], candidate[~over], eta[~over]
+        if fine.size:
+            mu = np.exp(eta)
+            score = ee_score(X, yr, candidate, mu=mu)
+            max_score = np.abs(score).max(axis=(1, 2))
+            ok = max_score < start
+            everyone = ok.all()
+            if not everyone:
+                ok |= start < tol
+                everyone = ok.all()
+            if everyone and len(fine) == size:
+                return step, candidate, mu, score, max_score, ()
+            if new is None:
+                new = [np.zeros_like(a) for a in (beta, y, beta, norm)]
+            took = fine[ok]
+            for out, value in zip(new, (candidate, mu, score, max_score)):
+                out[took] = value[ok]
+            rows = np.setdiff1d(rows, took, assume_unique=True)
+        if np.isscalar(step):
+            step = np.ones((size, 1, 1))
+        step[rows] /= 2.0
+    if new is None:
+        new = [np.zeros_like(a) for a in (beta, y, beta, norm)]
+    return (step, *new, rows)
 
 
 def sandwich_covariance(X, y, beta, mu=None, jac=None) -> np.ndarray:
     """Robust covariance B^{-1} W B^{-T} of the coefficient estimates.
 
     B = sum_i x_i x_i' mu_i (bread), W = sum_i x_i r_i^2 x_i' (meat) with
-    residual r_i = y_i - mu_i.  Symmetrized after assembly.  ``mu`` is
-    exp(X beta) and ``jac`` is ``ee_jacobian`` at beta when the caller has
-    them already; the bread is then -jac, the same matrix bit for bit,
-    since negation is exact.
+    residual r_i = y_i - mu_i.  Symmetrized after assembly.  ``X`` is one
+    design or a stack (see the module docstring).  ``mu`` is exp(X beta)
+    and ``jac`` is ``ee_jacobian`` at beta when the caller has them
+    already; the bread is then -jac, the same matrix bit for bit, since
+    negation is exact.
     """
     X = X.X if isinstance(X, DesignMatrix) else np.asarray(X, float)
     mu = _mu(X, beta) if mu is None else mu
     r = y - mu
-    bread = (X.T * mu) @ X if jac is None else -jac
-    meat = (X.T * r**2) @ X
+    bread = (X.mT * _as_row(mu)) @ X if jac is None else -jac
+    meat = (X.mT * _as_row(r**2)) @ X
     try:
         binv = np.linalg.inv(bread)
     except np.linalg.LinAlgError:
         raise SingularBread("bread matrix not invertible") from None
-    cov = binv @ meat @ binv.T
-    return (cov + cov.T) / 2.0
-
+    cov = binv @ meat @ binv.mT
+    return (cov + cov.mT) / 2.0

@@ -96,9 +96,13 @@ class AllReplicationsFailed(RiskRatioError):
 
 
 class ConfigError(RiskRatioError):
-    """Invalid study configuration or command-line option value."""
+    """Invalid study configuration or command-line option value.
+
+    ``detail`` is the message without the ``config key`` prefix, for a
+    caller that names the value another way (a command-line option)."""
 
     def __init__(self, message, key=None):
+        self.detail = message
         if key is not None:
             message = f"config key {key!r}: {message}"
         super().__init__(message)

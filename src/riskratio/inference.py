@@ -1,7 +1,8 @@
 """Fitting by method name, and risk-ratio estimands and intervals.
 
 ``FIT_METHODS`` maps each method name to a fitter (design, y) ->
-``FitResult``; the CLI and the study runner both fit through it.  Two
+``FitResult``; the CLI fits through it, and the study runner through
+``fit_each``, which fits many designs at once where the method can.  Two
 estimands: the exponentiated coefficient (conditional RR from the
 log-linear model) and the standardized marginal RR obtained by averaging
 model-predicted risks over the estimation sample with the exposure forced
@@ -19,7 +20,7 @@ import numpy as np
 
 from .data import Dataset
 from .design import DesignMatrix, _term_block, _term_columns, realize
-from .eecore import ETA_MAX, FitResult, fit_robust_poisson
+from .eecore import ETA_MAX, FitResult, fit_robust_poisson, fit_robust_poisson_stack
 from .errors import (
     FitFailed,
     NonFiniteStandardization,
@@ -62,6 +63,26 @@ FIT_METHODS = {
     "logbin-ab": lambda design, y: _usable("logbin-ab", fit_logbin_barrier(design, y)),
 }
 DEFAULT_METHOD = "robust-poisson"
+
+
+def fit_each(method: str, designs, ys) -> list:
+    """Fit each design with its outcome by method name.
+
+    Returns, per design, its ``FitResult`` or the ``RiskRatioError`` or
+    ``LinAlgError`` its fit raised; each entry is what
+    ``FIT_METHODS[method](design, y)`` returns or raises.  Robust Poisson
+    fits the designs as stacks (``fit_robust_poisson_stack``); the
+    log-binomial fitters fit them one by one.
+    """
+    if method == "robust-poisson":
+        return fit_robust_poisson_stack(designs, ys)
+    fits = []
+    for design, y in zip(designs, ys):
+        try:
+            fits.append(FIT_METHODS[method](design, y))
+        except (RiskRatioError, np.linalg.LinAlgError) as exc:
+            fits.append(exc)
+    return fits
 
 
 def _z(level: float) -> float:
@@ -142,8 +163,8 @@ def marginal_rr(
 
 
 def bootstrap_rr(
-    fitter, sample: Dataset | DesignMatrix, estimand, B: int = 1000,
-    seed: int = 0, level: float = 0.95, fit: FitResult | None = None,
+    fitter, sample: Dataset | DesignMatrix, estimand, fit: FitResult,
+    B: int = 1000, seed: int = 0, level: float = 0.95,
 ) -> RREstimate:
     """Nonparametric percentile bootstrap of any scalar RR estimand.
 
@@ -152,19 +173,15 @@ def bootstrap_rr(
     a rebuild from the resampled data.  ``fitter(sample) -> fit`` and
     ``estimand(fit, sample) -> RREstimate`` are re-run on each resample;
     one that raises, a design resample with a constant column included,
-    counts as failed.  ``fit`` is ``fitter(sample)`` when the caller has
-    it already; the point estimate is then ``estimand(fit, sample)``,
-    without a refit of the full sample.  Deterministic given ``seed``;
-    resamples are aggregated in resample-index order.  More than 20%
-    failed re-fits raises ``TooManyFailures``.
+    counts as failed.  ``fit`` is the caller's ``fitter(sample)``: the
+    point estimate is ``estimand(fit, sample)``, without a refit of the
+    full sample.  Deterministic given ``seed``; resamples are aggregated
+    in resample-index order.  More than 20% failed re-fits raises
+    ``TooManyFailures``.
     """
     if B < 100:
         raise ValueError("B must be at least 100")
-    try:
-        point = estimand(fitter(sample) if fit is None else fit, sample)
-    except (RiskRatioError, np.linalg.LinAlgError) as exc:
-        # the full-sample fit itself fails; every resample is moot
-        raise TooManyFailures(B, B) from exc
+    point = estimand(fit, sample)
     log_rrs = np.full(B, np.nan)
     for b in range(B):
         idx = stream(seed, b).integers(0, sample.n, size=sample.n)

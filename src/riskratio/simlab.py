@@ -9,8 +9,11 @@ estimates against a Monte Carlo truth computed from counterfactual
 outcomes, with Monte Carlo standard errors for every metric.
 
 Determinism: replication r draws from ``rng.stream(base_seed, r)``; the
-truth simulation uses a reserved stream index.  Reports are identical
-regardless of thread count or execution order.
+truth simulation uses a reserved stream index.  Replications run in blocks
+of max(1, STACK_ROWS // n) (see ``run_study``), and each block fits its
+robust-Poisson designs as one stack, every fit equal bit for bit to its
+one-design fit.  Reports are therefore identical regardless of block
+length, thread count or execution order.
 
 Cheap arithmetic, same draws: the scenario probabilities are written for
 speed (cubes as products, ``expit`` through ``tanh``).  Against ``x**3``
@@ -32,7 +35,6 @@ import numpy as np
 from . import __version__, inference
 from .data import Dataset
 from .design import build_design_matrix, parse_spec
-from .eecore import fit_robust_poisson
 from .errors import AllReplicationsFailed, ConfigError, RiskRatioError
 from .rng import stream
 
@@ -311,44 +313,86 @@ def _spec_terms(scenario: Scenario, spec_name: str):
     return parse_spec(text)
 
 
-def _replicate(
-    config: StudyConfig, scenario: Scenario, terms: dict, r: int
-) -> dict:
-    """One replication: returns {(method, spec, estimand): (rr, lo, hi) | None}.
+# Design rows per block of replications: a block of n-row replications
+# holds max(1, STACK_ROWS // n) of them, so one stacked fit of a block
+# works on about this many rows whatever n is.
+STACK_ROWS = 1 << 16
+
+
+@dataclass(frozen=True)
+class _Replicator:
+    """What each replication computes: its data, its fits and estimands.
 
     ``terms`` maps each specification name to its parsed term list, fixed
-    for a study.  A fit on the log-binomial boundary counts as failed.
+    for a study; replication ``key`` draws from ``stream(seed, key)``.
     """
-    rng = stream(config.base_seed, r)
-    data = generate(scenario, config.n, rng=rng)
-    out = dict.fromkeys(
-        (m, s, e) for m in config.methods for s in config.specifications
-        for e in config.estimands
-    )
-    for spec_name in config.specifications:
-        try:
-            design = build_design_matrix(data, terms[spec_name], exposure="A")
-        except RiskRatioError:
-            continue
-        j = design.exposure_cols[0]
-        for method in config.methods:
-            try:
-                fit = inference.FIT_METHODS[method](design, data.y)
-            except (RiskRatioError, np.linalg.LinAlgError):
-                continue
-            if fit.on_boundary:
-                continue
-            for est in config.estimands:
+
+    scenario: Scenario
+    n: int
+    seed: int
+    terms: dict
+    methods: tuple[str, ...]
+    estimands: tuple[str, ...]
+    level: float
+
+    def block(self, keys) -> list[dict]:
+        """A block of replications, one result per key, in order: each is
+        {(method, spec, estimand): (rr, lo, hi) | None}.
+
+        All replications are generated and their designs built first;
+        each (method, specification) is then one ``inference.fit_each``
+        call over the block.  A fit on the log-binomial boundary counts as
+        failed.
+        """
+        datas = [generate(self.scenario, self.n, rng=stream(self.seed, k))
+                 for k in keys]
+        out = [dict.fromkeys((m, s, e) for m in self.methods for s in self.terms
+                             for e in self.estimands) for _ in datas]
+        for spec_name, terms in self.terms.items():
+            built = []
+            for k, data in enumerate(datas):
                 try:
-                    if est == "coefficient":
-                        e = inference.coefficient_rr(fit, j, config.level)
-                    else:
-                        e = inference.marginal_rr(fit, data, 1.0, 0.0, level=config.level)
+                    built.append((k, build_design_matrix(data, terms, exposure="A")))
                 except RiskRatioError:
                     continue
-                if np.isfinite(e.rr) and np.isfinite(e.ci_low) and np.isfinite(e.ci_high):
-                    out[(method, spec_name, est)] = (e.rr, e.ci_low, e.ci_high)
-    return out
+            for method in self.methods:
+                fits = inference.fit_each(method, [d for _, d in built],
+                                          [datas[k].y for k, _ in built])
+                for (k, design), fit in zip(built, fits):
+                    if isinstance(fit, Exception) or fit.on_boundary:
+                        continue
+                    for est in self.estimands:
+                        value = self._estimate(est, fit, design, datas[k])
+                        if value is not None:
+                            out[k][(method, spec_name, est)] = value
+        return out
+
+    def _estimate(self, est, fit, design, data):
+        """(rr, lo, hi) of one estimand, or None when it fails or is not
+        finite."""
+        try:
+            if est == "coefficient":
+                e = inference.coefficient_rr(fit, design.exposure_cols[0], self.level)
+            else:
+                e = inference.marginal_rr(fit, data, 1.0, 0.0, level=self.level)
+        except RiskRatioError:
+            return None
+        if np.isfinite(e.rr) and np.isfinite(e.ci_low) and np.isfinite(e.ci_high):
+            return (e.rr, e.ci_low, e.ci_high)
+        return None
+
+    def run(self, keys, threads: int = 1) -> list[dict]:
+        """Every replication of ``keys``, in order, mapped in blocks of
+        max(1, STACK_ROWS // n) keys; with ``threads`` > 1 the blocks go
+        to a thread pool."""
+        size = max(1, STACK_ROWS // max(self.n, 1))   # figure sizes may be 0
+        blocks = [keys[i:i + size] for i in range(0, len(keys), size)]
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                done = list(pool.map(self.block, blocks))
+        else:
+            done = [self.block(block) for block in blocks]
+        return [result for block in done for result in block]
 
 
 def _cell_metrics(values, truth):
@@ -384,23 +428,26 @@ def run_study(config: StudyConfig, threads: int = 1) -> dict:
     """Run the full replication study and aggregate Table-1-style metrics.
 
     Returns a plain dict (the machine report payload): config echo, truth,
-    and one metrics cell per (method, specification, estimand).  Identical
-    output for any ``threads`` value.
+    and one metrics cell per (method, specification, estimand).
+
+    Replications are processed in blocks of max(1, STACK_ROWS // n)
+    consecutive indices (65 at n = 1000): a block generates each
+    replication r from ``stream(base_seed, r)``, builds its designs, fits
+    each (method, specification) over the whole block, robust Poisson as
+    one stacked Newton loop (``inference.fit_each``), and computes the
+    estimands per replication.  Every fit in a stack equals its
+    one-design fit bit for bit, and results are kept in replication
+    order, so the output is identical for any block length and any
+    ``threads`` value; ``threads`` > 1 maps the blocks on a thread pool.
     """
     scenario = get_scenario(config.scenario)
     truth = monte_carlo_truth(scenario, config.truth_n, seed=config.base_seed)
-
-    terms = {s: _spec_terms(scenario, s) for s in config.specifications}
-
-    def replicate(r):
-        return _replicate(config, scenario, terms, r)
-
-    indices = range(config.replications)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(replicate, indices))
-    else:
-        results = [replicate(r) for r in indices]
+    replicator = _Replicator(
+        scenario, config.n, config.base_seed,
+        {s: _spec_terms(scenario, s) for s in config.specifications},
+        config.methods, config.estimands, config.level,
+    )
+    results = replicator.run(range(config.replications), threads)
 
     cells = []
     any_ok = False
@@ -443,32 +490,26 @@ def consistency_demo(
     """Mean RR estimate and CI across sample sizes for the demo process.
 
     For each size, fits the exposure model on ``replications`` independent
-    datasets; non-convergent small-sample fits are skipped, not fatal.
+    datasets, replication r of size index s drawn from
+    ``stream(seed, (s << 32) | r)``; the replications run in blocks, as in
+    ``run_study``.  Small-sample fits that fail are skipped, not fatal.
     """
     sizes = tuple(sizes)
     if list(sizes) != sorted(sizes):
         raise ConfigError("sizes must be ascending", key="sizes")
     scenario = get_scenario("figure-demo")
     truth = monte_carlo_truth(scenario, seed=seed)
-    terms = parse_spec(scenario.simple_spec)
+    terms = {"simple": parse_spec(scenario.simple_spec)}
+    cell = ("robust-poisson", "simple", "coefficient")
     rows = []
     for s, n in enumerate(sizes):
-        rrs, los, his = [], [], []
-        for r in range(replications):
-            rng = stream(seed, (s << 32) | r)
-            data = generate(scenario, n, rng=rng)
-            try:
-                design = build_design_matrix(data, terms, exposure="A")
-                fit = fit_robust_poisson(design, data.y)
-                est = inference.coefficient_rr(fit, design.exposure_cols[0])
-            except RiskRatioError:
-                continue
-            if np.isfinite(est.rr) and np.isfinite(est.ci_low) and np.isfinite(est.ci_high):
-                rrs.append(est.rr)
-                los.append(est.ci_low)
-                his.append(est.ci_high)
-        if not rrs:
+        replicator = _Replicator(scenario, n, seed, terms, ("robust-poisson",),
+                                 ("coefficient",), 0.95)
+        done = replicator.run([(s << 32) | r for r in range(replications)])
+        values = [v[cell] for v in done if v[cell] is not None]
+        if not values:
             continue
+        rrs, los, his = zip(*values)
         rr = np.array(rrs)
         rows.append({
             "n": n,

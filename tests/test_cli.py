@@ -160,7 +160,8 @@ class TestFit:
         design = build_design_matrix(data, parse_spec(spec), exposure="A")
         failed = bootstrap_rr(
             lambda dm: fit_robust_poisson(dm, dm.data.y), design,
-            lambda f, dm: coefficient_rr(f, 1), B=100, seed=0,
+            lambda f, dm: coefficient_rr(f, 1), fit_robust_poisson(design, data.y),
+            B=100, seed=0,
         ).extra["failed_resamples"]
         assert 0 < failed <= 20
         warning = f"{failed} of 100 bootstrap resamples failed"
@@ -318,9 +319,14 @@ class TestExitCodes:
                          "--seed", str(seed)]) == 2
         captured = capsys.readouterr()
         assert captured.err == (
-            f"error: config key 'truth_n': no events in the {arm} arm of 2 "
+            f"error: --n: no events in the {arm} arm of 2 "
             f"Monte Carlo draws; use more draws\n")
         assert captured.out == ""
+
+    def test_truth_unknown_scenario_names_the_option(self, capsys):
+        assert main(["truth", "--scenario", "nope", "--n", "10"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --scenario: unknown scenario 'nope'")
 
     def test_study_truth_without_events_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "truth.cfg"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,20 @@ from riskratio import (
     ee_jacobian,
     ee_score,
     fit_robust_poisson,
+    generate,
     parse_spec,
     sandwich_covariance,
 )
 from riskratio import eecore
-from riskratio.errors import NoFiniteSolution, Overflow, SingularJacobian
+from riskratio.errors import (
+    NoFiniteSolution,
+    Overflow,
+    RiskRatioError,
+    SingularJacobian,
+)
 from riskratio.rng import stream
+from riskratio.eecore import MAX_HALVINGS
+from riskratio.simlab import get_scenario
 
 from oracles import fit_irls, poisson_loglik, sandwich_covariance_lz
 
@@ -389,3 +399,137 @@ class TestLayout:
         np.testing.assert_allclose(on_array.beta, on_design.beta, rtol=1e-12)
         np.testing.assert_allclose(on_array.cov_sandwich, on_design.cov_sandwich,
                                    rtol=1e-12)
+
+
+def fit_outcome(fit):
+    """A fit, or the exception it raised, as comparable bytes and values."""
+    if isinstance(fit, Exception):
+        return ("raised", type(fit).__name__, str(fit))
+    return ("fit", fit.beta.tobytes(), fit.cov_sandwich.tobytes(),
+            fit.mu_hat.tobytes(), fit.iterations, fit.max_abs_score,
+            fit.condition_estimate, fit.n_mu_gt1)
+
+
+def solo_outcome(design, y):
+    try:
+        return fit_outcome(fit_robust_poisson(design, y))
+    except (RiskRatioError, np.linalg.LinAlgError) as exc:
+        return fit_outcome(exc)
+
+
+def stack_cases():
+    """(design, y) pairs of several shapes: n=1000 `moderate` and `complex`
+    draws under both specifications; `figure-demo` samples of n = 10, 15
+    and 25 with no finite root, a singular Jacobian, no convergence, or a
+    step halving; a collinear array beside the rich designs; p > n."""
+    cases = []
+    for name in ("moderate", "complex"):
+        scenario = get_scenario(name)
+        for spec in (scenario.simple_spec, scenario.rich_spec):
+            for r in range(3):
+                data = generate(scenario, 1000, rng=stream(37, r))
+                cases.append((build_design_matrix(data, parse_spec(spec), "A"), data.y))
+    collinear = np.array(cases[3][0].X)
+    collinear[:, 8] = collinear[:, 7]
+    cases.insert(4, (collinear, cases[3][1]))
+    demo = get_scenario("figure-demo")
+    for n, keys in ((10, (0, 3, 21, 81, 627)), (15, (1, 4, 123)), (25, (10, 5, 1506))):
+        for r in keys:
+            data = generate(demo, n, rng=stream(0, (7 << 32) | r))
+            cases.append((build_design_matrix(data, parse_spec(demo.simple_spec), "A"),
+                          data.y))
+    cases.append((np.ones((3, 5)), np.array([1.0, 0.0, 1.0])))
+    return cases
+
+
+class TestStack:
+    """Each design of a stack is fitted as it is alone, bit for bit: the
+    same FitResult fields, or the same exception type and message."""
+
+    @staticmethod
+    def halvings(monkeypatch, design, y):
+        """Step halvings of a one-design fit: candidates beyond one per
+        iteration."""
+        calls = []
+        for name in ("ee_score", "ee_jacobian"):
+            inner = getattr(eecore, name)
+            monkeypatch.setattr(eecore, name, lambda *a, _f=inner, _n=name, **k:
+                                calls.append(_n) or _f(*a, **k))
+        try:
+            fit_robust_poisson(design, y)
+        except RiskRatioError:
+            pass
+        finally:
+            monkeypatch.undo()
+        return calls.count("ee_score") - calls.count("ee_jacobian")
+
+    def test_mixed_stack_equals_solo_fits(self, monkeypatch):
+        cases = stack_cases()
+        fits = eecore.fit_robust_poisson_stack([d for d, _ in cases],
+                                               [y for _, y in cases])
+        solo = [solo_outcome(d, y) for d, y in cases]
+        assert [fit_outcome(f) for f in fits] == solo
+        kinds = {o[0] if o[0] == "fit" else o[1] for o in solo}
+        assert kinds == {"fit", "NoFiniteSolution", "SingularJacobian",
+                         "NonConvergence", "DataError"}
+        assert solo[4][1] == "SingularJacobian"     # the collinear array
+        assert self.halvings(monkeypatch, *cases[-4]) > 0   # n = 15, r = 4
+
+    def test_overflowing_and_exhausted_steps(self, monkeypatch):
+        # From an intercept of -8 the first full steps overflow and are
+        # halved; from -600 the Jacobian is about 1e-258, the steps about
+        # 1e260, and every halving still overflows.  The halved rows are
+        # fitted as a part of their stack, gathered from it.
+        scenario = get_scenario("moderate")
+        cases = []
+        for r in range(4):
+            data = generate(scenario, 1000, rng=stream(38, r))
+            cases.append((build_design_matrix(
+                data, parse_spec(scenario.rich_spec), "A"), data.y))
+        starts = {id(cases[1][0].X): -8.0, id(cases[2][0].X): -600.0}
+        default = eecore._initial_beta
+
+        def start(X, y):
+            beta = default(X, y)
+            beta[0] = starts.get(id(X), beta[0])
+            return beta
+
+        monkeypatch.setattr(eecore, "_initial_beta", start)
+        overflows = []
+        score = eecore.ee_score
+
+        def counted(X, y, beta, mu=None):
+            try:
+                return score(X, y, beta, mu=mu)
+            except Overflow:
+                overflows.append(len(X))
+                raise
+
+        monkeypatch.setattr(eecore, "ee_score", counted)
+        fits = eecore.fit_robust_poisson_stack(*zip(*cases))
+        assert overflows[0] == 2 and len(overflows) == MAX_HALVINGS + 1
+        solo = [solo_outcome(d, y) for d, y in cases]
+        assert [fit_outcome(f) for f in fits] == solo
+        assert [o[0] for o in solo] == ["fit", "fit", "raised", "fit"]
+        assert solo[2][1:] == ("Overflow", "step halving exhausted without progress")
+        monkeypatch.setattr(eecore, "_initial_beta", default)
+        np.testing.assert_allclose(fits[1].beta, fit_robust_poisson(*cases[1]).beta,
+                                   rtol=0, atol=1e-10)
+
+
+class TestMemory:
+    def test_one_design_is_not_copied(self):
+        # The fit's own temporaries (one p x n product at a time) stay
+        # below half of X; a copy of X into a stack would not.
+        rng = stream(36, 0)
+        n = 200_000
+        X = np.asfortranarray(np.column_stack(
+            [np.ones(n), (rng.random(n) < 0.5) * 1.0, 0.3 * rng.standard_normal((n, 7))]))
+        y = (rng.random(n) < 0.3) * 1.0
+        tracemalloc.start()
+        try:
+            fit_robust_poisson(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * X.nbytes

@@ -287,39 +287,44 @@ class TestBootstrap:
 
     def test_deterministic_given_seed(self):
         data = generate("simple", 300, rng=stream(61, 2))
-        a = bootstrap_rr(self._fitter, data, self._estimand, B=100, seed=9)
-        b = bootstrap_rr(self._fitter, data, self._estimand, B=100, seed=9)
+        fit = self._fitter(data)
+        a = bootstrap_rr(self._fitter, data, self._estimand, fit, B=100, seed=9)
+        b = bootstrap_rr(self._fitter, data, self._estimand, fit, B=100, seed=9)
         assert (a.ci_low, a.ci_high, a.se_log_rr) == (b.ci_low, b.ci_high, b.se_log_rr)
 
-    def test_degenerate_outcome_fails(self):
-        data = Dataset(
-            y=np.zeros(50),
-            columns={"A": (stream(61, 3).random(50) < 0.5).astype(float),
-                     "L1": np.arange(50.0), "L2": np.arange(50.0) % 3},
-        )
-        with pytest.raises(TooManyFailures):
-            bootstrap_rr(self._fitter, data, self._estimand, B=100, seed=1)
+    def test_too_many_failed_resamples(self):
+        # L2 is 1 on one case only: about 37% of resamples miss that row,
+        # and their rebuilt design has a constant L2 column.
+        data = generate("simple", 50, rng=stream(61, 3))
+        l2 = np.zeros(50)
+        l2[np.flatnonzero(data.y == 1)[0]] = 1.0
+        data = data.with_column("L2", l2)
+        with pytest.raises(TooManyFailures, match="/100 bootstrap resamples"):
+            bootstrap_rr(self._fitter, data, self._estimand, self._fitter(data),
+                         B=100, seed=1)
 
     def test_bootstrap_se_close_to_sandwich(self):
         data = generate("simple", 2000, rng=stream(61, 4))
         fit = self._fitter(data)
         sand_se = coefficient_rr(fit, fit.design.exposure_cols[0]).se_log_rr
-        boot = bootstrap_rr(self._fitter, data, self._estimand, B=500, seed=3)
+        boot = bootstrap_rr(self._fitter, data, self._estimand, fit, B=500, seed=3)
         assert abs(boot.se_log_rr - sand_se) / sand_se < 0.10
 
     def test_small_B_rejected(self):
         data = generate("simple", 100, rng=stream(61, 5))
         with pytest.raises(ValueError):
-            bootstrap_rr(self._fitter, data, self._estimand, B=50, seed=0)
+            bootstrap_rr(self._fitter, data, self._estimand, self._fitter(data),
+                         B=50, seed=0)
 
     def test_programming_error_propagates(self):
         data = generate("simple", 100, rng=stream(61, 6))
+        fit = self._fitter(data)
 
         def broken(d):
             raise TypeError("bug in the fitter")
 
         with pytest.raises(TypeError):
-            bootstrap_rr(broken, data, self._estimand, B=100, seed=0)
+            bootstrap_rr(broken, data, self._estimand, fit, B=100, seed=0)
 
         calls = []
 
@@ -330,7 +335,7 @@ class TestBootstrap:
             return self._fitter(d)
 
         with pytest.raises(TypeError):
-            bootstrap_rr(broken_on_resamples, data, self._estimand, B=100, seed=0)
+            bootstrap_rr(broken_on_resamples, data, self._estimand, fit, B=100, seed=0)
 
 
 class TestDesignBootstrap:
@@ -359,7 +364,8 @@ class TestDesignBootstrap:
                         for i in range(100))
         assert missing_b >= 1
 
-        boot = bootstrap_rr(self._fitter, design, self._estimand, B=100, seed=4)
+        boot = bootstrap_rr(self._fitter, design, self._estimand,
+                            self._fitter(design), B=100, seed=4)
         ref = bootstrap_rebuild(self._fitter, design, self._estimand, B=100, seed=4)
         assert ref.failed_resamples > missing_b
         assert boot.extra["failed_resamples"] == ref.failed_resamples
@@ -368,8 +374,9 @@ class TestDesignBootstrap:
 
 
 class TestBootstrapGivenFit:
-    """A caller's full-sample fit replaces the point refit: the fitter runs
-    once per resample only, and the result is unchanged bit for bit."""
+    """The caller's full-sample fit gives the point estimate: the fitter
+    runs once per resample only, and the result is the rebuild oracle's,
+    which refits the full sample, bit for bit."""
 
     def test_no_point_refit(self):
         data = generate("moderate", 400, rng=stream(63, 0))
@@ -384,10 +391,10 @@ class TestBootstrapGivenFit:
         def estimand(fit, dm):
             return coefficient_rr(fit, design.exposure_cols[0])
 
-        plain = bootstrap_rr(fitter, design, estimand, B=100, seed=5)
-        assert len(calls) == 101 and calls[0] is design
         fit = fit_robust_poisson(design, data.y)
-        calls.clear()
-        given = bootstrap_rr(fitter, design, estimand, B=100, seed=5, fit=fit)
+        given = bootstrap_rr(fitter, design, estimand, fit, B=100, seed=5)
         assert len(calls) == 100 and all(dm is not design for dm in calls)
-        assert given == plain   # every field, extra included
+        ref = bootstrap_rebuild(fitter, design, estimand, B=100, seed=5)
+        assert given.extra == {"failed_resamples": ref.failed_resamples}
+        assert (given.log_rr, given.ci_low, given.ci_high, given.se_log_rr) == (
+            ref.log_rr, ref.ci_low, ref.ci_high, ref.se_log_rr)

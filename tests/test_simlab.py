@@ -12,6 +12,7 @@ from riskratio import (
     parse_config,
     run_study,
 )
+from riskratio import simlab
 from riskratio.errors import ConfigError
 from riskratio.report import to_machine_json
 from riskratio.rng import stream
@@ -207,6 +208,17 @@ class TestStudy:
         many = run_study(self.CFG, threads=8)
         assert to_machine_json(one) == to_machine_json(many)
 
+    @pytest.mark.parametrize("block, threads", [(1, 1), (7, 3)])
+    def test_block_length_invariance(self, monkeypatch, block, threads):
+        # n=1000 and R=30: the default block holds all 30 replications.
+        cfg = StudyConfig(
+            scenario="moderate", n=1000, replications=30, base_seed=8,
+            specifications=("simple", "rich"), truth_n=20_000,
+        )
+        default = to_machine_json(run_study(cfg))
+        monkeypatch.setattr(simlab, "STACK_ROWS", block * cfg.n)
+        assert to_machine_json(run_study(cfg, threads=threads)) == default
+
     def test_failure_counting(self):
         cfg = StudyConfig(
             scenario="moderate", n=400, replications=20, base_seed=5,
@@ -230,6 +242,13 @@ class TestConsistencyDemo:
         demo = consistency_demo(sizes=(10, 200), replications=10, seed=12)
         # tiny samples may fail to fit; the table still comes back
         assert any(r["n"] == 200 for r in demo["rows"])
+
+    def test_block_length_invariance(self, monkeypatch):
+        # n = 10 and 15 fail often: no finite root, singular Jacobians.
+        default = consistency_demo(sizes=(10, 15), replications=60, seed=4)
+        monkeypatch.setattr(simlab, "STACK_ROWS", 1)
+        assert consistency_demo(sizes=(10, 15), replications=60, seed=4) == default
+        assert default["rows"][0]["n_converged"] < 60
 
     def test_unsorted_sizes_rejected(self):
         with pytest.raises(ConfigError):
