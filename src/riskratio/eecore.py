@@ -115,11 +115,16 @@ def _mu(X, beta):
     return np.exp(eta)
 
 
+def _t(a):
+    """The transpose of a matrix, or of each matrix of a stack, as a view."""
+    return a.swapaxes(-1, -2)
+
+
 def _as_row(v):
     """A stack's column vectors (B x k x 1) as rows (B x 1 x k), so that
-    ``X.mT * _as_row(w)`` scales the columns of each ``X.T``; a plain
+    ``_t(X) * _as_row(w)`` scales the columns of each ``X.T``; a plain
     vector as it is."""
-    return v if v.ndim == 1 else v.mT
+    return v if v.ndim == 1 else _t(v)
 
 
 def ee_score(X, y, beta, mu=None) -> np.ndarray:
@@ -129,7 +134,7 @@ def ee_score(X, y, beta, mu=None) -> np.ndarray:
     exp(X beta) when the caller has it already.
     """
     mu = _mu(X, beta) if mu is None else mu
-    return X.mT @ (y - mu)
+    return _t(X) @ (y - mu)
 
 
 def ee_jacobian(X, y, beta, mu=None) -> np.ndarray:
@@ -139,7 +144,7 @@ def ee_jacobian(X, y, beta, mu=None) -> np.ndarray:
     exp(X beta) when the caller has it already.
     """
     mu = _mu(X, beta) if mu is None else mu
-    return -((X.mT * _as_row(mu)) @ X)
+    return -((_t(X) * _as_row(mu)) @ X)
 
 
 def _initial_beta(X, y):
@@ -152,18 +157,6 @@ def _initial_beta(X, y):
             beta[j] = np.log(max(y.mean(), 1.0 / (2 * n)))
             break
     return beta
-
-
-def _check_finite_solution(X, y, labels=None, ranges=None):
-    """Raise ``NoFiniteSolution`` when the score equations X'(y - mu) = 0
-    have no finite root: ``_no_finite_solution`` for one design.
-    ``ranges`` is X's column (min, max) when the caller has it already.
-    """
-    lo, hi = column_ranges(X) if ranges is None else ranges
-    failed = _no_finite_solution(X[None], y[None, :, None], lo[None], hi[None],
-                                 [labels])
-    if failed:
-        raise failed[0]
 
 
 def _no_finite_solution(X, y, lo, hi, labels) -> dict:
@@ -314,7 +307,7 @@ def _fit_stack(Xs, ys, dms) -> list:
               for X, dm in zip(Xs, dms)]
     fits: list = [None] * len(Xs)
     failed = _no_finite_solution(
-        Xt.mT, y, np.array([r[0] for r in ranges]), np.array([r[1] for r in ranges]),
+        _t(Xt), y, np.array([r[0] for r in ranges]), np.array([r[1] for r in ranges]),
         [None if dm is None else dm.labels for dm in dms])
     rows = np.arange(len(Xs))
     if failed:
@@ -341,7 +334,7 @@ def _fit_stack(Xs, ys, dms) -> list:
             np.concatenate([d[j] for d in done])[order] for j in range(5))
     if len(at) < len(rows):
         Xt, y = Xt[at], y[at]
-    jac = ee_jacobian(Xt.mT, y, beta, mu=mu)
+    jac = ee_jacobian(_t(Xt), y, beta, mu=mu)
     cond, failed = _by_row(_check_conditioning, max_score, jac)
     if failed:
         for k, exc in failed.items():
@@ -351,7 +344,7 @@ def _fit_stack(Xs, ys, dms) -> list:
             a[keep] for a in (at, beta, mu, max_score, iterations, cond, jac, Xt, y))
         if not len(at):
             return fits
-    cov, failed = _by_row(sandwich_covariance, jac, Xt.mT, y, beta, mu, jac)
+    cov, failed = _by_row(sandwich_covariance, jac, _t(Xt), y, beta, mu, jac)
     n_mu_gt1 = (mu > 1.0).sum(axis=(1, 2))
     for k, r in enumerate(at):
         i = rows[r]
@@ -383,23 +376,23 @@ def _newton(Xt, y, beta, n):
     """
     rows = np.arange(len(Xt))
     done, errors = [], {}
-    mu, failed = _by_row(_mu, y, Xt.mT, beta)
+    mu, failed = _by_row(_mu, y, _t(Xt), beta)
     if failed:
         errors.update({rows[k]: exc for k, exc in failed.items()})
         keep = _without(len(rows), failed)
         Xt, y, beta, mu, rows = (a[keep] for a in (Xt, y, beta, mu, rows))
         if not len(rows):
             return done, errors
-    score = ee_score(Xt.mT, y, beta, mu=mu)
+    score = ee_score(_t(Xt), y, beta, mu=mu)
     norm = np.abs(score).max(axis=(1, 2))       # ||score||_inf per row
     tol = SCORE_TOL * n
 
     for iterations in range(1, MAX_ITER + 1):
-        jac = ee_jacobian(Xt.mT, y, beta, mu=mu)
+        jac = ee_jacobian(_t(Xt), y, beta, mu=mu)
         delta, failed = _by_row(_newton_step, score, jac, score)
         if not np.isfinite(delta).all():
-            at = np.flatnonzero(~np.isfinite(delta).all(axis=(1, 2))
-                                & _without(len(rows), failed))
+            # A row whose solve failed has a zero step, so is not checked.
+            at = np.flatnonzero(~np.isfinite(delta).all(axis=(1, 2)))
             _, bad = _by_row(_check_conditioning, norm[at], jac[at])
             failed.update({at[k]: exc for k, exc in bad.items()})
 
@@ -408,23 +401,20 @@ def _newton(Xt, y, beta, n):
         for k in exhausted:
             failed[k] = Overflow("step halving exhausted without progress")
 
+        # A failed row's norm is inf, so it never counts as converged.
         converged = norm < tol
-        any_converged = converged.any()
-        if any_converged:
+        finished = converged.any()
+        if finished:
             converged &= np.abs(step * delta).max(axis=(1, 2)) < STEP_TOL
-            any_converged = converged.any()
-        if failed:
-            errors.update({rows[k]: exc for k, exc in failed.items()})
-            converged &= _without(len(rows), failed)
-            any_converged = converged.any()
-        if any_converged:
+            finished = converged.any()
+        if finished:
             done.append((rows[converged], beta[converged], mu[converged],
                          norm[converged],
                          np.full(np.count_nonzero(converged), iterations)))
-        if failed or any_converged:
+        if finished or failed:
+            errors.update({rows[k]: exc for k, exc in failed.items()})
             keep = ~converged
-            if failed:
-                keep &= _without(len(rows), failed)
+            keep[list(failed)] = False
             Xt, y, beta, mu, score, norm, rows = (
                 a[keep] for a in (Xt, y, beta, mu, score, norm, rows))
             if not len(rows):
@@ -442,6 +432,13 @@ def _without(size, failed) -> np.ndarray:
     return keep
 
 
+def _rows(a, rows):
+    """``a[rows]`` for sorted distinct ``rows``, or ``a`` itself, not a
+    copy, when ``rows`` is every row: a one-design fit never copies its
+    ``X`` or ``y``."""
+    return a if len(rows) == len(a) else a[rows]
+
+
 def _step_halving(Xt, y, beta, delta, norm, tol, failed):
     """Damped Newton steps for the rows of a stack, except the rows in
     ``failed`` (positions); ``norm`` is each row's ||score||_inf.
@@ -451,59 +448,49 @@ def _step_halving(Xt, y, beta, delta, norm, tol, failed):
     its linear predictor finite.  An overflowing candidate still goes
     through ee_score, which raises Overflow for it, so that ee_score sees
     every candidate.  Returns (step, beta, mu, score, ||score||_inf,
-    exhausted): the accepted iterate of each row (zeros for the rows in
-    ``failed``) and the rows that accepted no step.
+    exhausted): the accepted iterate of each row and the rows that
+    accepted no step.  A row in ``failed`` or ``exhausted`` has an
+    infinite ||score||_inf and undefined other values.
+
+    The usual case, every row of the stack taking the full step, returns
+    that step's arrays as they are; only other cases collect the accepted
+    rows and assemble them at the end.
     """
-    size = len(Xt)
-    rows = np.flatnonzero(_without(size, failed)) if failed else np.arange(size)
-    # One step per row; a scalar while every row takes the full step.
-    step = np.ones((size, 1, 1)) if failed else 1.0
-    new = None
-
-    def take(sub):
-        return Xt.mT if len(sub) == size else Xt[sub].mT
-
+    step = np.ones((len(Xt), 1, 1))
+    rows = np.arange(len(Xt))
+    if failed:
+        rows = rows[_without(len(Xt), failed)]
+    accepted = []
     for _ in range(MAX_HALVINGS + 1):
         if not rows.size:
             break
-        if len(rows) == size:
-            candidate = beta + step * delta
-            X, yr, start = Xt.mT, y, norm
-        else:
-            candidate = beta[rows] + step[rows] * delta[rows]
-            X, yr, start = take(rows), y[rows], norm[rows]
+        candidate = _rows(beta, rows) + _rows(step, rows) * _rows(delta, rows)
+        X = _t(_rows(Xt, rows))
         eta = X @ candidate
         fine = rows
         if (eta > ETA_MAX).any():
             over = (eta > ETA_MAX).any(axis=(1, 2))
             try:
-                ee_score(take(rows[over]), yr[over], candidate[over])
+                ee_score(_t(Xt[rows[over]]), y[rows[over]], candidate[over])
             except Overflow:
                 pass
-            fine, start = rows[~over], start[~over]
-            X, yr, candidate, eta = take(fine), yr[~over], candidate[~over], eta[~over]
+            fine, candidate, eta = rows[~over], candidate[~over], eta[~over]
+            X = _t(Xt[fine])
         if fine.size:
             mu = np.exp(eta)
-            score = ee_score(X, yr, candidate, mu=mu)
+            score = ee_score(X, _rows(y, fine), candidate, mu=mu)
             max_score = np.abs(score).max(axis=(1, 2))
-            ok = max_score < start
-            everyone = ok.all()
-            if not everyone:
-                ok |= start < tol
-                everyone = ok.all()
-            if everyone and len(fine) == size:
+            start = _rows(norm, fine)
+            ok = (max_score < start) | (start < tol)
+            if len(fine) == len(Xt) and ok.all():
                 return step, candidate, mu, score, max_score, ()
-            if new is None:
-                new = [np.zeros_like(a) for a in (beta, y, beta, norm)]
-            took = fine[ok]
-            for out, value in zip(new, (candidate, mu, score, max_score)):
-                out[took] = value[ok]
-            rows = np.setdiff1d(rows, took, assume_unique=True)
-        if np.isscalar(step):
-            step = np.ones((size, 1, 1))
+            accepted.append((fine[ok], candidate[ok], mu[ok], score[ok], max_score[ok]))
+            rows = np.setdiff1d(rows, fine[ok], assume_unique=True)
         step[rows] /= 2.0
-    if new is None:
-        new = [np.zeros_like(a) for a in (beta, y, beta, norm)]
+    new = [np.empty_like(a) for a in (beta, y, beta)] + [np.full_like(norm, np.inf)]
+    for took, *values in accepted:
+        for out, value in zip(new, values):
+            out[took] = value
     return (step, *new, rows)
 
 
@@ -520,11 +507,11 @@ def sandwich_covariance(X, y, beta, mu=None, jac=None) -> np.ndarray:
     X = X.X if isinstance(X, DesignMatrix) else np.asarray(X, float)
     mu = _mu(X, beta) if mu is None else mu
     r = y - mu
-    bread = (X.mT * _as_row(mu)) @ X if jac is None else -jac
-    meat = (X.mT * _as_row(r**2)) @ X
+    bread = (_t(X) * _as_row(mu)) @ X if jac is None else -jac
+    meat = (_t(X) * _as_row(r**2)) @ X
     try:
         binv = np.linalg.inv(bread)
     except np.linalg.LinAlgError:
         raise SingularBread("bread matrix not invertible") from None
-    cov = binv @ meat @ binv.mT
-    return (cov + cov.mT) / 2.0
+    cov = binv @ meat @ _t(binv)
+    return (cov + _t(cov)) / 2.0

@@ -384,8 +384,10 @@ class _Replicator:
     def run(self, keys, threads: int = 1) -> list[dict]:
         """Every replication of ``keys``, in order, mapped in blocks of
         max(1, STACK_ROWS // n) keys; with ``threads`` > 1 the blocks go
-        to a thread pool."""
-        size = max(1, STACK_ROWS // max(self.n, 1))   # figure sizes may be 0
+        to a thread pool, and are cut shorter where that gives every
+        thread a block."""
+        size = STACK_ROWS // max(self.n, 1)   # figure sizes may be 0
+        size = max(1, min(size, -(-len(keys) // threads)))
         blocks = [keys[i:i + size] for i in range(0, len(keys), size)]
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -438,7 +440,9 @@ def run_study(config: StudyConfig, threads: int = 1) -> dict:
     estimands per replication.  Every fit in a stack equals its
     one-design fit bit for bit, and results are kept in replication
     order, so the output is identical for any block length and any
-    ``threads`` value; ``threads`` > 1 maps the blocks on a thread pool.
+    ``threads`` value.  ``threads`` > 1 maps the blocks on a thread pool;
+    a study with fewer than ``threads`` full blocks is cut into
+    ``threads`` shorter ones, so that no thread idles.
     """
     scenario = get_scenario(config.scenario)
     truth = monte_carlo_truth(scenario, config.truth_n, seed=config.base_seed)

@@ -323,11 +323,6 @@ class TestExitCodes:
             f"Monte Carlo draws; use more draws\n")
         assert captured.out == ""
 
-    def test_truth_unknown_scenario_names_the_option(self, capsys):
-        assert main(["truth", "--scenario", "nope", "--n", "10"]) == 2
-        assert capsys.readouterr().err.startswith(
-            "error: --scenario: unknown scenario 'nope'")
-
     def test_study_truth_without_events_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "truth.cfg"
         cfg.write_text("scenario = simple\nreplications = 2\nbase_seed = 3\n"

@@ -20,6 +20,7 @@ from riskratio.errors import (
     RiskRatioError,
     SingularJacobian,
 )
+from riskratio.design import column_ranges
 from riskratio.rng import stream
 from riskratio.eecore import MAX_HALVINGS
 from riskratio.simlab import get_scenario
@@ -371,15 +372,15 @@ class TestBitIdentity:
             Dataset(y=y, columns={"A": a, "L": X[:, 2]}), parse_spec("1 + A + L")
         )
 
-        def verdict(*ranges):
-            try:
-                eecore._check_finite_solution(dm.X, y, dm.labels, *ranges)
-            except NoFiniteSolution as exc:
-                return str(exc)
-            return None
+        def verdict(ranges):
+            lo, hi = ranges
+            failed = eecore._no_finite_solution(
+                dm.X[None], y[None, :, None], lo[None], hi[None], [dm.labels])
+            assert set(failed) <= {0}
+            return str(failed[0]) if failed else None
 
-        assert verdict(dm.column_ranges) == verdict()
-        assert (verdict() is None) == (case == "fits")
+        assert verdict(dm.column_ranges) == verdict(column_ranges(dm.X))
+        assert (verdict(dm.column_ranges) is None) == (case == "fits")
 
 
 class TestLayout:

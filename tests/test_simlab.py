@@ -219,6 +219,24 @@ class TestStudy:
         monkeypatch.setattr(simlab, "STACK_ROWS", block * cfg.n)
         assert to_machine_json(run_study(cfg, threads=threads)) == default
 
+    @pytest.mark.parametrize("replications, threads, lengths", [
+        (10, 1, [10]), (10, 4, [1, 3, 3, 3]), (200, 2, [5, 65, 65, 65])])
+    def test_every_thread_gets_a_block(self, monkeypatch, replications,
+                                       threads, lengths):
+        seen = []
+
+        def block(self, keys):
+            seen.append(len(keys))
+            return list(keys)
+
+        monkeypatch.setattr(simlab._Replicator, "block", block)
+        replicator = simlab._Replicator(
+            scenario=None, n=1000, seed=0, terms={}, methods=(),
+            estimands=(), level=0.95)
+        keys = list(range(replications))
+        assert replicator.run(keys, threads=threads) == keys
+        assert sorted(seen) == lengths
+
     def test_failure_counting(self):
         cfg = StudyConfig(
             scenario="moderate", n=400, replications=20, base_seed=5,
