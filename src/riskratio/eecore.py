@@ -276,17 +276,28 @@ def fit_robust_poisson_stack(designs, ys) -> list:
     ``RiskRatioError``/``LinAlgError`` that ``fit_robust_poisson`` raises
     on it alone; bit for bit the one-design fit either way.
     """
-    fits = [None] * len(designs)
+    return _in_stacks(_fit_stack, [_design_arrays(d, y) for d, y in zip(designs, ys)])
+
+
+def _design_arrays(design, y):
+    """(X, DesignMatrix or None, y) of a design and its outcome, as floats;
+    a bare array is converted once to the layout of a built design."""
+    if isinstance(design, DesignMatrix):
+        return design.X, design, np.asarray(y, float)
+    return as_matrix(design), None, np.asarray(y, float)
+
+
+def _in_stacks(fit_stack, arrays) -> list:
+    """``fit_stack(Xs, ys, dms)`` on each group of equal-shape designs among
+    ``arrays``, (X, DesignMatrix or None, y) triples; its results come back
+    in the order of ``arrays``."""
+    fits = [None] * len(arrays)
     groups: dict[tuple, list] = {}
-    for i, design in enumerate(designs):
-        if isinstance(design, DesignMatrix):
-            X, dm = design.X, design
-        else:
-            X, dm = as_matrix(design), None
-        groups.setdefault(X.shape, []).append((i, X, dm, np.asarray(ys[i], float)))
+    for i, (X, dm, y) in enumerate(arrays):
+        groups.setdefault(X.shape, []).append((i, X, dm, y))
     for members in groups.values():
         idx, Xs, dms, yv = zip(*members)
-        for i, fit in zip(idx, _fit_stack(Xs, yv, dms)):
+        for i, fit in zip(idx, fit_stack(Xs, yv, dms)):
             fits[i] = fit
     return fits
 

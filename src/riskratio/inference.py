@@ -27,7 +27,7 @@ from .errors import (
     RiskRatioError,
     TooManyFailures,
 )
-from .logbin import fit_logbin_barrier, fit_logbin_ml
+from .logbin import fit_logbin_barrier, fit_logbin_barrier_stack, fit_logbin_ml
 from .rng import stream
 
 
@@ -70,12 +70,17 @@ def fit_each(method: str, designs, ys) -> list:
 
     Returns, per design, its ``FitResult`` or the ``RiskRatioError`` or
     ``LinAlgError`` its fit raised; each entry is what
-    ``FIT_METHODS[method](design, y)`` returns or raises.  Robust Poisson
-    fits the designs as stacks (``fit_robust_poisson_stack``); the
-    log-binomial fitters fit them one by one.
+    ``FIT_METHODS[method](design, y)`` returns or raises, ``FitFailed``
+    for an unconverged log-binomial fit included.  Robust Poisson and the
+    log-barrier fit the designs as stacks (``fit_robust_poisson_stack``,
+    ``fit_logbin_barrier_stack``); log-binomial ML fits them one by one.
+    Non-finite input raises ``ValueError``, as the fitters do.
     """
     if method == "robust-poisson":
         return fit_robust_poisson_stack(designs, ys)
+    if method == "logbin-ab":
+        return [_usable_or_failure("logbin-ab", fit)
+                for fit in fit_logbin_barrier_stack(designs, ys)]
     fits = []
     for design, y in zip(designs, ys):
         try:
@@ -83,6 +88,17 @@ def fit_each(method: str, designs, ys) -> list:
         except (RiskRatioError, np.linalg.LinAlgError) as exc:
             fits.append(exc)
     return fits
+
+
+def _usable_or_failure(method: str, fit):
+    """``_usable(method, fit)``, or the ``FitFailed`` it raises; an
+    exception in place of a fit as it is."""
+    if isinstance(fit, Exception):
+        return fit
+    try:
+        return _usable(method, fit)
+    except FitFailed as exc:
+        return exc
 
 
 def _z(level: float) -> float:

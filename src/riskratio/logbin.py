@@ -9,14 +9,27 @@ that shrinks the barrier weight toward zero.  Both return an
 the model-based inverse information, and ``loglik`` the log-likelihood.
 Non-convergence is an expected outcome for this model, reported via the
 ``converged`` flag and ``failure_reason`` rather than an exception.
+
+One barrier loop fits a stack of equal-shape designs at once
+(``fit_logbin_barrier_stack``); ``fit_logbin_barrier`` is its one-design
+case, a view of its ``X``.  The stack has the layout of ``eecore``'s
+(designs' ``X.T`` in one C-contiguous array, vectors as B x n x 1
+columns), so every ``np.matmul`` and LAPACK call serves all its designs
+and each design's fit equals its one-design fit bit for bit.  Each design
+keeps its own barrier weight, stage and iterate; per-row masks decide
+step truncation, step halving and the end of a stage or of the fit, and a
+design that ends its last stage leaves the stack.  A study fits the
+barrier designs of a block of replications as one stack.  The ML fitter
+stays one design at a time: it fails fast, and costs little.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .design import DesignMatrix, as_matrix
-from .eecore import FitResult
+from .eecore import (
+    FitResult, _as_row, _by_row, _design_arrays, _in_stacks, _rows, _t, _without,
+)
 from .errors import InfeasiblePoint, NoFeasibleStart, RiskRatioError
 from . import eecore
 
@@ -47,19 +60,22 @@ def _loglik_eta(y, eta) -> float:
     return float(np.sum(y * eta + (1 - y) * log1mexp))
 
 
-def _q(eta):
-    """e^eta / (1 - e^eta); d/d eta of log(1 - e^eta) is -q."""
-    return np.exp(eta) / (-np.expm1(eta))
+def _q(eta, s):
+    """e^eta / (1 - e^eta) from s = -expm1(eta) = 1 - e^eta; d/d eta of
+    log(1 - e^eta) is -q."""
+    return np.exp(eta) / s
 
 
-def _gradient_q(X, y, ny, q):
-    # d/d eta: y - (1-y) e^eta / (1 - e^eta); ny is 1 - y
-    return X.T @ (y - ny * q)
+def _gradient_q(X, y, nyq):
+    # d/d eta: y - (1-y) e^eta / (1 - e^eta); nyq is (1 - y) q
+    return _t(X) @ (y - nyq)
 
 
-def _hessian_q(X, ny, q):
-    h = ny * q * (1 + q)   # e^eta/(1-e^eta)^2 = q(1+q)
-    return -(X.T * h) @ X
+def _hessian_q(X, nyq, q):
+    # -(X.T * h) @ X with h = (1 - y) e^eta/(1-e^eta)^2 = nyq (1 + q).
+    # Negation is exact, so X.T * (nyq * (-1 - q)) is -(X.T * h) bit for
+    # bit, without negating a p x n matrix.
+    return (_t(X) * _as_row(nyq * (-1 - q))) @ X
 
 
 def logbin_loglik(X, y, beta) -> float:
@@ -72,50 +88,82 @@ def logbin_loglik(X, y, beta) -> float:
 def logbin_gradient(X, y, beta) -> np.ndarray:
     eta = _eta(X, beta)
     _check_feasible(eta)
-    return _gradient_q(X, y, 1 - y, _q(eta))
+    return _gradient_q(X, y, (1 - y) * _q(eta, -np.expm1(eta)))
 
 
 def logbin_hessian(X, y, beta) -> np.ndarray:
-    return _hessian_q(X, 1 - y, _q(_eta(X, beta)))
+    eta = _eta(X, beta)
+    q = _q(eta, -np.expm1(eta))
+    return _hessian_q(X, (1 - y) * q, q)
 
 
 class _BarrierIterate:
     """What the barrier loop keeps of an accepted, strictly feasible beta:
-    eta = X beta, the log-likelihood and the barrier sum(log(-eta)), each
-    computed once and reused for every barrier weight t.
+    eta = X beta, ``neg`` = -eta, s = 1 - e^eta, the log-likelihood and
+    the barrier sum(log(-eta)), each computed once and reused for every
+    barrier weight t.  ``s`` is -expm1(eta), which the log-likelihood needs
+    and which is the denominator of every q = e^eta / (1 - e^eta) at this
+    iterate; ``neg`` also gives the room to the boundary.
 
-    ``ny`` is 1 - y, which the fit computes once.  Since every eta < 0,
-    1 - e^eta is positive and the log-likelihood needs none of the guards
-    of ``_loglik_eta``.
+    The iterate of one design holds vectors; that of a stack holds column
+    vectors (B x n x 1) and one loglik and logbar per design (see
+    ``eecore``).  ``ny`` is 1 - y, which the fit computes once.  Since
+    every eta < 0, s is positive and the log-likelihood needs none of the
+    guards of ``_loglik_eta``.
     """
 
-    __slots__ = ("eta", "ny", "loglik", "logbar")
+    __slots__ = ("eta", "neg", "s", "ny", "loglik", "logbar")
 
     def __init__(self, y, eta, ny):
         self.eta = eta
+        self.neg = -eta
         self.ny = ny
-        self.loglik = float(np.sum(y * eta + ny * np.log(-np.expm1(eta))))
-        self.logbar = np.sum(np.log(-eta))
+        self.s = -np.expm1(eta)
+        self.loglik = _total(y * eta + ny * np.log(self.s))
+        self.logbar = _total(np.log(self.neg))
 
     def objective(self, t):
-        """loglik + t * sum_i log(-x_i'beta)."""
+        """loglik + t * sum_i log(-x_i'beta); of a stack, per design."""
         return self.loglik + t * self.logbar
 
     def newton_system(self, X, y, t):
-        """Gradient and Hessian of the barrier objective, from one q."""
-        eta = self.eta
-        q = _q(eta)
-        grad = _gradient_q(X, y, self.ny, q) + t * (X.T @ (1.0 / eta))
-        hess = _hessian_q(X, self.ny, q) - t * ((X.T * (1.0 / eta**2)) @ X)
+        """Gradient and Hessian of the barrier objective, from one q; ``X``
+        is one design or a stack, whose ``t`` is then B x 1 x 1."""
+        eta, Xt = self.eta, _t(X)
+        q = _q(eta, self.s)
+        nyq = self.ny * q
+        grad = _gradient_q(X, y, nyq) + t * (Xt @ (1.0 / eta))
+        hess = _hessian_q(X, nyq, q) - t * ((Xt * _as_row(1.0 / eta**2)) @ X)
         return grad, hess
 
+    def take(self, rows):
+        """The iterate of the given designs of a stack (an index array or
+        a mask), a copy."""
+        new = object.__new__(_BarrierIterate)
+        for name in self.__slots__:
+            setattr(new, name, getattr(self, name)[rows])
+        return new
 
-def _truncate_step(eta, direction_eta, cap=ETA_CAP, frac=1.0):
-    """Largest step alpha <= 1 with eta + alpha*direction <= cap everywhere."""
+    def put(self, rows, other):
+        """Set the given designs of this stack's iterate to ``other``'s."""
+        for name in self.__slots__:
+            getattr(self, name)[rows] = getattr(other, name)
+
+
+def _total(v):
+    """The sum of a vector, or of each column vector of a stack."""
+    return np.sum(v) if v.ndim == 1 else v.sum(axis=(1, 2))
+
+
+def _truncate_step(neg_eta, direction_eta):
+    """Per design of a stack, the largest step alpha <= 1 with
+    eta + alpha*direction <= 0 everywhere, times 0.99; ``neg_eta`` is
+    -eta, which is 0.0 - eta for every eta < 0."""
     rising = direction_eta > 0
-    room = np.divide(cap - eta, direction_eta, out=np.full_like(eta, np.inf),
-                     where=rising)
-    return min(1.0, frac * max(room.min(), 0.0))
+    room = np.where(rising, neg_eta, np.inf) / np.where(rising, direction_eta, 1.0)
+    # min(1.0, 0.99 * max(lowest, 0.0)) per row; every room is -eta >= 0
+    # over d > 0, so never below 0 nor NaN, and the max is idle.
+    return np.minimum(0.99 * room.min(axis=(1, 2)), 1.0)
 
 
 def feasible_start(X, y) -> np.ndarray:
@@ -153,11 +201,10 @@ def _arrays(design, y):
     """(X, DesignMatrix or None, y) as floats, a bare array in the layout of
     a built design (``design.as_matrix``); rejects non-finite input, which
     the linear algebra below would otherwise carry along as NaN."""
-    X = design.X if isinstance(design, DesignMatrix) else as_matrix(design)
-    y = np.asarray(y, dtype=float)
+    X, dm, y = _design_arrays(design, y)
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("design matrix and outcome must be finite")
-    return X, design if isinstance(design, DesignMatrix) else None, y
+    return X, dm, y
 
 
 def _finish(X, y, beta, converged, on_boundary, iterations, reason, dm):
@@ -233,7 +280,7 @@ def fit_logbin_ml(design, y) -> FitResult:
                            "infeasible iterate", dm)
         mu = np.exp(eta)
         last_feasible = beta
-        if np.max(np.abs(_gradient_q(X, y, ny, _q(eta)))) < tol:
+        if np.max(np.abs(_gradient_q(X, y, ny * _q(eta, -np.expm1(eta))))) < tol:
             return _finish(X, y, beta, True, np.max(eta) > -BOUNDARY_EPS, it, None, dm)
 
     return _finish(X, y, last_feasible, False,
@@ -247,59 +294,225 @@ def fit_logbin_barrier(design, y) -> FitResult:
     Maximizes loglik(beta) + t * sum_i log(-x_i'beta) for a decreasing
     schedule of t, warm-starting each stage; iterates stay strictly
     feasible, so the method handles boundary optima that defeat plain
-    Newton.  Each accepted iterate keeps eta, its log-likelihood and its
-    barrier sum (``_BarrierIterate``): the Newton system and the objective
-    at the current beta, also at the start of a new stage, come from that
-    state, and each step-halving candidate costs one X @ beta.
+    Newton.  Each stage takes damped Newton steps, truncated to 99% of the
+    way to the boundary and halved until the barrier objective does not
+    fall.  Each accepted iterate keeps eta, 1 - e^eta, its log-likelihood
+    and its barrier sum (``_BarrierIterate``), so the Newton system and the
+    objective come from that state and each halving costs one X @ beta.
+
+    This is the one-design case of ``fit_logbin_barrier_stack``: the
+    design is a stack of one, a view of its ``X``, not a copy.  A
+    ``RiskRatioError`` (no feasible start) or a ``LinAlgError`` of the fit
+    is raised; a fit that does not reach stationarity is returned
+    unconverged.
     """
-    X, dm, y = _arrays(design, y)
-    n = X.shape[0]
-    beta = feasible_start(X, y)
-    eta = _eta(X, beta)
-    _check_feasible(eta)
-    ny = 1 - y
-    state = _BarrierIterate(y, eta, ny)
-    total_iter = 0
+    (fit,) = fit_logbin_barrier_stack([design], [y])
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
-    t = BARRIER_T_START
-    while t >= BARRIER_T_STOP * 0.999:
-        for _ in range(MAX_ITER):
-            total_iter += 1
-            grad, hess = state.newton_system(X, y, t)
-            # Only a step that raises the finite barrier objective is taken,
-            # so even a direction from a non-finite system is safe to try.
+
+def fit_logbin_barrier_stack(designs, ys) -> list:
+    """``fit_logbin_barrier`` of each (design, y) pair, fitted as stacks.
+
+    Designs of equal shape run in one barrier loop.  Returns one entry per
+    design, in order: its ``FitResult`` or the ``RiskRatioError``/
+    ``LinAlgError`` that ``fit_logbin_barrier`` raises on it alone; bit for
+    bit the one-design fit either way.  Non-finite input raises
+    ``ValueError`` for the whole call.
+    """
+    return _in_stacks(_barrier_stack, [_arrays(d, y) for d, y in zip(designs, ys)])
+
+
+# The barrier weight of each stage: BARRIER_T_START, times BARRIER_T_FACTOR
+# per stage, while t >= BARRIER_T_STOP * 0.999.
+_STAGE_T = [BARRIER_T_START]
+while _STAGE_T[-1] * BARRIER_T_FACTOR >= BARRIER_T_STOP * 0.999:
+    _STAGE_T.append(_STAGE_T[-1] * BARRIER_T_FACTOR)
+_STAGE_T = np.array(_STAGE_T)
+
+
+def _barrier_stack(Xs, ys, dms) -> list:
+    """Fit equal-shape column-major designs ``Xs`` with outcomes ``ys`` by
+    the barrier method; ``dms`` holds each one's ``DesignMatrix`` or None.
+
+    Each design starts from its own ``feasible_start``; the stages run on
+    the stack (``_barrier``), and each finished design gets its final
+    gradient and ``_finish`` alone, from the iterate the stack kept.
+    """
+    n = Xs[0].shape[0]
+    fits: list = [None] * len(Xs)
+    starts = {}
+    for i, (X, y) in enumerate(zip(Xs, ys)):
+        try:
+            starts[i] = feasible_start(X, y)
+        except (RiskRatioError, np.linalg.LinAlgError) as exc:
+            fits[i] = exc
+    rows = np.array(list(starts), dtype=int)
+    if not rows.size:
+        return fits
+    # The stack of X.T slices: a view for one design, one copy for more.
+    if len(rows) == 1:
+        Xt, y, beta = Xs[rows[0]].T[None], ys[rows[0]][None, :, None], starts[rows[0]][None]
+    else:
+        Xt, y = np.stack([Xs[i].T for i in rows]), np.stack([ys[i] for i in rows])[:, :, None]
+        beta = np.stack(list(starts.values()))
+    beta = beta[..., None]
+    eta = _t(Xt) @ beta
+    if (eta > 0).any():
+        infeasible = (eta > 0).any(axis=(1, 2))
+        for k in np.flatnonzero(infeasible):
+            fits[rows[k]] = InfeasiblePoint("some x_i'beta > 0")
+        keep = ~infeasible
+        rows, Xt, y, beta, eta = (a[keep] for a in (rows, Xt, y, beta, eta))
+        if not rows.size:
+            return fits
+
+    finished, errors = _barrier(Xt, y, beta, _BarrierIterate(y, eta, 1 - y), n)
+    for k, exc in errors.items():
+        fits[rows[k]] = exc
+    for at, iterations, beta, state in finished:
+        for k, r in enumerate(at):
+            i = rows[r]
+            X, y = Xs[i], ys[i]
+            eta = state.eta[k, :, 0]
+            on_boundary = eta.max() > -BOUNDARY_EPS * 10
+            grad = _gradient_q(X, y, state.ny[k, :, 0] * _q(eta, state.s[k, :, 0]))
+            converged = bool(np.abs(grad).max() < 1e-4 * n or on_boundary)
+            reason = None if converged else "barrier did not reach stationarity"
+            fits[i] = _finish(X, y, beta[k, :, 0], converged, on_boundary,
+                              iterations, reason, dms[i])
+    return fits
+
+
+def _barrier(Xt, y, beta, state, n):
+    """The barrier stages of a stack from strictly feasible iterates.
+
+    Each design runs its own schedule: it keeps its stage (so its barrier
+    weight t), the iteration its stage began after, its beta and its
+    ``_BarrierIterate``.  Every design in the stack has run as many Newton
+    iterations as the loop, so that count is its total.  A stage of a
+    design ends when its step truncates to nothing, when no halved step is
+    accepted, when its step or its gradient is small, or after MAX_ITER
+    iterations; the fit ends with its last stage.
+
+    Returns (finished, errors): ``finished`` lists (rows, iterations, beta,
+    state) for the designs that ended their last stage at some iteration,
+    and ``errors`` maps a design to the ``LinAlgError`` its lstsq raised.
+    Rows are positions in the given stack.  Finished and failed designs
+    leave the stack, which is then gathered anew from ``Xt``.
+    """
+    X = _t(Xt)
+    rows = np.arange(len(Xt))
+    stage = np.zeros(len(rows), dtype=int)
+    began = np.zeros(len(rows), dtype=int)
+    t, t3 = _STAGE_T[stage], _STAGE_T[stage][:, None, None]
+    obj = state.objective(t)
+    tol = GRAD_TOL * n
+    finished, errors = [], {}
+    iterations = 0
+    capped = MAX_ITER       # the next iteration at which some stage is capped
+    while True:
+        iterations += 1
+        grad, hess = state.newton_system(X, y, t3)
+        # Only a step that raises the finite barrier objective is taken,
+        # so even a direction from a non-finite system is safe to try.
+        neg = -hess
+        delta, failed = _by_row(_solve_definite, grad, neg, grad)
+        lstsq_failed = {}
+        for k in failed:
             try:
-                np.linalg.cholesky(-hess)   # raises unless positive definite
-                delta = np.linalg.solve(-hess, grad)
-            except np.linalg.LinAlgError:
-                delta = np.linalg.lstsq(-hess, grad, rcond=None)[0]
-            alpha = _truncate_step(state.eta, X @ delta, cap=0.0, frac=0.99)
-            if alpha <= 1e-16:
-                break
-            obj = state.objective(t)
-            accepted = False
-            for _ in range(MAX_HALVINGS + 1):
-                candidate = beta + alpha * delta
-                eta_c = _eta(X, candidate)
-                if np.max(eta_c) >= 0:
-                    alpha /= 2.0
-                    continue
-                new_state = _BarrierIterate(y, eta_c, ny)
-                if new_state.objective(t) >= obj - 1e-12:
-                    accepted = True
-                    break
-                alpha /= 2.0
-            if not accepted:
-                break
-            step = np.max(np.abs(alpha * delta))
-            beta, state = candidate, new_state
-            if step < 1e-12 or np.max(np.abs(grad)) < GRAD_TOL * n:
-                break
-        t *= BARRIER_T_FACTOR
+                delta[k, :, 0] = np.linalg.lstsq(neg[k], grad[k, :, 0], rcond=None)[0]
+            except np.linalg.LinAlgError as exc:
+                lstsq_failed[k] = exc
+        alpha = _truncate_step(state.neg, X @ delta)
+        if lstsq_failed:
+            alpha[list(lstsq_failed)] = 0.0
+        accepted, beta, state, obj = _line_search(
+            X, Xt, y, beta, state, obj, delta, alpha, t)
+        step = np.abs(alpha[:, None, None] * delta).max(axis=(1, 2))
+        gnorm = np.abs(grad).max(axis=(1, 2))
+        if (accepted is None and iterations != capped
+                and step.min() >= 1e-12 and gnorm.min() >= tol):
+            continue    # no stage ends; NaNs take the full test below
+        ends = (step < 1e-12) | (gnorm < tol)
+        if accepted is not None:
+            ends |= ~accepted
+        if iterations == capped:
+            ends |= iterations - began == MAX_ITER
+        if not ends.any():
+            continue
+        stage += ends
+        began[ends] = iterations
+        if lstsq_failed or stage.max() == len(_STAGE_T):
+            keep = _without(len(rows), lstsq_failed) & (stage < len(_STAGE_T))
+            out = ~keep
+            if lstsq_failed:
+                out[list(lstsq_failed)] = False
+                errors.update({rows[k]: exc for k, exc in lstsq_failed.items()})
+            if out.any():
+                finished.append((rows[out], iterations, beta[out], state.take(out)))
+            if not keep.any():
+                return finished, errors
+            rows, Xt, y, beta, stage, began = (
+                a[keep] for a in (rows, Xt, y, beta, stage, began))
+            state = state.take(keep)
+            X = _t(Xt)
+        t, t3 = _STAGE_T[stage], _STAGE_T[stage][:, None, None]
+        obj = state.objective(t)
+        capped = began.min() + MAX_ITER
 
-    eta = state.eta
-    on_boundary = np.max(eta) > -BOUNDARY_EPS * 10
-    grad = _gradient_q(X, y, ny, _q(eta))
-    converged = bool(np.max(np.abs(grad)) < 1e-4 * n or on_boundary)
-    reason = None if converged else "barrier did not reach stationarity"
-    return _finish(X, y, beta, converged, on_boundary, total_iter, reason, dm)
+
+def _solve_definite(neg, grad):
+    """The Newton steps solve(-H, grad) of a stack, from ``neg`` = -H;
+    raises ``LinAlgError`` unless every -H is positive definite."""
+    np.linalg.cholesky(neg)   # raises unless positive definite
+    return np.linalg.solve(neg, grad)
+
+
+def _line_search(X, Xt, y, beta, state, obj, delta, alpha, t):
+    """Step halving for the designs of a stack whose truncated step alpha
+    is above 1e-16; the others take no step.
+
+    Each takes the first of the steps alpha, alpha/2, ... (MAX_HALVINGS
+    halvings) whose iterate beta + step * delta is strictly feasible and
+    whose barrier objective at ``t`` is at least its current one, ``obj``,
+    less 1e-12; ``alpha`` is halved in place.  Returns (accepted, beta,
+    state, obj): a mask of the designs that took a step, or None when all
+    did, and per design its iterate and objective.  When every design of
+    the stack takes its first step, that step's arrays are returned as
+    they are; otherwise the designs still halving are gathered from
+    ``Xt``, and the accepted steps are written into ``beta``, ``state`` and
+    ``obj`` in place.
+    """
+    size = len(Xt)
+    floor = obj - 1e-12
+    rows = np.arange(size) if alpha.min() > 1e-16 else np.flatnonzero(alpha > 1e-16)
+    taken = []
+    for _ in range(MAX_HALVINGS + 1):
+        if not rows.size:
+            break
+        candidate = _rows(beta, rows) + _rows(alpha, rows)[:, None, None] * _rows(delta, rows)
+        eta = (X if len(rows) == size else _t(Xt[rows])) @ candidate
+        tried = rows
+        if not eta.max() < 0:
+            # Leave out a candidate with some eta >= 0; one with a NaN
+            # eta is tried, and fails on its objective.
+            fine = ~(eta.max(axis=(1, 2)) >= 0)
+            tried, candidate, eta = rows[fine], candidate[fine], eta[fine]
+        if tried.size:
+            new = _BarrierIterate(_rows(y, tried), eta, _rows(state.ny, tried))
+            value = new.objective(_rows(t, tried))
+            ok = value >= _rows(floor, tried)
+            if len(tried) == size and ok.all():
+                return None, candidate, new, value
+            taken.append((tried[ok], candidate[ok], new.take(ok), value[ok]))
+            rows = np.setdiff1d(rows, tried[ok], assume_unique=True)
+        alpha[rows] /= 2.0
+    accepted = np.zeros(size, dtype=bool)
+    for took, candidate, new, value in taken:
+        accepted[took] = True
+        beta[took] = candidate
+        state.put(took, new)
+        obj[took] = value
+    return accepted, beta, state, obj

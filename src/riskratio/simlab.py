@@ -11,8 +11,8 @@ outcomes, with Monte Carlo standard errors for every metric.
 Determinism: replication r draws from ``rng.stream(base_seed, r)``; the
 truth simulation uses a reserved stream index.  Replications run in blocks
 of max(1, STACK_ROWS // n) (see ``run_study``), and each block fits its
-robust-Poisson designs as one stack, every fit equal bit for bit to its
-one-design fit.  Reports are therefore identical regardless of block
+robust-Poisson designs as one stack and its log-barrier designs as
+another, every fit equal bit for bit to its one-design fit.  Reports are therefore identical regardless of block
 length, thread count or execution order.
 
 Cheap arithmetic, same draws: the scenario probabilities are written for
@@ -435,9 +435,9 @@ def run_study(config: StudyConfig, threads: int = 1) -> dict:
     Replications are processed in blocks of max(1, STACK_ROWS // n)
     consecutive indices (65 at n = 1000): a block generates each
     replication r from ``stream(base_seed, r)``, builds its designs, fits
-    each (method, specification) over the whole block, robust Poisson as
-    one stacked Newton loop (``inference.fit_each``), and computes the
-    estimands per replication.  Every fit in a stack equals its
+    each (method, specification) over the whole block, robust Poisson and
+    the log-barrier as stacked loops (``inference.fit_each``), and
+    computes the estimands per replication.  Every fit in a stack equals its
     one-design fit bit for bit, and results are kept in replication
     order, so the output is identical for any block length and any
     ``threads`` value.  ``threads`` > 1 maps the blocks on a thread pool;

@@ -1,11 +1,13 @@
 """Independent references the tests compare the package against."""
 
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 
+from riskratio import logbin
 from riskratio.design import build_design_matrix
-from riskratio.errors import RiskRatioError
+from riskratio.errors import InfeasiblePoint, RiskRatioError
 from riskratio.rng import stream
 
 
@@ -88,3 +90,75 @@ def bootstrap_rebuild(fitter, design, estimand, B, seed, level=0.95):
         log_rr=point.log_rr, ci_low=float(np.exp(lo)), ci_high=float(np.exp(hi)),
         se_log_rr=float(np.std(log_rrs, ddof=1)), failed_resamples=failed,
     )
+
+
+def barrier_reference(X, y):
+    """The log-barrier fit of one design as a plain loop, one Newton
+    iteration at a time, with the formulas of ``logbin`` written out:
+    (fit, events), where ``events`` counts the branches the loop took
+    (``lstsq``, ``halving``, ``no_step_accepted``, ``tiny_step``,
+    ``stage_capped``).  The start and the result are ``logbin``'s own
+    (``feasible_start``, ``_finish``); the constants are read when called.
+    """
+    X = np.asfortranarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = X.shape[0]
+    ny = 1 - y
+    events = Counter()
+
+    def iterate(eta):
+        s = -np.expm1(eta)
+        return eta, s, float(np.sum(y * eta + ny * np.log(s))), np.sum(np.log(-eta))
+
+    beta = logbin.feasible_start(X, y)
+    eta = X @ beta
+    if np.any(eta > 0):
+        raise InfeasiblePoint("some x_i'beta > 0")
+    eta, s, loglik, logbar = iterate(eta)
+    total = 0
+    t = logbin.BARRIER_T_START
+    while t >= logbin.BARRIER_T_STOP * 0.999:
+        for it in range(logbin.MAX_ITER):
+            total += 1
+            q = np.exp(eta) / s
+            grad = X.T @ (y - ny * q) + t * (X.T @ (1.0 / eta))
+            hess = -(X.T * (ny * q * (1 + q))) @ X - t * ((X.T * (1.0 / eta**2)) @ X)
+            try:
+                np.linalg.cholesky(-hess)
+                delta = np.linalg.solve(-hess, grad)
+            except np.linalg.LinAlgError:
+                events["lstsq"] += 1
+                delta = np.linalg.lstsq(-hess, grad, rcond=None)[0]
+            d = X @ delta
+            room = np.divide(0.0 - eta, d, out=np.full_like(eta, np.inf), where=d > 0)
+            alpha = min(1.0, 0.99 * max(room.min(), 0.0))
+            if alpha <= 1e-16:
+                events["tiny_step"] += 1
+                break
+            obj = loglik + t * logbar
+            for halving in range(logbin.MAX_HALVINGS + 1):
+                candidate = beta + alpha * delta
+                eta_c = X @ candidate
+                if np.max(eta_c) < 0:
+                    new = iterate(eta_c)
+                    if new[2] + t * new[3] >= obj - 1e-12:
+                        break
+                alpha /= 2.0
+            else:
+                events["no_step_accepted"] += 1
+                break
+            if halving:
+                events["halving"] += 1
+            step = np.max(np.abs(alpha * delta))
+            beta = candidate
+            eta, s, loglik, logbar = new
+            if step < 1e-12 or np.max(np.abs(grad)) < logbin.GRAD_TOL * n:
+                break
+        else:
+            events["stage_capped"] += 1
+        t *= logbin.BARRIER_T_FACTOR
+    on_boundary = np.max(eta) > -logbin.BOUNDARY_EPS * 10
+    grad = X.T @ (y - ny * (np.exp(eta) / s))
+    converged = bool(np.max(np.abs(grad)) < 1e-4 * n or on_boundary)
+    reason = None if converged else "barrier did not reach stationarity"
+    return logbin._finish(X, y, beta, converged, on_boundary, total, reason, None), events

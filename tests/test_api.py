@@ -24,3 +24,17 @@ def test_no_catch_all_handlers():
         if broad.match(line)
     ]
     assert found == []
+
+
+def test_no_numpy2_only_names():
+    # pyproject.toml declares numpy>=1.24; these exist only from NumPy 2.0.
+    newer = re.compile(
+        r"\.mT\b|\bmatrix_transpose\b|\bvecdot\b|\bunique_values\b"
+        r"|\bnp\.astype\b|\blinalg\.outer\b")
+    found = [
+        f"{path.name}:{i}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if newer.search(line)
+    ]
+    assert found == []

@@ -1,3 +1,6 @@
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,11 +15,14 @@ from riskratio import (
     logbin_loglik,
     parse_spec,
 )
-from riskratio.errors import InfeasiblePoint, NoFeasibleStart
-from riskratio.logbin import _BarrierIterate, feasible_start
+from riskratio import logbin
+from riskratio.errors import FitFailed, InfeasiblePoint, NoFeasibleStart, RiskRatioError
+from riskratio.inference import FIT_METHODS, _usable, fit_each
+from riskratio.logbin import _BarrierIterate, feasible_start, fit_logbin_barrier_stack
 from riskratio.rng import stream
 from riskratio.simlab import get_scenario
 
+from oracles import barrier_reference
 from test_eecore import two_by_two
 
 
@@ -227,3 +233,108 @@ def test_feasible_start_with_more_columns_than_rows():
     X = stream(705, 0).standard_normal((2, 3))
     with pytest.raises(NoFeasibleStart):
         feasible_start(X, np.array([1.0, 0.0]))
+
+
+def fit_digest(fit):
+    """sha256 of a fit's numbers and flags, or an exception's type and text."""
+    if isinstance(fit, Exception):
+        return f"{type(fit).__name__}: {fit}"
+    h = hashlib.sha256(fit.beta.tobytes())
+    h.update(b"no covariance" if fit.cov_sandwich is None else fit.cov_sandwich.tobytes())
+    h.update(repr((fit.loglik, fit.iterations, fit.converged, fit.on_boundary,
+                   fit.failure_reason)).encode())
+    return h.hexdigest()
+
+
+def outcome(fitter, *args):
+    try:
+        return fitter(*args)
+    except (RiskRatioError, np.linalg.LinAlgError) as exc:
+        return exc
+
+
+def mixed_stack():
+    """(name, X, y) of designs that take every branch of the barrier loop,
+    in two shapes and more."""
+    terms = parse_spec(get_scenario("moderate").simple_spec)
+    cases = []
+    for r in (0, 1, 8):
+        data = generate("moderate", 300, rng=stream(710, r))
+        cases.append((f"moderate {r}", build_design_matrix(data, terms, exposure="A").X, data.y))
+    X, y = cases[2][1], cases[2][2]
+    cases += [
+        # no plain intercept column: the start is a robust-Poisson fit
+        ("no intercept", np.column_stack([2 * X[:, 0], X[:, 1:]]), y),
+        # an outcome of 0 or 2 is not concave: -H is not positive definite
+        # (lstsq), and some halving rounds accept no step
+        ("outcome 0 or 2", X, 2 * y),
+        # a zero column: -H is singular on every iteration
+        ("zero column", np.column_stack([X, np.zeros(len(y))]), y),
+        # no intercept and a column of both signs: no feasible start
+        ("one signed column", X[:, 2:3].copy(), y),
+        ("all events", np.ones((40, 1)), np.ones(40)),
+    ]
+    data = generate("complex", 1000, rng=stream(703, 0))
+    dm = build_design_matrix(
+        data, parse_spec(get_scenario("complex").simple_spec), exposure="A")
+    cases.append(("boundary optimum", dm.X, data.y))
+    return cases
+
+
+class TestStack:
+    """A stacked barrier fit equals the one-design fit bit for bit, and
+    both equal the plain loop of ``oracles.barrier_reference``."""
+
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_stack_equals_solo_and_reference(self, monkeypatch, capped):
+        if capped:
+            # stages of 3 Newton iterations: most stages reach the cap
+            monkeypatch.setattr(logbin, "MAX_ITER", 3)
+        cases = mixed_stack()
+        stacked = fit_logbin_barrier_stack([X for _, X, _ in cases], [y for *_, y in cases])
+        events, seen = Counter(), {}
+        for (name, X, y), fit in zip(cases, stacked):
+            solo = outcome(fit_logbin_barrier, X, y)
+            reference = outcome(barrier_reference, X, y)
+            if isinstance(reference, tuple):
+                reference, counts = reference
+                events += counts
+            assert fit_digest(fit) == fit_digest(solo) == fit_digest(reference), name
+            seen[name] = fit
+        assert len({X.shape for _, X, _ in cases}) >= 3
+        assert isinstance(seen["one signed column"], NoFeasibleStart)
+        assert seen["no intercept"].converged
+        assert seen["boundary optimum"].on_boundary
+        if capped:
+            assert events["stage_capped"]
+        else:
+            assert events["lstsq"] and events["no_step_accepted"] and events["halving"]
+            assert not events["stage_capped"]
+
+    def test_fit_each_matches_the_method(self):
+        cases = mixed_stack()
+        fits = fit_each("logbin-ab", [X for _, X, _ in cases], [y for *_, y in cases])
+        failed = 0
+        for (name, X, y), fit in zip(cases, fits):
+            alone = outcome(FIT_METHODS["logbin-ab"], X, y)
+            assert type(fit) is type(alone), name
+            assert fit_digest(fit) == fit_digest(alone), name
+            failed += isinstance(fit, FitFailed)
+        assert failed >= 2
+
+    def test_fit_each_unconverged_fit_fails_with_usable_message(self):
+        _, X, y = mixed_stack()[4]
+        fit = fit_logbin_barrier(X, y)
+        assert not fit.converged
+        with pytest.raises(FitFailed) as expected:
+            _usable("logbin-ab", fit)
+        (got,) = fit_each("logbin-ab", [X], [y])
+        assert isinstance(got, FitFailed)
+        assert str(got) == str(expected.value)
+
+    def test_fit_each_rejects_non_finite_input(self):
+        _, X, y = mixed_stack()[0]
+        bad = y.copy()
+        bad[3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            fit_each("logbin-ab", [X, X], [y, bad])

@@ -219,6 +219,22 @@ class TestStudy:
         monkeypatch.setattr(simlab, "STACK_ROWS", block * cfg.n)
         assert to_machine_json(run_study(cfg, threads=threads)) == default
 
+    @pytest.mark.parametrize("block, threads", [(1, 1), (7, 3), (None, 3)])
+    def test_log_binomial_block_length_invariance(self, monkeypatch, block, threads):
+        # All three methods; the barrier fits of a block run as one stack,
+        # and one of them fails.
+        cfg = StudyConfig(
+            scenario="moderate", n=1000, replications=30, base_seed=10,
+            methods=("robust-poisson", "logbin-ml", "logbin-ab"),
+            specifications=("simple",), estimands=("coefficient",), truth_n=20_000,
+        )
+        report = run_study(cfg)
+        barrier = [c for c in report["cells"] if c["method"] == "logbin-ab"]
+        assert barrier[0]["failures"] == 1
+        if block is not None:
+            monkeypatch.setattr(simlab, "STACK_ROWS", block * cfg.n)
+        assert to_machine_json(run_study(cfg, threads=threads)) == to_machine_json(report)
+
     @pytest.mark.parametrize("replications, threads, lengths", [
         (10, 1, [10]), (10, 4, [1, 3, 3, 3]), (200, 2, [5, 65, 65, 65])])
     def test_every_thread_gets_a_block(self, monkeypatch, replications,
