@@ -1,8 +1,9 @@
 """Command-line interface: fit, study, truth, figure, validate.
 
-Exit codes: 0 success (including NA study rows), 2 usage/config error,
-3 data error, 4 numerical failure of a requested single fit (including
-``NoFiniteSolution``).
+Exit codes: 0 success (including NA study rows), 2 usage/config error
+(an invalid option value among them), 3 data error (a missing or constant
+column and spline knots a column cannot give among them), 4 numerical
+failure of a requested single fit (including ``NoFiniteSolution``).
 """
 
 from __future__ import annotations
@@ -185,6 +186,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_study(args) -> int:
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     with open(args.config, encoding="utf-8") as handle:
         config = simlab.parse_config(handle.read())
     payload = simlab.run_study(config, threads=args.threads)
@@ -213,10 +216,20 @@ def cmd_truth(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    demo = simlab.consistency_demo(
-        sizes=sizes, replications=args.replications, seed=args.seed
-    )
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError:
+        raise ConfigError(
+            f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
+    try:
+        demo = simlab.consistency_demo(
+            sizes=sizes, replications=args.replications, seed=args.seed
+        )
+    except ConfigError as exc:
+        if exc.key not in ("sizes", "replications"):
+            raise
+        # name this command's option, not the function's argument
+        raise ConfigError(f"--{exc.key}: {exc.detail}") from None
     lines = ["n,rr_hat,ci_low,ci_high"]
     for row in demo["rows"]:
         lines.append(

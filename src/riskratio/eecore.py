@@ -19,28 +19,28 @@ Stacks and bit-identity: a stack of B designs of n rows and p columns is
 kept as one C-contiguous B x p x n array of the designs' ``X.T`` and used
 through its B x n x p transposed view, so each slice has the layout of a
 single built design (column-major ``X``, contiguous ``X.T``; see
-``design``).  Rows are only ever gathered from that C-contiguous stack,
-so BLAS and LAPACK take the same path per slice as on one design, and
-every design's fit equals its own one-design fit bit for bit, whatever
-stack it is fitted in.  Vectors of a stack are columns: beta is
-B x p x 1, y and mu are B x n x 1.  ``ee_score``, ``ee_jacobian`` and
-``sandwich_covariance`` take either one design with plain vectors or such
-a stack.  One design is a stack of one by a view (``X.T[None]``), without
-a copy of ``X``.
+``design``).  Rows are only ever gathered from that stack, so BLAS and
+LAPACK take the same path per slice as on one design, and every design's
+fit equals its one-design fit bit for bit, in whatever stack.  Vectors of
+a stack are columns: beta is B x p x 1, y and mu are B x n x 1.
+``ee_score``, ``ee_jacobian`` and ``sandwich_covariance`` take either one
+design with plain vectors or such a stack.  One design is a stack of one
+by a view (``X.T[None]``), without a copy of ``X``.
 
-Failures are per design: a stacked LAPACK call raises for the whole stack
-when one slice fails, and the call is then repeated design by design, so
-that each design gets the result, or the exception, it gets alone.
+Failures are per design: a stacked LAPACK call that raises is repeated
+design by design (``_by_row``), so each design gets what it gets alone.
 
 The loop keeps one state per accepted iterate, its fitted means
 mu = exp(X beta), and passes it to ``ee_jacobian``, ``ee_score`` and
-``sandwich_covariance`` through their ``mu=`` argument.  Conditioning of
-the Jacobian is checked where a Newton solve fails and once on the final
-Jacobian, not on every iteration; that final Jacobian is the negated
-bread, so the sandwich takes it through ``jac=`` instead of forming the
-bread again.  Data without a finite root, such as an outcome that is 0 on
-every row, are caught before iterating, from the column ranges a
-``DesignMatrix`` keeps (``DesignMatrix.column_ranges``).
+``sandwich_covariance`` through their ``mu=`` argument.  The Jacobian the
+loop computes after a design's converging step is its final Jacobian: the
+design is finished from it in the loop, and leaves the stack.  Conditioning
+is checked where a Newton solve fails and on that final Jacobian, not on
+every iteration; the final Jacobian is the negated bread, so the sandwich
+takes it through ``jac=`` instead of forming the bread again.  Data without
+a finite root, such as an outcome that is 0 on every row, are caught before
+iterating, from the column ranges a ``DesignMatrix`` keeps
+(``DesignMatrix.column_ranges``).
 
 ``FitResult`` is the result type of every fitter in the package, the
 log-binomial ones in ``logbin`` included.
@@ -243,10 +243,9 @@ def fit_robust_poisson(design: DesignMatrix | np.ndarray, y) -> FitResult:
     """Solve the log-linear estimating equations by damped Newton and
     attach the sandwich.
 
-    This is the one-design case of ``fit_robust_poisson_stack``: the
-    design is a stack of one, a view of its ``X``, not a copy.
-    ``design`` is a ``DesignMatrix`` or a bare n x p array, which is
-    converted once to the column-major layout of a built design.
+    This is the one-design case of ``fit_robust_poisson_stack``: a stack
+    of one, a view of its ``X``.  ``design`` is a ``DesignMatrix`` or a
+    bare n x p array, converted once to the layout of a built design.
     A design with more columns than rows raises ``DataError``; data for
     which no finite root exists (see ``_no_finite_solution``), an
     outcome that is 0 on every row among them, raise ``NoFiniteSolution``
@@ -254,13 +253,13 @@ def fit_robust_poisson(design: DesignMatrix | np.ndarray, y) -> FitResult:
     ``NonConvergence``, so the result always has ``converged`` set.
 
     Each accepted iterate keeps its fitted means mu = exp(X beta), computed
-    once for the step-halving score and reused by the next Jacobian and,
-    at the solution, by ``mu_hat``, the final Jacobian and the sandwich,
-    which takes its bread from that Jacobian.
-    Conditioning, cond(-J), is checked only where a Newton solve fails
-    (``LinAlgError`` or a non-finite step) and on the final Jacobian, whose
-    value is ``condition_estimate``; above ``COND_MAX`` it raises
-    ``SingularJacobian``.
+    once for the step-halving score and reused by the next Jacobian.  At
+    the solution that Jacobian is the final one: ``mu_hat``, the sandwich
+    (whose bread it is) and the conditioning come from it, with no pass
+    after the loop.  Conditioning, cond(-J), is checked only where a
+    Newton solve fails (``LinAlgError`` or a non-finite step) and on the
+    final Jacobian, whose value is ``condition_estimate``; above
+    ``COND_MAX`` it raises ``SingularJacobian``.
     """
     (fit,) = fit_robust_poisson_stack([design], [y])
     if isinstance(fit, Exception):
@@ -314,92 +313,42 @@ def _fit_stack(Xs, ys, dms) -> list:
         Xt, y = Xs[0].T[None], ys[0][None, :, None]
     else:
         Xt, y = np.stack([X.T for X in Xs]), np.stack(ys)[:, :, None]
-    ranges = [column_ranges(X) if dm is None else dm.column_ranges
-              for X, dm in zip(Xs, dms)]
-    fits: list = [None] * len(Xs)
-    failed = _no_finite_solution(
-        _t(Xt), y, np.array([r[0] for r in ranges]), np.array([r[1] for r in ranges]),
-        [None if dm is None else dm.labels for dm in dms])
-    rows = np.arange(len(Xs))
-    if failed:
-        for i, exc in failed.items():
-            fits[i] = exc
-        rows = np.flatnonzero(_without(len(Xs), failed))
-        if not rows.size:
-            return fits
-        Xt, y = Xt[rows], y[rows]
-    beta = np.stack([_initial_beta(Xs[i], ys[i]) for i in rows])[:, :, None]
-
-    done, errors = _newton(Xt, y, beta, n)
-    for k, exc in errors.items():
-        fits[rows[k]] = exc
-    if not done:
+    ranges = np.array([column_ranges(X) if dm is None else dm.column_ranges
+                       for X, dm in zip(Xs, dms)])
+    failed = _no_finite_solution(_t(Xt), y, ranges[:, 0], ranges[:, 1],
+                                 [None if dm is None else dm.labels for dm in dms])
+    fits = [failed.get(i) for i in range(len(Xs))]
+    rows = np.flatnonzero(_without(len(Xs), failed))
+    if not rows.size:
         return fits
-
-    # Final Jacobian, conditioning and sandwich of every converged design,
-    # in one stack again, in row order.
-    at, beta, mu, max_score, iterations = done[0]
-    if len(done) > 1:
-        order = np.argsort(np.concatenate([d[0] for d in done]))
-        at, beta, mu, max_score, iterations = (
-            np.concatenate([d[j] for d in done])[order] for j in range(5))
-    if len(at) < len(rows):
-        Xt, y = Xt[at], y[at]
-    jac = ee_jacobian(_t(Xt), y, beta, mu=mu)
-    cond, failed = _by_row(_check_conditioning, max_score, jac)
-    if failed:
-        for k, exc in failed.items():
-            fits[rows[at[k]]] = exc
-        keep = _without(len(at), failed)
-        at, beta, mu, max_score, iterations, cond, jac, Xt, y = (
-            a[keep] for a in (at, beta, mu, max_score, iterations, cond, jac, Xt, y))
-        if not len(at):
-            return fits
-    cov, failed = _by_row(sandwich_covariance, jac, _t(Xt), y, beta, mu, jac)
-    n_mu_gt1 = (mu > 1.0).sum(axis=(1, 2))
-    for k, r in enumerate(at):
-        i = rows[r]
-        if k in failed:
-            fits[i] = failed[k]
-            continue
-        fits[i] = FitResult(
-            beta=beta[k, :, 0],
-            cov_sandwich=cov[k],
-            converged=True,
-            iterations=int(iterations[k]),
-            max_abs_score=float(max_score[k]),
-            mu_hat=mu[k, :, 0],
-            n_mu_gt1=int(n_mu_gt1[k]),
-            condition_estimate=float(cond[k]),
-            design=dms[i],
-        )
+    Xt, y = _rows(Xt, rows), _rows(y, rows)
+    beta = np.stack([_initial_beta(Xs[i], ys[i]) for i in rows])[:, :, None]
+    for k, fit in _newton(Xt, y, beta, n, [dms[i] for i in rows]).items():
+        fits[rows[k]] = fit
     return fits
 
 
-def _newton(Xt, y, beta, n):
-    """Damped Newton on a stack from the starting points ``beta``.
+def _newton(Xt, y, beta, n, dms) -> dict:
+    """Damped Newton on a stack from the starting points ``beta``; ``dms``
+    holds each row's ``DesignMatrix`` or None.
 
-    Returns (done, errors).  ``done`` lists, per iteration at which some
-    rows converged, the tuple (rows, beta, mu, max |score|, iterations);
-    ``errors`` maps each failed row to its exception.  Rows are positions
-    in the given stack.  Converged and failed rows leave the stack, which
-    is then gathered anew from ``Xt``.
+    Returns {row: FitResult or exception}; rows are positions in the given
+    stack.  The Jacobian computed after each step serves the next step, and
+    is the final Jacobian of a row that has just converged, which
+    ``_converged`` finishes from it.  A row unconverged after MAX_ITER
+    steps gets ``NonConvergence`` and no further Jacobian.  Finished and
+    failed rows leave the stack, which is then gathered anew from ``Xt``.
     """
     rows = np.arange(len(Xt))
-    done, errors = [], {}
-    mu, failed = _by_row(_mu, y, _t(Xt), beta)
-    if failed:
-        errors.update({rows[k]: exc for k, exc in failed.items()})
-        keep = _without(len(rows), failed)
-        Xt, y, beta, mu, rows = (a[keep] for a in (Xt, y, beta, mu, rows))
-        if not len(rows):
-            return done, errors
+    out = {}
+    # A start has x_i beta = log(max(ybar, 1/(2n))) <= 0, or 0: no overflow.
+    mu = np.exp(_t(Xt) @ beta)
     score = ee_score(_t(Xt), y, beta, mu=mu)
     norm = np.abs(score).max(axis=(1, 2))       # ||score||_inf per row
     tol = SCORE_TOL * n
+    jac = ee_jacobian(_t(Xt), y, beta, mu=mu)
 
     for iterations in range(1, MAX_ITER + 1):
-        jac = ee_jacobian(_t(Xt), y, beta, mu=mu)
         delta, failed = _by_row(_newton_step, score, jac, score)
         if not np.isfinite(delta).all():
             # A row whose solve failed has a zero step, so is not checked.
@@ -414,26 +363,59 @@ def _newton(Xt, y, beta, n):
 
         # A failed row's norm is inf, so it never counts as converged.
         converged = norm < tol
-        finished = converged.any()
-        if finished:
+        if converged.any():
             converged &= np.abs(step * delta).max(axis=(1, 2)) < STEP_TOL
-            finished = converged.any()
-        if finished:
-            done.append((rows[converged], beta[converged], mu[converged],
-                         norm[converged],
-                         np.full(np.count_nonzero(converged), iterations)))
-        if finished or failed:
-            errors.update({rows[k]: exc for k, exc in failed.items()})
-            keep = ~converged
-            keep[list(failed)] = False
-            Xt, y, beta, mu, score, norm, rows = (
-                a[keep] for a in (Xt, y, beta, mu, score, norm, rows))
+        if iterations == MAX_ITER:
+            for k in np.flatnonzero(~converged):
+                failed.setdefault(k, NonConvergence(MAX_ITER, float(norm[k])))
+        if failed:
+            out.update({rows[k]: exc for k, exc in failed.items()})
+            keep = _without(len(rows), failed)
+            Xt, y, beta, mu, score, norm, rows, converged = (
+                a[keep] for a in (Xt, y, beta, mu, score, norm, rows, converged))
             if not len(rows):
                 break
 
+        jac = ee_jacobian(_t(Xt), y, beta, mu=mu)
+        if converged.any():
+            at = np.flatnonzero(converged)
+            out.update(_converged(*(_rows(a, at) for a in (
+                rows, Xt, y, beta, mu, jac, norm)), iterations, dms))
+            if len(at) == len(rows):
+                break
+            keep = ~converged
+            Xt, y, beta, mu, score, norm, rows, jac = (
+                a[keep] for a in (Xt, y, beta, mu, score, norm, rows, jac))
+    return out
+
+
+def _converged(rows, Xt, y, beta, mu, jac, norm, iterations, dms) -> dict:
+    """{row: FitResult or exception} of the given converged rows of a stack,
+    from their final Jacobians ``jac``: their conditioning, which above
+    ``COND_MAX`` raises ``SingularJacobian``, and their sandwich."""
+    cond, failed = _by_row(_check_conditioning, norm, jac)
+    out = {rows[k]: exc for k, exc in failed.items()}
+    if failed:
+        keep = _without(len(rows), failed)
+        if not keep.any():
+            return out
+        rows, Xt, y, beta, mu, jac, norm, cond = (
+            a[keep] for a in (rows, Xt, y, beta, mu, jac, norm, cond))
+    cov, failed = _by_row(sandwich_covariance, jac, _t(Xt), y, beta, mu, jac)
+    n_mu_gt1 = (mu > 1.0).sum(axis=(1, 2))
     for k, r in enumerate(rows):
-        errors[r] = NonConvergence(MAX_ITER, float(norm[k]))
-    return done, errors
+        out[r] = failed[k] if k in failed else FitResult(
+            beta=beta[k, :, 0],
+            cov_sandwich=cov[k],
+            converged=True,
+            iterations=iterations,
+            max_abs_score=float(norm[k]),
+            mu_hat=mu[k, :, 0],
+            n_mu_gt1=int(n_mu_gt1[k]),
+            condition_estimate=float(cond[k]),
+            design=dms[r],
+        )
+    return out
 
 
 def _without(size, failed) -> np.ndarray:

@@ -9,21 +9,22 @@ class DataError(RiskRatioError):
     """Invalid input data (non-numeric cells, bad outcome values, ...)."""
 
 
-class UnknownColumn(RiskRatioError):
+class UnknownColumn(DataError):
     def __init__(self, name):
         super().__init__(f"column {name!r} not found in dataset")
         self.name = name
 
 
-class DegenerateColumn(RiskRatioError):
+class DegenerateColumn(DataError):
     def __init__(self, name):
         super().__init__(f"column {name!r} is constant and cannot enter the model")
         self.name = name
 
 
-class NonIncreasingKnots(RiskRatioError):
+class NonIncreasingKnots(DataError):
     def __init__(self, knots):
-        super().__init__(f"spline knots must be strictly increasing, got {list(knots)}")
+        super().__init__("spline knots must be strictly increasing, got "
+                         f"{[float(k) for k in knots]}")
         self.knots = knots
 
 

@@ -18,9 +18,8 @@ columns), so every ``np.matmul`` and LAPACK call serves all its designs
 and each design's fit equals its one-design fit bit for bit.  Each design
 keeps its own barrier weight, stage and iterate; per-row masks decide
 step truncation, step halving and the end of a stage or of the fit, and a
-design that ends its last stage leaves the stack.  A study fits the
-barrier designs of a block of replications as one stack.  The ML fitter
-stays one design at a time: it fails fast, and costs little.
+design that ends its last stage leaves the stack.  The ML fitter stays one
+design at a time: it fails fast, and costs little.
 """
 
 from __future__ import annotations
@@ -352,12 +351,9 @@ def _barrier_stack(Xs, ys, dms) -> list:
     if not rows.size:
         return fits
     # The stack of X.T slices: a view for one design, one copy for more.
-    if len(rows) == 1:
-        Xt, y, beta = Xs[rows[0]].T[None], ys[rows[0]][None, :, None], starts[rows[0]][None]
-    else:
-        Xt, y = np.stack([Xs[i].T for i in rows]), np.stack([ys[i] for i in rows])[:, :, None]
-        beta = np.stack(list(starts.values()))
-    beta = beta[..., None]
+    Xt = Xs[rows[0]].T[None] if len(rows) == 1 else np.stack([Xs[i].T for i in rows])
+    y = np.stack([ys[i] for i in rows])[:, :, None]
+    beta = np.stack(list(starts.values()))[..., None]
     eta = _t(Xt) @ beta
     if (eta > 0).any():
         infeasible = (eta > 0).any(axis=(1, 2))
@@ -391,10 +387,11 @@ def _barrier(Xt, y, beta, state, n):
     Each design runs its own schedule: it keeps its stage (so its barrier
     weight t), the iteration its stage began after, its beta and its
     ``_BarrierIterate``.  Every design in the stack has run as many Newton
-    iterations as the loop, so that count is its total.  A stage of a
-    design ends when its step truncates to nothing, when no halved step is
-    accepted, when its step or its gradient is small, or after MAX_ITER
-    iterations; the fit ends with its last stage.
+    iterations as the loop, so that count is its total.  After every
+    iteration, one mask test per design ends its stage when its step
+    truncates to nothing, when no halved step is accepted, when its step or
+    its gradient is small, or after MAX_ITER iterations in the stage; the
+    fit ends with its last stage.
 
     Returns (finished, errors): ``finished`` lists (rows, iterations, beta,
     state) for the designs that ended their last stage at some iteration,
@@ -411,7 +408,6 @@ def _barrier(Xt, y, beta, state, n):
     tol = GRAD_TOL * n
     finished, errors = [], {}
     iterations = 0
-    capped = MAX_ITER       # the next iteration at which some stage is capped
     while True:
         iterations += 1
         grad, hess = state.newton_system(X, y, t3)
@@ -429,27 +425,21 @@ def _barrier(Xt, y, beta, state, n):
         if lstsq_failed:
             alpha[list(lstsq_failed)] = 0.0
         accepted, beta, state, obj = _line_search(
-            X, Xt, y, beta, state, obj, delta, alpha, t)
+            Xt, y, beta, state, obj, delta, alpha, t)
         step = np.abs(alpha[:, None, None] * delta).max(axis=(1, 2))
         gnorm = np.abs(grad).max(axis=(1, 2))
-        if (accepted is None and iterations != capped
-                and step.min() >= 1e-12 and gnorm.min() >= tol):
-            continue    # no stage ends; NaNs take the full test below
-        ends = (step < 1e-12) | (gnorm < tol)
+        # A NaN step or gradient norm ends no stage.
+        ends = (step < 1e-12) | (gnorm < tol) | (iterations - began == MAX_ITER)
         if accepted is not None:
             ends |= ~accepted
-        if iterations == capped:
-            ends |= iterations - began == MAX_ITER
         if not ends.any():
             continue
         stage += ends
         began[ends] = iterations
         if lstsq_failed or stage.max() == len(_STAGE_T):
-            keep = _without(len(rows), lstsq_failed) & (stage < len(_STAGE_T))
-            out = ~keep
-            if lstsq_failed:
-                out[list(lstsq_failed)] = False
-                errors.update({rows[k]: exc for k, exc in lstsq_failed.items()})
+            errors.update({rows[k]: exc for k, exc in lstsq_failed.items()})
+            kept = _without(len(rows), lstsq_failed)
+            out, keep = kept & (stage == len(_STAGE_T)), kept & (stage < len(_STAGE_T))
             if out.any():
                 finished.append((rows[out], iterations, beta[out], state.take(out)))
             if not keep.any():
@@ -460,7 +450,6 @@ def _barrier(Xt, y, beta, state, n):
             X = _t(Xt)
         t, t3 = _STAGE_T[stage], _STAGE_T[stage][:, None, None]
         obj = state.objective(t)
-        capped = began.min() + MAX_ITER
 
 
 def _solve_definite(neg, grad):
@@ -470,7 +459,7 @@ def _solve_definite(neg, grad):
     return np.linalg.solve(neg, grad)
 
 
-def _line_search(X, Xt, y, beta, state, obj, delta, alpha, t):
+def _line_search(Xt, y, beta, state, obj, delta, alpha, t):
     """Step halving for the designs of a stack whose truncated step alpha
     is above 1e-16; the others take no step.
 
@@ -479,10 +468,9 @@ def _line_search(X, Xt, y, beta, state, obj, delta, alpha, t):
     whose barrier objective at ``t`` is at least its current one, ``obj``,
     less 1e-12; ``alpha`` is halved in place.  Returns (accepted, beta,
     state, obj): a mask of the designs that took a step, or None when all
-    did, and per design its iterate and objective.  When every design of
-    the stack takes its first step, that step's arrays are returned as
-    they are; otherwise the designs still halving are gathered from
-    ``Xt``, and the accepted steps are written into ``beta``, ``state`` and
+    did, and per design its iterate and objective.  When every design
+    takes its first step, that step's arrays are returned as they are;
+    otherwise the accepted steps are written into ``beta``, ``state`` and
     ``obj`` in place.
     """
     size = len(Xt)
@@ -493,7 +481,7 @@ def _line_search(X, Xt, y, beta, state, obj, delta, alpha, t):
         if not rows.size:
             break
         candidate = _rows(beta, rows) + _rows(alpha, rows)[:, None, None] * _rows(delta, rows)
-        eta = (X if len(rows) == size else _t(Xt[rows])) @ candidate
+        eta = _t(_rows(Xt, rows)) @ candidate
         tried = rows
         if not eta.max() < 0:
             # Leave out a candidate with some eta >= 0; one with a NaN

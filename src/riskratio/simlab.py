@@ -27,8 +27,9 @@ and fails if a later rewrite flips one.
 
 from __future__ import annotations
 
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -262,21 +263,14 @@ class StudyConfig:
                 raise ConfigError(f"unknown estimand {e!r}", key="estimands")
 
 
-_CONFIG_KEYS = {
-    "scenario": str,
-    "n": int,
-    "replications": int,
-    "base_seed": int,
-    "methods": None,
-    "specifications": None,
-    "estimands": None,
-    "level": float,
-    "truth_n": int,
-}
-
-
 def parse_config(text: str) -> StudyConfig:
-    """Parse the flat key=value study config format."""
+    """Parse the flat key=value study config format.
+
+    The keys are the fields of ``StudyConfig``.  A value is cast to the
+    type of its field's default; a tuple default takes a comma-separated
+    list, and ``scenario``, which has no default, a string.
+    """
+    fields = {f.name: f.default for f in dataclasses.fields(StudyConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -286,25 +280,24 @@ def parse_config(text: str) -> StudyConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in fields:
             raise ConfigError("unknown key", key=key)
         if key in values:
             raise ConfigError("duplicate key", key=key)
         values[key] = value
     if "scenario" not in values:
         raise ConfigError("required", key="scenario")
-    kwargs = {"scenario": values.pop("scenario")}
+    kwargs = {}
     for key, value in values.items():
-        cast = _CONFIG_KEYS[key]
-        if cast is None:
-            kwargs[key] = tuple(
-                part.strip() for part in value.split(",") if part.strip()
-            )
-        else:
-            try:
-                kwargs[key] = cast(value)
-            except ValueError:
-                raise ConfigError(f"cannot parse {value!r}", key=key) from None
+        default = fields[key]
+        if isinstance(default, tuple):
+            kwargs[key] = tuple(part.strip() for part in value.split(",") if part.strip())
+            continue
+        cast = str if default is dataclasses.MISSING else type(default)
+        try:
+            kwargs[key] = cast(value)
+        except ValueError:
+            raise ConfigError(f"cannot parse {value!r}", key=key) from None
     return StudyConfig(**kwargs)
 
 
@@ -386,7 +379,7 @@ class _Replicator:
         max(1, STACK_ROWS // n) keys; with ``threads`` > 1 the blocks go
         to a thread pool, and are cut shorter where that gives every
         thread a block."""
-        size = STACK_ROWS // max(self.n, 1)   # figure sizes may be 0
+        size = STACK_ROWS // self.n
         size = max(1, min(size, -(-len(keys) // threads)))
         blocks = [keys[i:i + size] for i in range(0, len(keys), size)]
         if threads > 1:
@@ -442,8 +435,11 @@ def run_study(config: StudyConfig, threads: int = 1) -> dict:
     order, so the output is identical for any block length and any
     ``threads`` value.  ``threads`` > 1 maps the blocks on a thread pool;
     a study with fewer than ``threads`` full blocks is cut into
-    ``threads`` shorter ones, so that no thread idles.
+    ``threads`` shorter ones, so that no thread idles.  ``threads`` < 1
+    raises ``ConfigError``.
     """
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     scenario = get_scenario(config.scenario)
     truth = monte_carlo_truth(scenario, config.truth_n, seed=config.base_seed)
     replicator = _Replicator(
@@ -470,17 +466,8 @@ def run_study(config: StudyConfig, threads: int = 1) -> dict:
 
     return {
         "version": __version__,
-        "config": {
-            "scenario": config.scenario,
-            "n": config.n,
-            "replications": config.replications,
-            "base_seed": config.base_seed,
-            "methods": list(config.methods),
-            "specifications": list(config.specifications),
-            "estimands": list(config.estimands),
-            "level": config.level,
-            "truth_n": config.truth_n,
-        },
+        "config": {key: list(value) if isinstance(value, tuple) else value
+                   for key, value in dataclasses.asdict(config).items()},
         "truth": truth,
         "cells": cells,
     }
@@ -497,10 +484,16 @@ def consistency_demo(
     datasets, replication r of size index s drawn from
     ``stream(seed, (s << 32) | r)``; the replications run in blocks, as in
     ``run_study``.  Small-sample fits that fail are skipped, not fatal.
+    Sizes must be ascending and >= 1, and ``replications`` >= 1, or
+    ``ConfigError`` is raised (key ``sizes`` or ``replications``).
     """
     sizes = tuple(sizes)
+    if not sizes or min(sizes) < 1:
+        raise ConfigError("must be one or more sizes >= 1", key="sizes")
     if list(sizes) != sorted(sizes):
-        raise ConfigError("sizes must be ascending", key="sizes")
+        raise ConfigError("must be ascending", key="sizes")
+    if replications < 1:
+        raise ConfigError("must be >= 1", key="replications")
     scenario = get_scenario("figure-demo")
     truth = monte_carlo_truth(scenario, seed=seed)
     terms = {"simple": parse_spec(scenario.simple_spec)}

@@ -373,6 +373,41 @@ class TestExitCodes:
         ]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("args, message", [
+        (["--exposure", "Z"], "column 'Z' not found in dataset"),
+        (["--exposure", "A", "--spec", "1+A+C"],
+         "column 'C' is constant and cannot enter the model"),
+        (["--exposure", "A", "--spec", "1+A+rcs(C,4)"],
+         "spline knots must be strictly increasing, got [1.0]"),
+    ], ids=["UnknownColumn", "DegenerateColumn", "NonIncreasingKnots"])
+    def test_design_data_errors_exit_3(self, tmp_path, capsys, args, message):
+        path = tmp_path / "const.csv"
+        rows = ["y,A,C,L"] + [f"{int(i % 3 == 0)},{i % 2},1,{i}" for i in range(40)]
+        path.write_text("\n".join(rows) + "\n")
+        assert main(["fit", "--csv", str(path), "--outcome", "y", *args]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_study_threads_below_1_exits_2(self, tmp_path, capsys, threads):
+        cfg = tmp_path / "smoke.cfg"
+        cfg.write_text("scenario = simple\nreplications = 2\n")
+        assert main(["study", str(cfg), "--threads", threads]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --threads must be at least 1, got {threads}\n")
+
+    @pytest.mark.parametrize("args, message", [
+        (["--sizes", "10,abc"], "--sizes must be comma-separated integers, got '10,abc'"),
+        (["--sizes", "0,10"], "--sizes: must be one or more sizes >= 1"),
+        (["--sizes", ","], "--sizes: must be one or more sizes >= 1"),
+        (["--sizes", "20,10"], "--sizes: must be ascending"),
+        (["--replications", "0"], "--replications: must be >= 1"),
+    ])
+    def test_bad_figure_option_exits_2(self, capsys, args, message):
+        assert main(["figure", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_no_events_in_exposed_stratum_exits_4(self, tmp_path, capsys):
         path = tmp_path / "zero.csv"
         rows = ["y,A,L"] + [f"0,1,{i % 7}" for i in range(50)]

@@ -16,6 +16,7 @@ from riskratio import (
 from riskratio import eecore
 from riskratio.errors import (
     NoFiniteSolution,
+    NonConvergence,
     Overflow,
     RiskRatioError,
     SingularJacobian,
@@ -248,6 +249,17 @@ class TestCallCounts:
         halvings = len(calls["ee_score"]) - len(calls["ee_jacobian"])
         assert halvings >= calls["ee_score"].count("overflow")
         np.testing.assert_allclose(fit.beta, reference.beta, rtol=0, atol=1e-10)
+
+    def test_non_converging_fit(self, monkeypatch):
+        # No A = 1, L1 = 1 events and no A = 0, L1 = 0 rows: the score
+        # vanishes only along A + L1 - 1 -> -inf, which the column checks
+        # do not see.  One Jacobian per iteration, none after the last.
+        data = generate(get_scenario("figure-demo"), 15, rng=stream(99, 1129))
+        design = build_design_matrix(data, parse_spec("1 + A + L1"), "A")
+        calls = self.count_calls(monkeypatch)
+        with pytest.raises(NonConvergence):
+            fit_robust_poisson(design, data.y)
+        assert len(calls["ee_jacobian"]) == eecore.MAX_ITER
 
 
 class TestScoreJacobian:

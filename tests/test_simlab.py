@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -188,6 +189,21 @@ class TestConfig:
             parse_config(f"scenario = simple\nlevel = {level}")
         assert err.value.key == "level"
 
+    def test_every_field_parses_and_is_echoed(self):
+        # Each field away from its default, so that each parse is seen.
+        cfg = StudyConfig(
+            scenario="simple", n=60, replications=3, base_seed=4,
+            methods=("robust-poisson", "logbin-ab"), specifications=("rich",),
+            estimands=("marginal",), level=0.9, truth_n=5000,
+        )
+        fields = dataclasses.fields(StudyConfig)
+        assert all(getattr(cfg, f.name) != f.default for f in fields)
+        echo = run_study(cfg)["config"]
+        assert list(echo) == [f.name for f in fields]
+        text = "\n".join(f"{key} = {', '.join(value) if isinstance(value, list) else value}"
+                         for key, value in echo.items())
+        assert parse_config(text) == cfg
+
 
 class TestStudy:
     CFG = StudyConfig(
@@ -253,6 +269,11 @@ class TestStudy:
         assert replicator.run(keys, threads=threads) == keys
         assert sorted(seen) == lengths
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_1_rejected(self, threads):
+        with pytest.raises(ConfigError, match="threads must be at least 1"):
+            run_study(self.CFG, threads=threads)
+
     def test_failure_counting(self):
         cfg = StudyConfig(
             scenario="moderate", n=400, replications=20, base_seed=5,
@@ -287,6 +308,13 @@ class TestConsistencyDemo:
     def test_unsorted_sizes_rejected(self):
         with pytest.raises(ConfigError):
             consistency_demo(sizes=(100, 50), replications=5, seed=0)
+
+    @pytest.mark.parametrize("sizes, replications, key", [
+        ((0, 10), 5, "sizes"), ((), 5, "sizes"), ((10,), 0, "replications")])
+    def test_empty_sizes_and_replications_rejected(self, sizes, replications, key):
+        with pytest.raises(ConfigError) as err:
+            consistency_demo(sizes=sizes, replications=replications, seed=0)
+        assert err.value.key == key
 
 
 def test_stream_split_independence():
