@@ -236,6 +236,10 @@ def cmd_figure(args) -> int:
             f"{row['n']},{row['rr_hat']:.15g},{row['ci_low']:.15g},"
             f"{row['ci_high']:.15g}"
         )
+    if demo["dropped"]:
+        sizes = ", ".join(str(n) for n in demo["dropped"])
+        sys.stderr.write(f"warning: no replication could be fitted at "
+                         f"n = {sizes}; dropped from the figure\n")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

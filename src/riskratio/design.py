@@ -14,6 +14,18 @@ instead of walking a strided transposed view.  ``build_design_matrix``,
 ``realize`` and ``DesignMatrix.take`` all return this layout, filled in
 place, without a row-major intermediate; ``as_matrix`` converts a bare
 array given to a fitter to it, so only this module knows the layout.
+
+Stacks: ``build_design_stack`` builds the designs of many datasets with one
+term list at once, as a study does for a block of replications.  Knots come
+from one ``np.sort`` along the rows of the B x n column stack and NumPy's
+own linear-interpolation rule, equal to NumPy's ``quantile`` bit for bit.
+Designs equal in shape are one C-contiguous B x p x n array of ``X.T``
+slices, the layout ``eecore`` fits; each term fills its B x n rows in place,
+elementwise with each design's knots broadcast along its row, so every
+design equals its one-dataset build bit for bit.  ``build_design_matrix``,
+``realize``, ``default_knots`` and ``rcs_basis`` are the stack-of-one case
+of the same code, and ``force_exposure`` rewrites the exposure terms of a
+stack for standardization.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ from .data import Dataset
 from .errors import (
     DegenerateColumn,
     NonIncreasingKnots,
+    RiskRatioError,
     SpecParseError,
 )
 
@@ -100,25 +113,42 @@ def rcs_basis(x, knots) -> np.ndarray:
 
     which is linear outside [t_1, t_k] by construction.  The cubes are
     products, u * u * u: ``u ** 3`` costs many times more per element and
-    can differ from the product in the last bit.
+    can differ from the product in the last bit.  This is the one-row case
+    of the stacked fill that builds designs (``_rcs_rows``); the result is
+    column-major, like a built design.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float).reshape(-1)
     t = np.asarray(knots, dtype=float)
     k = t.size
     if k < 3 or np.any(np.diff(t) <= 0):
         raise NonIncreasingKnots(t)
-    out = np.empty((x.size, k - 1))
-    out[:, 0] = x
-    scale = (t[-1] - t[0]) ** 2
-    denom = t[-1] - t[-2]
-    pk = _cube_plus(x - t[-1])
-    pkm1 = _cube_plus(x - t[-2])
-    for j in range(k - 2):
-        pj = _cube_plus(x - t[j])
+    out = np.empty((1, k - 1, x.size))
+    _rcs_rows(x[None], t[None], out)
+    return out[0].T
+
+
+def _rcs_rows(X, T, out) -> None:
+    """Write the basis of each row of ``X`` (B x n) at its own knots, the
+    same row of ``T`` (B x k), into ``out`` (B x (k-1) x n).
+
+    Every operation is elementwise, with a row's knots broadcast along its
+    row, so each row gets the numbers it gets in a stack of one.
+    """
+    t = T[:, :, None]
+    out[:, 0] = X
+    # (t_k - t_1)^2 by scalar pow, as the one-design basis has always taken
+    # it: pow and the product that array squaring uses can differ in the
+    # last bit.
+    scale = np.array([d ** 2 for d in (T[:, -1] - T[:, 0]).tolist()])[:, None]
+    denom = t[:, -1] - t[:, -2]
+    pk = _cube_plus(X - t[:, -1])
+    pkm1 = _cube_plus(X - t[:, -2])
+    for j in range(T.shape[1] - 2):
+        pj = _cube_plus(X - t[:, j])
         out[:, j + 1] = (
-            pj - pkm1 * (t[-1] - t[j]) / denom + pk * (t[-2] - t[j]) / denom
+            pj - pkm1 * (t[:, -1] - t[:, j]) / denom
+            + pk * (t[:, -2] - t[:, j]) / denom
         ) / scale
-    return out
 
 
 def _cube_plus(u) -> np.ndarray:
@@ -128,14 +158,57 @@ def _cube_plus(u) -> np.ndarray:
 
 
 def default_knots(x, nknots: int) -> np.ndarray:
-    """Knots at default empirical quantiles; duplicates are collapsed."""
+    """Knots at default empirical quantiles; duplicates are collapsed.
+
+    The one-row case of ``_default_knot_rows``: the distinct values of
+    NumPy's ``quantile`` of x at ``DEFAULT_KNOT_QUANTILES[nknots]``.
+    """
+    (knots,) = _default_knot_rows(np.asarray(x, dtype=float).reshape(1, -1), nknots)
+    if isinstance(knots, Exception):
+        raise knots
+    return knots
+
+
+def _default_knot_rows(X, nknots: int) -> list:
+    """``default_knots`` of each row of ``X`` (B x n): its knots, or the
+    ``NonIncreasingKnots`` it raises when fewer than 3 distinct remain.
+    An unsupported knot count raises ``SpecParseError``."""
     if nknots not in DEFAULT_KNOT_QUANTILES:
         raise SpecParseError(f"unsupported knot count {nknots} (use 3..7)")
-    q = DEFAULT_KNOT_QUANTILES[nknots]
-    knots = np.unique(np.quantile(np.asarray(x, dtype=float), q))
-    if knots.size < 3:
-        raise NonIncreasingKnots(knots)
-    return knots
+    K = _quantile_rows(X, DEFAULT_KNOT_QUANTILES[nknots])
+    increasing = (np.diff(K, axis=1) > 0).all(axis=1)
+    return [k if ok else _collapsed(k) for k, ok in zip(K, increasing)]
+
+
+def _collapsed(knots):
+    """Tied knots with the duplicates collapsed, or the error when fewer
+    than 3 remain."""
+    knots = np.unique(knots)
+    return knots if knots.size >= 3 else NonIncreasingKnots(knots)
+
+
+def _quantile_rows(X, q) -> np.ndarray:
+    """NumPy's ``quantile`` of each row of ``X`` (B x n) at ``q``, bit for
+    bit, from one sort along the rows.
+
+    NumPy's linear rule: the virtual index v = (n-1) q lies between the
+    order statistics a, at floor(v), and b, the next one; with
+    g = v - floor(v) the quantile is a + (b-a) g, or b - (b-a) (1-g) where
+    g >= 0.5.  Where v >= n-1 both a and b are the last order statistic
+    and g = v + 1, as NumPy takes them.
+    """
+    n = X.shape[1]
+    v = (n - 1) * np.asarray(q, dtype=float)
+    lo = np.floor(v)
+    hi = lo + 1
+    lo[v >= n - 1] = hi[v >= n - 1] = -1
+    g = v - lo
+    ordered = np.sort(X, axis=1)
+    a, b = ordered[:, lo.astype(np.intp)], ordered[:, hi.astype(np.intp)]
+    diff = b - a
+    out = a + diff * g
+    np.subtract(b, diff * (1 - g), out=out, where=g >= 0.5)
+    return out
 
 
 @dataclass(frozen=True)
@@ -151,6 +224,7 @@ class DesignMatrix:
     are computed on first read and kept: ``column_ranges``, each column's
     (min, max), which the constant-column checks and the robust-Poisson
     fit's no-finite-root check share, and ``rank_deficient``, one SVD.
+    A built design's ranges are those its build checked.
     """
 
     X: np.ndarray
@@ -220,11 +294,11 @@ def _varies(lo, hi) -> np.ndarray:
     return hi - lo != 0.0
 
 
-def _resolve_term(term: Term, data: Dataset) -> Term:
-    """Freeze data-dependent pieces (knots, categorical levels)."""
+def _resolve_term(term: Term, data: Dataset, knots) -> Term:
+    """Freeze data-dependent pieces (knots, categorical levels);
+    ``knots(spline)`` gives a spline's default knots on ``data``."""
     if isinstance(term, Spline) and term.knots is None:
-        x = data.column(term.column)
-        return replace(term, knots=tuple(default_knots(x, term.nknots)))
+        return replace(term, knots=tuple(knots(term)))
     if isinstance(term, Spline):
         t = np.asarray(term.knots, dtype=float)
         if t.size < 3 or np.any(np.diff(t) <= 0):
@@ -242,51 +316,146 @@ def _resolve_term(term: Term, data: Dataset) -> Term:
             )
         return replace(term, levels=levels)
     if isinstance(term, Interaction):
-        return Interaction(
-            _resolve_term(term.left, data), _resolve_term(term.right, data)
-        )
+        return Interaction(_resolve_term(term.left, data, knots),
+                           _resolve_term(term.right, data, knots))
     return term
 
 
-def _term_block(term: Term, data: Dataset) -> tuple[np.ndarray, list[str]]:
-    """Columns and labels contributed by one resolved term."""
-    if isinstance(term, Intercept):
-        return np.ones((data.n, 1)), ["(Intercept)"]
-    if isinstance(term, Main):
-        return data.column(term.column)[:, None], [term.column]
+def _resolved(spec, datas, b: int, knots: dict) -> tuple[Term, ...]:
+    """The terms of ``spec`` resolved on ``datas[b]``; raises what
+    ``build_design_matrix`` raises before it fills columns, an unknown
+    column of any term included.  ``datas`` share their size and columns;
+    ``knots`` keeps each default-knot spline's knots on every one of them,
+    placed by one row sort when a dataset first asks for them."""
+    data = datas[b]
+
+    def spline_knots(term):
+        key = (term.column, term.nknots)
+        if key not in knots:
+            X = _stacked([d.column(term.column) for d in datas])
+            knots[key] = _default_knot_rows(X, term.nknots)
+        found = knots[key][b]
+        if isinstance(found, Exception):
+            raise found
+        return found
+
+    terms = tuple(_resolve_term(t, data, spline_knots) for t in spec)
+    for term in terms:
+        for name in _term_columns(term):
+            data.column(name)
+    return terms
+
+
+def _shape(term: Term):
+    """What fixes a resolved term's columns and labels: a spline's number
+    of knots, not where they lie."""
     if isinstance(term, Spline):
-        basis = rcs_basis(data.column(term.column), term.knots)
-        labels = [term.column] + [
-            f"rcs({term.column}){j}" for j in range(1, basis.shape[1])
-        ]
-        return basis, labels
-    if isinstance(term, Categorical):
-        values = data.column(term.column)
-        cols, labels = [], []
-        for level in term.levels:
-            if level == term.reference:
-                continue
-            cols.append((values == level).astype(float))
-            labels.append(f"{term.column}[{level:g}]")
-        return np.column_stack(cols), labels
+        return Spline, term.column, len(term.knots)
     if isinstance(term, Interaction):
-        lb, ll = _term_block(term.left, data)
-        rb, rl = _term_block(term.right, data)
-        cols, labels = [], []
-        for i in range(lb.shape[1]):
-            for j in range(rb.shape[1]):
-                cols.append(lb[:, i] * rb[:, j])
-                labels.append(f"{ll[i]}:{rl[j]}")
-        return np.column_stack(cols), labels
+        return Interaction, _shape(term.left), _shape(term.right)
+    return term
+
+
+def shape_key(design: DesignMatrix):
+    """Equal for designs whose columns come from the same terms, in the
+    same number, on as many rows: designs that can share a stack."""
+    return design.n, design.exposure, tuple(_shape(t) for t in design.terms)
+
+
+def _term_labels(term: Term) -> list[str]:
+    """The labels of the columns one resolved term contributes."""
+    if isinstance(term, Intercept):
+        return ["(Intercept)"]
+    if isinstance(term, Main):
+        return [term.column]
+    if isinstance(term, Spline):
+        return [term.column] + [
+            f"rcs({term.column}){j}" for j in range(1, len(term.knots) - 1)]
+    if isinstance(term, Categorical):
+        return [f"{term.column}[{level:g}]" for level in term.levels
+                if level != term.reference]
+    if isinstance(term, Interaction):
+        return [f"{left}:{right}" for left in _term_labels(term.left)
+                for right in _term_labels(term.right)]
     raise TypeError(f"unknown term {term!r}")
 
 
-def _term_columns(term: Term) -> set[str]:
+def _term_columns(term: Term) -> tuple[str, ...]:
+    """The data columns a term reads, in the order it reads them."""
     if isinstance(term, (Main, Spline, Categorical)):
-        return {term.column}
+        return (term.column,)
     if isinstance(term, Interaction):
-        return _term_columns(term.left) | _term_columns(term.right)
-    return set()
+        return _term_columns(term.left) + _term_columns(term.right)
+    return ()
+
+
+def _stacked(arrays) -> np.ndarray:
+    """Equal-length vectors as the rows of one array: a view of a single
+    vector, one copy of several."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _columns(datas):
+    """``columns(name)``: that column of every dataset, as the rows of one
+    B x n array, stacked once per name."""
+    cache = {}
+
+    def columns(name):
+        if name not in cache:
+            cache[name] = _stacked([d.column(name) for d in datas])
+        return cache[name]
+    return columns
+
+
+def _fill(S, terms, columns, exposure: str | None = None) -> None:
+    """Write the columns of each row's resolved terms into the stack ``S``
+    (B x p x n): row b of ``terms`` holds design b's terms, equal in shape
+    to every other row's, and ``columns(name)`` gives a column on every
+    row (B x n).  With ``exposure`` named, only the terms that read it are
+    written."""
+    col = 0
+    for ts in zip(*terms):
+        width = len(_term_labels(ts[0]))
+        if exposure is None or exposure in _term_columns(ts[0]):
+            _evaluate(ts, columns, S[:, col:col + width])
+        col += width
+
+
+def _evaluate(ts, columns, out) -> None:
+    """Write the columns of ``ts``, one resolved term per row, equal in
+    shape, into ``out`` (B x width x n)."""
+    term = ts[0]
+    if isinstance(term, Intercept):
+        out[:] = 1.0
+    elif isinstance(term, Main):
+        out[:, 0] = columns(term.column)
+    elif isinstance(term, Spline):
+        _rcs_rows(columns(term.column), np.array([t.knots for t in ts]), out)
+    elif isinstance(term, Categorical):
+        values = columns(term.column)
+        levels = [level for level in term.levels if level != term.reference]
+        for c, level in enumerate(levels):
+            out[:, c] = values == level
+    elif isinstance(term, Interaction):
+        left = _operand([t.left for t in ts], columns)
+        right = _operand([t.right for t in ts], columns)
+        width = right.shape[1]
+        for i in range(left.shape[1]):
+            np.multiply(left[:, i:i + 1], right,
+                        out=out[:, i * width:(i + 1) * width])
+    else:
+        raise TypeError(f"unknown term {term!r}")
+
+
+def _operand(ts, columns) -> np.ndarray:
+    """The columns of an interaction operand on every row (B x width x n):
+    a view of a main effect's column, a new array for a spline."""
+    if isinstance(ts[0], Main):
+        return columns(ts[0].column)[:, None]
+    values = columns(ts[0].column)
+    out = np.empty((len(ts), len(_term_labels(ts[0])), values.shape[1]))
+    _evaluate(ts, columns, out)
+    return out
 
 
 def build_design_matrix(
@@ -298,57 +467,113 @@ def build_design_matrix(
     frozen into the returned terms.  The first non-intercept constant
     column, in column order, raises ``DegenerateColumn``; the check reads
     the design's ``column_ranges``, which its fit then reuses.  An empty
-    term list raises ``SpecParseError``.
+    term list raises ``SpecParseError``.  This is the one-dataset case of
+    ``build_design_stack``; ``X`` is a view of a stack of one.
+    """
+    (design,) = build_design_stack([data], spec, exposure)
+    if isinstance(design, Exception):
+        raise design
+    return design
+
+
+def build_design_stack(datas, spec: list[Term], exposure: str | None = None) -> list:
+    """``build_design_matrix`` of each dataset with one term list, built as
+    stacks.
+
+    Returns one entry per dataset, in order: its ``DesignMatrix`` or the
+    ``RiskRatioError`` that ``build_design_matrix`` raises on it alone;
+    bit for bit the one-dataset design either way.  Datasets of one size
+    and columns place their spline knots by one row sort per spline.  Those
+    whose resolved terms are equal in shape (see ``shape_key``) are filled
+    as one C-contiguous B x p x n stack of ``X.T`` slices, each design's
+    ``X`` the column-major view of its slice.  A dataset whose knots tie,
+    so that fewer remain, or whose categorical levels differ from the
+    others' is built apart, in a stack of the datasets its terms match.
+    An empty term list raises ``SpecParseError``.
     """
     if not spec:
         raise SpecParseError("a model needs at least one term")
-    resolved = tuple(_resolve_term(t, data) for t in spec)
-    blocks, labels, exposure_cols, intercept_cols = [], [], [], []
-    col = 0
-    for term in resolved:
-        block, block_labels = _term_block(term, data)
-        cols = range(col, col + block.shape[1])
+    datas = list(datas)
+    out = [None] * len(datas)
+    alike: dict[tuple, list] = {}
+    for i, data in enumerate(datas):
+        alike.setdefault((data.n, *sorted(data.columns)), []).append(i)
+    for idx in alike.values():
+        group = [datas[i] for i in idx]
+        knots: dict = {}
+        stacks: dict[tuple, list] = {}
+        for b, i in enumerate(idx):
+            try:
+                terms = _resolved(spec, group, b, knots)
+            except RiskRatioError as exc:
+                out[i] = exc
+                continue
+            stacks.setdefault(tuple(_shape(t) for t in terms), []).append((i, terms))
+        for members in stacks.values():
+            rows, terms = zip(*members)
+            for i, design in zip(rows, _build_stack([datas[i] for i in rows],
+                                                    terms, exposure)):
+                out[i] = design
+    return out
+
+
+def _build_stack(datas, terms, exposure) -> list:
+    """The designs of ``datas`` with their resolved ``terms``, equal in
+    shape, as views of one stack; a design with a non-intercept constant
+    column or with duplicate labels gets the error instead."""
+    labels, exposure_cols, intercept_cols = [], [], []
+    for term in terms[0]:
+        cols = range(len(labels), len(labels) + len(_term_labels(term)))
         if isinstance(term, Intercept):
             intercept_cols.extend(cols)
         if exposure is not None and exposure in _term_columns(term):
             exposure_cols.extend(cols)
-        blocks.append(block)
-        labels.extend(block_labels)
-        col += block.shape[1]
-    design = DesignMatrix(
-        X=_column_major(blocks, data.n),
-        labels=tuple(labels),
-        terms=resolved,
-        exposure=exposure,
-        exposure_cols=tuple(exposure_cols),
-        data=data,
-    )
-    constant = ~_varies(*design.column_ranges)
-    constant[intercept_cols] = False
-    bad = np.flatnonzero(constant)
-    if bad.size:
-        raise DegenerateColumn(labels[bad[0]])
-    if len(set(labels)) != len(labels):
-        raise SpecParseError(f"duplicate design columns: {labels}")
-    return design
+        labels.extend(_term_labels(term))
+    S = np.empty((len(datas), len(labels), datas[0].n))
+    _fill(S, terms, _columns(datas))
+    lo, hi = S.min(axis=2, initial=np.inf), S.max(axis=2, initial=-np.inf)
+    constant = ~_varies(lo, hi)
+    constant[:, intercept_cols] = False
+    degenerate, first = constant.any(axis=1), constant.argmax(axis=1)
+    duplicated = len(set(labels)) != len(labels)
+    out = []
+    for b, data in enumerate(datas):
+        if degenerate[b]:
+            out.append(DegenerateColumn(labels[first[b]]))
+        elif duplicated:
+            out.append(SpecParseError(f"duplicate design columns: {labels}"))
+        else:
+            design = DesignMatrix(
+                X=S[b].T, labels=tuple(labels), terms=terms[b],
+                exposure=exposure, exposure_cols=tuple(exposure_cols), data=data)
+            # the ranges just checked are the design's (a cached_property)
+            vars(design)["column_ranges"] = (lo[b], hi[b])
+            out.append(design)
+    return out
 
 
 def realize(design: DesignMatrix, data: Dataset) -> np.ndarray:
     """Evaluate an already-built design (frozen knots/levels) on new data;
     column-major, like the design's own ``X``."""
-    blocks = [_term_block(t, data)[0] for t in design.terms]
-    return _column_major(blocks, data.n)
+    S = np.empty((1, design.p, data.n))
+    _fill(S, [design.terms], _columns([data]))
+    return S[0].T
 
 
-def _column_major(blocks, n: int) -> np.ndarray:
-    """The n x p column-major matrix of the column blocks, side by side,
-    filled block by block (no row-major intermediate)."""
-    X = np.empty((n, sum(b.shape[1] for b in blocks)), order="F")
-    col = 0
-    for block in blocks:
-        X[:, col:col + block.shape[1]] = block
-        col += block.shape[1]
-    return X
+def force_exposure(S, designs, values) -> None:
+    """Set the exposure to ``values`` (n) on every design of ``S``, a copy
+    of the designs' stack of ``X.T`` (B x p x n): the columns of the terms
+    that read the exposure are written anew, the others left as they are.
+
+    The designs must share a ``shape_key``.  Afterwards row b of ``S``
+    equals, bit for bit,
+    ``realize(design, design.data.with_column(exposure, values)).T``.
+    """
+    exposure = designs[0].exposure
+    observed = _columns([d.data for d in designs])
+    forced = np.broadcast_to(values, S.shape[::2])
+    _fill(S, [d.terms for d in designs],
+          lambda name: forced if name == exposure else observed(name), exposure)
 
 
 # --- term mini-language -----------------------------------------------------

@@ -9,6 +9,15 @@ model-predicted risks over the estimation sample with the exposure forced
 to each level (g-computation).  Intervals are Wald on the log scale, with
 the delta method for the standardized estimand, plus a percentile
 bootstrap cross-check.
+
+``marginal_rr_stack`` standardizes many fits at once, as a study does for
+a block of replications: fits whose designs share a shape are one
+B x p x n stack, copied once, with the exposure terms rewritten per level,
+then one batched ``matmul`` each for the linear predictors, the gradients
+and g' Sigma g.  Each batch runs the BLAS call one design makes, so every
+estimate equals its one-fit value bit for bit; ``marginal_rr`` is the
+stack-of-one case.  A row whose linear predictor would overflow exp() gets
+``NonFiniteStandardization`` alone.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import Dataset
-from .design import DesignMatrix, _term_block, _term_columns, realize
+from .design import DesignMatrix, force_exposure, realize, shape_key
 from .eecore import ETA_MAX, FitResult, fit_robust_poisson, fit_robust_poisson_stack
 from .errors import (
     FitFailed,
@@ -133,29 +142,49 @@ def coefficient_rr(fit: FitResult, j: int, level: float = 0.95) -> RREstimate:
                  f"wald-{fit.variance}", level)
 
 
+def _standardized_stack(designs, betas, datas, levels) -> list:
+    """Mean fitted risk with the exposure forced to each level a, plus the
+    gradient of its log w.r.t. beta, for each design of a stack: per
+    level, (means, gradients B x p, overflow flags).
+
+    Either the designs share a ``shape_key`` and each is standardized over
+    its own data, from one copy of their stack for every level, or there
+    is one design with any data of its columns.  ``betas`` is B x p x 1.
+    A row whose linear predictor would overflow exp() is flagged, and its
+    numbers mean nothing.
+    """
+    design, data = designs[0], datas[0]
+    same = data is design.data
+    if same:
+        S = np.stack([d.X.T for d in designs])
+    out = []
+    for a in levels:
+        # a forced column is checked like any other (finite, of the data's size)
+        forced = data.with_column(design.exposure, np.full(data.n, a))
+        if same:
+            # Same sample: only the exposure terms' columns change.  Gives
+            # realize()'s matrix bit for bit.
+            force_exposure(S, designs, forced.column(design.exposure))
+        else:
+            S = realize(design, forced).T[None]
+        eta = S.swapaxes(1, 2) @ betas
+        over = (eta > ETA_MAX).any(axis=(1, 2))
+        if over.any():
+            eta[over] = 0.0
+        mu = np.exp(eta)
+        total = mu[:, :, 0].sum(axis=1)
+        out.append((total / data.n, (S @ mu)[:, :, 0] / total[:, None], over))
+    return out
+
+
 def _standardized_means(fit: FitResult, data: Dataset, a: float):
     """Mean fitted risk with the exposure forced to level a, plus the
-    gradient of its log w.r.t. beta."""
-    design = fit.design
-    forced = data.with_column(design.exposure, np.full(data.n, a))
-    if data is design.data:
-        # Same sample: only the exposure terms' columns change, so rebuild
-        # just those.  Gives realize()'s matrix bit for bit, in its
-        # column-major layout.
-        Xa = design.X.copy(order="K")
-        blocks = [_term_block(t, forced)[0] for t in design.terms
-                  if design.exposure in _term_columns(t)]
-        if blocks:
-            Xa[:, list(design.exposure_cols)] = np.column_stack(blocks)
-    else:
-        Xa = realize(design, forced)
-    eta = Xa @ fit.beta
-    if np.any(eta > ETA_MAX):
+    gradient of its log w.r.t. beta: ``_standardized_stack`` of one fit."""
+    (means, grads, over), = _standardized_stack(
+        [fit.design], fit.beta[None, :, None], [data], (a,))
+    if over[0]:
         raise NonFiniteStandardization("exp overflow during standardization")
-    mu = np.exp(eta)
-    total = mu.sum()
-    grad = (Xa.T @ mu) / total
-    return total / data.n, grad
+    return means[0], grads[0]
 
 
 def marginal_rr(
@@ -167,15 +196,55 @@ def marginal_rr(
 
     RR = mean_i exp(x_i(a1) beta) / mean_i exp(x_i(a0) beta), forcing the
     exposure to a1 / a0 while covariates keep their observed values.
+    This is the one-fit case of ``marginal_rr_stack``.
     """
-    if fit.design is None or fit.design.exposure is None:
+    (est,) = marginal_rr_stack([fit], [data], a1, a0, level)
+    if isinstance(est, Exception):
+        raise est
+    return est
+
+
+def marginal_rr_stack(fits, datas, a1: float = 1.0, a0: float = 0.0,
+                      level: float = 0.95) -> list:
+    """``marginal_rr`` of each (fit, data) pair, standardized as stacks.
+
+    Fits whose designs share a ``shape_key`` and are standardized over the
+    data they were built on form one stack: one copy of the designs, and
+    per exposure level a rewrite of its exposure terms, one batched product
+    for the linear predictors and one for the gradients; then one batched
+    g' Sigma g.  Any other pair is a stack of its own.  Returns one entry
+    per pair, in order: its ``RREstimate``, or the ``RiskRatioError``
+    (``NonFiniteStandardization`` where exp() would overflow) that
+    ``marginal_rr`` raises on it alone; bit for bit the one-fit values
+    either way.  A fit without a design or exposure raises ``ValueError``.
+    """
+    if any(f.design is None or f.design.exposure is None for f in fits):
         raise ValueError("fit carries no design/exposure; cannot standardize")
-    m1, g1 = _standardized_means(fit, data, a1)
-    m0, g0 = _standardized_means(fit, data, a0)
-    log_rr = float(np.log(m1) - np.log(m0))
-    g = g1 - g0
-    return _wald(f"marginal[{a1:g} vs {a0:g}]", log_rr, g @ fit.cov_sandwich @ g,
-                 "delta", level)
+    out = [None] * len(fits)
+    stacks: dict = {}
+    for i, (fit, data) in enumerate(zip(fits, datas)):
+        key = shape_key(fit.design) if data is fit.design.data else i
+        stacks.setdefault(key, []).append(i)
+    for idx in stacks.values():
+        fs, ds = [fits[i] for i in idx], [datas[i] for i in idx]
+        designs = [f.design for f in fs]
+        betas = np.stack([f.beta for f in fs])[:, :, None]
+        try:
+            (m1, g1, over1), (m0, g0, over0) = _standardized_stack(
+                designs, betas, ds, (a1, a0))
+        except RiskRatioError as exc:
+            for i in idx:
+                out[i] = exc
+            continue
+        log_rr = (np.log(m1) - np.log(m0)).tolist()
+        g = (g1 - g0)[:, None, :]
+        var = (g @ np.stack([f.cov_sandwich for f in fs]) @ g.swapaxes(1, 2))[:, 0, 0]
+        for k, i in enumerate(idx):
+            out[i] = (NonFiniteStandardization("exp overflow during standardization")
+                      if over1[k] or over0[k] else
+                      _wald(f"marginal[{a1:g} vs {a0:g}]", log_rr[k], var[k],
+                            "delta", level))
+    return out
 
 
 def bootstrap_rr(

@@ -10,10 +10,13 @@ outcomes, with Monte Carlo standard errors for every metric.
 
 Determinism: replication r draws from ``rng.stream(base_seed, r)``; the
 truth simulation uses a reserved stream index.  Replications run in blocks
-of max(1, STACK_ROWS // n) (see ``run_study``), and each block fits its
-robust-Poisson designs as one stack and its log-barrier designs as
-another, every fit equal bit for bit to its one-design fit.  Reports are therefore identical regardless of block
-length, thread count or execution order.
+of max(1, STACK_ROWS // n) (see ``run_study``).  A block builds each
+specification's designs as one stack (``design.build_design_stack``), fits
+its robust-Poisson designs as one stack and its log-barrier designs as
+another, and standardizes each fit set as one stack
+(``inference.marginal_rr_stack``); every design, fit and estimate equals
+its one-replication value bit for bit.  Reports are therefore identical
+regardless of block length, thread count or execution order.
 
 Cheap arithmetic, same draws: the scenario probabilities are written for
 speed (cubes as products, ``expit`` through ``tanh``).  Against ``x**3``
@@ -35,7 +38,7 @@ import numpy as np
 
 from . import __version__, inference
 from .data import Dataset
-from .design import build_design_matrix, parse_spec
+from .design import build_design_stack, parse_spec
 from .errors import AllReplicationsFailed, ConfigError, RiskRatioError
 from .rng import stream
 
@@ -332,47 +335,48 @@ class _Replicator:
         """A block of replications, one result per key, in order: each is
         {(method, spec, estimand): (rr, lo, hi) | None}.
 
-        All replications are generated and their designs built first;
-        each (method, specification) is then one ``inference.fit_each``
-        call over the block.  A fit on the log-binomial boundary counts as
-        failed.
+        All replications are generated first.  Each specification's designs
+        are then built as stacks (``build_design_stack``), each (method,
+        specification) is one ``inference.fit_each`` call over the block,
+        and each marginal estimand one ``inference.marginal_rr_stack`` call
+        over its usable fits.  A replication whose design, fit or estimand
+        raises is skipped for that cell, as alone; a fit on the
+        log-binomial boundary counts as failed.
         """
         datas = [generate(self.scenario, self.n, rng=stream(self.seed, k))
                  for k in keys]
         out = [dict.fromkeys((m, s, e) for m in self.methods for s in self.terms
                              for e in self.estimands) for _ in datas]
         for spec_name, terms in self.terms.items():
-            built = []
-            for k, data in enumerate(datas):
-                try:
-                    built.append((k, build_design_matrix(data, terms, exposure="A")))
-                except RiskRatioError:
-                    continue
+            designs = build_design_stack(datas, terms, exposure="A")
+            built = [k for k, d in enumerate(designs)
+                     if not isinstance(d, RiskRatioError)]
             for method in self.methods:
-                fits = inference.fit_each(method, [d for _, d in built],
-                                          [datas[k].y for k, _ in built])
-                for (k, design), fit in zip(built, fits):
-                    if isinstance(fit, Exception) or fit.on_boundary:
-                        continue
-                    for est in self.estimands:
-                        value = self._estimate(est, fit, design, datas[k])
+                fits = inference.fit_each(method, [designs[k] for k in built],
+                                          [datas[k].y for k in built])
+                usable = [(k, fit) for k, fit in zip(built, fits)
+                          if not isinstance(fit, Exception) and not fit.on_boundary]
+                for est in self.estimands:
+                    values = self._estimates(est, usable, designs, datas)
+                    for (k, _), value in zip(usable, values):
                         if value is not None:
                             out[k][(method, spec_name, est)] = value
         return out
 
-    def _estimate(self, est, fit, design, data):
-        """(rr, lo, hi) of one estimand, or None when it fails or is not
-        finite."""
-        try:
-            if est == "coefficient":
-                e = inference.coefficient_rr(fit, design.exposure_cols[0], self.level)
-            else:
-                e = inference.marginal_rr(fit, data, 1.0, 0.0, level=self.level)
-        except RiskRatioError:
-            return None
-        if np.isfinite(e.rr) and np.isfinite(e.ci_low) and np.isfinite(e.ci_high):
-            return (e.rr, e.ci_low, e.ci_high)
-        return None
+    def _estimates(self, est, usable, designs, datas) -> list:
+        """(rr, lo, hi) of one estimand for each (key, fit) of ``usable``,
+        or None where it fails or is not finite."""
+        if est == "coefficient":
+            found = [inference.coefficient_rr(fit, designs[k].exposure_cols[0],
+                                              self.level) for k, fit in usable]
+        else:
+            found = inference.marginal_rr_stack(
+                [fit for _, fit in usable], [datas[k] for k, _ in usable],
+                1.0, 0.0, level=self.level)
+        return [(e.rr, e.ci_low, e.ci_high)
+                if not isinstance(e, RiskRatioError) and np.isfinite(e.rr)
+                and np.isfinite(e.ci_low) and np.isfinite(e.ci_high) else None
+                for e in found]
 
     def run(self, keys, threads: int = 1) -> list[dict]:
         """Every replication of ``keys``, in order, mapped in blocks of
@@ -427,13 +431,14 @@ def run_study(config: StudyConfig, threads: int = 1) -> dict:
 
     Replications are processed in blocks of max(1, STACK_ROWS // n)
     consecutive indices (65 at n = 1000): a block generates each
-    replication r from ``stream(base_seed, r)``, builds its designs, fits
-    each (method, specification) over the whole block, robust Poisson and
-    the log-barrier as stacked loops (``inference.fit_each``), and
-    computes the estimands per replication.  Every fit in a stack equals its
-    one-design fit bit for bit, and results are kept in replication
-    order, so the output is identical for any block length and any
-    ``threads`` value.  ``threads`` > 1 maps the blocks on a thread pool;
+    replication r from ``stream(base_seed, r)``, builds each
+    specification's designs as one stack (``design.build_design_stack``),
+    fits each (method, specification) over the whole block, robust Poisson
+    and the log-barrier as stacked loops (``inference.fit_each``), and
+    standardizes each fit set as one stack (``inference.marginal_rr_stack``).
+    Every design, fit and estimate in a stack equals its one-replication
+    value bit for bit, and results are kept in replication order, so the
+    output is identical for any block length and any ``threads`` value.  ``threads`` > 1 maps the blocks on a thread pool;
     a study with fewer than ``threads`` full blocks is cut into
     ``threads`` shorter ones, so that no thread idles.  ``threads`` < 1
     raises ``ConfigError``.
@@ -483,8 +488,9 @@ def consistency_demo(
     For each size, fits the exposure model on ``replications`` independent
     datasets, replication r of size index s drawn from
     ``stream(seed, (s << 32) | r)``; the replications run in blocks, as in
-    ``run_study``.  Small-sample fits that fail are skipped, not fatal.
-    Sizes must be ascending and >= 1, and ``replications`` >= 1, or
+    ``run_study``.  Small-sample fits that fail are skipped, not fatal; a
+    size without any fitted replication has no row and is listed under
+    ``dropped``.  Sizes must be ascending and >= 1, and ``replications`` >= 1, or
     ``ConfigError`` is raised (key ``sizes`` or ``replications``).
     """
     sizes = tuple(sizes)
@@ -498,13 +504,14 @@ def consistency_demo(
     truth = monte_carlo_truth(scenario, seed=seed)
     terms = {"simple": parse_spec(scenario.simple_spec)}
     cell = ("robust-poisson", "simple", "coefficient")
-    rows = []
+    rows, dropped = [], []
     for s, n in enumerate(sizes):
         replicator = _Replicator(scenario, n, seed, terms, ("robust-poisson",),
                                  ("coefficient",), 0.95)
         done = replicator.run([(s << 32) | r for r in range(replications)])
         values = [v[cell] for v in done if v[cell] is not None]
         if not values:
+            dropped.append(n)
             continue
         rrs, los, his = zip(*values)
         rr = np.array(rrs)
@@ -517,4 +524,4 @@ def consistency_demo(
             "mean_ci_width": float(np.mean(np.array(his) - np.array(los))),
             "n_converged": len(rrs),
         })
-    return {"truth": truth, "rows": rows}
+    return {"truth": truth, "rows": rows, "dropped": dropped}

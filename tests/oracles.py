@@ -7,7 +7,8 @@ import numpy as np
 
 from riskratio import logbin
 from riskratio.design import build_design_matrix
-from riskratio.errors import InfeasiblePoint, RiskRatioError
+from riskratio.design import DEFAULT_KNOT_QUANTILES
+from riskratio.errors import InfeasiblePoint, NonIncreasingKnots, RiskRatioError
 from riskratio.rng import stream
 
 
@@ -60,6 +61,17 @@ def sandwich_covariance_lz(X, y, beta) -> np.ndarray:
     binv = np.linalg.inv(bread)
     cov = binv @ meat @ binv.T
     return (cov + cov.T) / 2.0
+
+
+def default_knots_quantile(x, nknots):
+    """Default spline knots the way NumPy places them: the distinct values
+    of ``np.quantile`` of ``x`` (one vector) at the default quantiles; fewer
+    than 3 raise ``NonIncreasingKnots``, as ``default_knots`` does."""
+    knots = np.unique(np.quantile(np.asarray(x, dtype=float),
+                                  DEFAULT_KNOT_QUANTILES[nknots]))
+    if knots.size < 3:
+        raise NonIncreasingKnots(knots)
+    return knots
 
 
 def bootstrap_rebuild(fitter, design, estimand, B, seed, level=0.95):

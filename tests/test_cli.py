@@ -261,6 +261,17 @@ class TestOtherCommands:
             widths.append(hi - lo)
         assert widths == sorted(widths, reverse=True)
 
+    @pytest.mark.parametrize("sizes, dropped, rows", [("1,2", "1, 2", 0),
+                                                      ("2,40", "2", 1)])
+    def test_figure_names_dropped_sizes(self, capsys, sizes, dropped, rows):
+        # with p = 3 columns, no fit exists below 3 rows
+        assert main(["figure", "--sizes", sizes, "--replications", "20"]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == "n,rr_hat,ci_low,ci_high" and len(lines) == 1 + rows
+        assert captured.err == (f"warning: no replication could be fitted at "
+                                f"n = {dropped}; dropped from the figure\n")
+
     def test_validate_csv_and_config(self, two_by_two_csv, tmp_path, capsys):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("scenario = simple\n")

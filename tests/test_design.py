@@ -23,8 +23,16 @@ from riskratio.errors import (
     SpecParseError,
     UnknownColumn,
 )
-from riskratio.design import column_ranges, realize
+from riskratio.design import (
+    _default_knot_rows,
+    build_design_stack,
+    column_ranges,
+    realize,
+)
 from riskratio.rng import stream
+from riskratio.simlab import SCENARIOS, generate as draw
+
+from oracles import default_knots_quantile
 
 
 def oracle_rcs(x, knots):
@@ -382,3 +390,136 @@ class TestColumnMajor:
 def test_empty_term_list_raises():
     with pytest.raises(SpecParseError, match="at least one term"):
         build_design_matrix(small_dataset(), [])
+
+
+def _knots_or_error(knots):
+    """Knot bytes, or the error's class and text, for exact comparison."""
+    if isinstance(knots, Exception):
+        return type(knots), str(knots)
+    return knots.tobytes()
+
+
+class TestStackedKnots:
+    """Knots placed by one row sort equal NumPy's per-row quantiles bit for
+    bit, ties and collapses included."""
+
+    @settings(max_examples=120)
+    @given(
+        n=st.integers(1, 5000),
+        log_scale=st.floats(-8.0, 8.0),
+        kinds=st.lists(st.sampled_from(["continuous", "tied", "constant"]),
+                       min_size=1, max_size=4),
+        nknots=st.integers(3, 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equal_per_row_quantiles(self, n, log_scale, kinds, nknots, seed):
+        rng = stream(seed, n)
+        scale = 10.0 ** log_scale
+        rows = []
+        for kind in kinds:
+            if kind == "continuous":
+                rows.append(scale * (rng.standard_normal(n) + rng.standard_normal()))
+            elif kind == "tied":
+                levels = int(rng.integers(2, 6))
+                rows.append(scale * rng.integers(-2, levels, size=n).astype(float))
+            else:
+                rows.append(np.full(n, scale * rng.standard_normal()))
+        X = np.stack(rows)
+        stacked = _default_knot_rows(X, nknots)
+        for x, knots in zip(X, stacked):
+            try:
+                expected = default_knots_quantile(x, nknots)
+            except NonIncreasingKnots as exc:
+                expected = exc
+            assert _knots_or_error(knots) == _knots_or_error(expected)
+
+
+# Blocks the stacked build must reproduce row by row: (scenario, n, spec).
+STACK_CASES = [
+    (name, n, getattr(SCENARIOS[name], f"{spec}_spec"))
+    for name, n in (("simple", 150), ("moderate", 150), ("complex", 150),
+                    ("figure-demo", 150))
+    for spec in ("simple", "rich")
+] + [
+    ("figure-demo", 10, SCENARIOS["figure-demo"].simple_spec),  # degenerate rows
+    ("simple", 10, "1 + A + rcs(L1,3) + L2"),                 # tied knots
+]
+
+
+def _design_view(design):
+    """Everything a built design carries, as comparable values, or the
+    error's class and text."""
+    if isinstance(design, Exception):
+        return type(design), str(design)
+    lo, hi = design.column_ranges
+    return (design.X.tobytes(order="F"), design.X.shape, design.X.flags.f_contiguous,
+            design.labels, design.terms, design.exposure, design.exposure_cols,
+            lo.tobytes(), hi.tobytes())
+
+
+def _build_alone(data, spec):
+    try:
+        return build_design_matrix(data, parse_spec(spec), "A")
+    except (DegenerateColumn, NonIncreasingKnots, SpecParseError,
+            UnknownColumn) as exc:
+        return exc
+
+
+class TestBuildDesignStack:
+    @pytest.mark.parametrize("scenario, n, spec", STACK_CASES)
+    def test_equals_one_design_builds(self, scenario, n, spec):
+        datas = [draw(scenario, n, rng=stream(31, k))
+                 for k in range(40 if n > 10 else 400)]
+        stacked = build_design_stack(datas, parse_spec(spec), "A")
+        alone = [_build_alone(d, spec) for d in datas]
+        assert [_design_view(d) for d in stacked] == [_design_view(d) for d in alone]
+        for design, data in zip(stacked, datas):
+            if not isinstance(design, Exception):
+                assert design.data is data
+        if n == 10:
+            # the block mixes failed and built rows
+            failed = sum(isinstance(d, Exception) for d in stacked)
+            assert 0 < failed < len(datas)
+
+    def test_mixed_shapes_and_errors(self):
+        """Rows whose knots collapse, whose levels differ, whose reference
+        level is missing or whose column is constant, in one call."""
+        rng = stream(32, 0)
+        datas = []
+        for k in range(24):
+            n = 60
+            levels = 2 + k % 7
+            categories = rng.choice([(0.0, 1.0, 2.0), (1.0, 2.0), (0.0, 2.0),
+                                     (0.0, 1.0)][k % 4], size=n)
+            datas.append(Dataset(
+                y=(rng.random(n) < 0.4).astype(float),
+                columns={"A": (rng.random(n) < 0.5).astype(float),
+                         "D": rng.integers(0, levels, size=n).astype(float),
+                         "C": categories,
+                         "L": rng.standard_normal(n) if k % 5 else np.ones(n)},
+            ))
+        spec = "1 + A + rcs(D,4) + cat(C,ref=1) + L + A:rcs(D,4)"
+        stacked = build_design_stack(datas, parse_spec(spec), "A")
+        alone = [_build_alone(d, spec) for d in datas]
+        assert [_design_view(d) for d in stacked] == [_design_view(d) for d in alone]
+        kinds = {type(d).__name__ if isinstance(d, Exception) else d.p for d in stacked}
+        assert {"NonIncreasingKnots", "SpecParseError", "DegenerateColumn"} <= kinds
+        assert len(kinds - {"NonIncreasingKnots", "SpecParseError",
+                            "DegenerateColumn"}) > 1  # designs of two widths
+
+    def test_sizes_and_missing_columns(self):
+        datas = [draw("moderate", n, rng=stream(33, n)) for n in (40, 50, 40)]
+        datas.append(Dataset(y=datas[0].y, columns={"A": datas[0].column("A")}))
+        spec = "1 + A + rcs(L1,4) + L2"
+        stacked = build_design_stack(datas, parse_spec(spec), "A")
+        alone = [_build_alone(d, spec) for d in datas]
+        assert [_design_view(d) for d in stacked] == [_design_view(d) for d in alone]
+        assert isinstance(stacked[3], UnknownColumn)
+
+    def test_designs_are_views_of_one_stack(self):
+        datas = [draw("moderate", 100, rng=stream(34, k)) for k in range(5)]
+        designs = build_design_stack(
+            datas, parse_spec(SCENARIOS["moderate"].rich_spec), "A")
+        base = designs[0].X.base
+        assert base.shape == (5, designs[0].p, 100) and base.flags.c_contiguous
+        assert all(d.X.base is base for d in designs)

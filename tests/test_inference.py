@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from types import SimpleNamespace
 
@@ -22,8 +23,8 @@ from riskratio import (
     parse_spec,
 )
 from riskratio import inference
-from riskratio.design import realize
-from riskratio.errors import FitFailed, TooManyFailures
+from riskratio.design import build_design_stack, realize
+from riskratio.errors import FitFailed, NonFiniteStandardization, TooManyFailures
 from riskratio.rng import stream
 from riskratio.simlab import get_scenario
 
@@ -398,3 +399,52 @@ class TestBootstrapGivenFit:
         assert given.extra == {"failed_resamples": ref.failed_resamples}
         assert (given.log_rr, given.ci_low, given.ci_high, given.se_log_rr) == (
             ref.log_rr, ref.ci_low, ref.ci_high, ref.se_log_rr)
+
+
+def _estimate_bits(est):
+    """The numbers of an estimate as bytes, or the error's class and text."""
+    if isinstance(est, Exception):
+        return type(est), str(est)
+    return (est.estimand, est.method, np.array(
+        [est.log_rr, est.se_log_rr, est.rr, est.ci_low, est.ci_high]).tobytes())
+
+
+class TestMarginalRRStack:
+    """Stacked standardization equals one-fit ``marginal_rr`` bit for bit."""
+
+    @staticmethod
+    def _block(seed, spec, n=300, size=12):
+        scenario = get_scenario("moderate")
+        datas = [generate(scenario, n, rng=stream(seed, k)) for k in range(size)]
+        designs = build_design_stack(
+            datas, parse_spec(getattr(scenario, f"{spec}_spec")), "A")
+        fits = inference.fit_each("robust-poisson", designs, [d.y for d in datas])
+        assert not any(isinstance(f, Exception) for f in fits)
+        return fits, datas
+
+    @pytest.mark.parametrize("spec", ["simple", "rich"])
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_equals_one_fit(self, seed, spec):
+        fits, datas = self._block(seed, spec)
+        # one pair standardized over another sample of the same size
+        datas_used = datas[:5] + [datas[6]] + datas[6:]
+        stacked = inference.marginal_rr_stack(fits, datas_used, 1.0, 0.0, level=0.9)
+        alone = [marginal_rr(f, d, 1.0, 0.0, level=0.9)
+                 for f, d in zip(fits, datas_used)]
+        assert [_estimate_bits(e) for e in stacked] == [_estimate_bits(e) for e in alone]
+
+    def test_overflowing_row_fails_alone(self):
+        fits, datas = self._block(44, "rich")
+        beta = fits[3].beta.copy()
+        beta[fits[3].design.exposure_cols[0]] = 1000.0
+        fits[3] = dataclasses.replace(fits[3], beta=beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = inference.marginal_rr_stack(fits, datas)
+        assert isinstance(stacked[3], NonFiniteStandardization)
+        with pytest.raises(NonFiniteStandardization) as alone:
+            marginal_rr(fits[3], datas[3])
+        assert str(stacked[3]) == str(alone.value)
+        others = [k for k in range(len(fits)) if k != 3]
+        assert [_estimate_bits(stacked[k]) for k in others] == [
+            _estimate_bits(marginal_rr(fits[k], datas[k])) for k in others]
