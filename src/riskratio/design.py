@@ -127,28 +127,39 @@ def rcs_basis(x, knots) -> np.ndarray:
     return out[0].T
 
 
+# Elements per chunk of the spline fill.  A chunk's dozen temporaries then
+# stay in the CPU's caches; over whole 65 x 1000 or 1 x 500,000 rows they
+# do not, and the fill took 2-3 times as long.
+FILL_CHUNK = 1 << 14
+
+
 def _rcs_rows(X, T, out) -> None:
     """Write the basis of each row of ``X`` (B x n) at its own knots, the
     same row of ``T`` (B x k), into ``out`` (B x (k-1) x n).
 
     Every operation is elementwise, with a row's knots broadcast along its
-    row, so each row gets the numbers it gets in a stack of one.
+    row, so each row gets the numbers it gets in a stack of one.  The rows
+    are filled a chunk of about ``FILL_CHUNK`` elements at a time.
     """
     t = T[:, :, None]
-    out[:, 0] = X
     # (t_k - t_1)^2 by scalar pow, as the one-design basis has always taken
     # it: pow and the product that array squaring uses can differ in the
     # last bit.
     scale = np.array([d ** 2 for d in (T[:, -1] - T[:, 0]).tolist()])[:, None]
     denom = t[:, -1] - t[:, -2]
-    pk = _cube_plus(X - t[:, -1])
-    pkm1 = _cube_plus(X - t[:, -2])
-    for j in range(T.shape[1] - 2):
-        pj = _cube_plus(X - t[:, j])
-        out[:, j + 1] = (
-            pj - pkm1 * (t[:, -1] - t[:, j]) / denom
-            + pk * (t[:, -2] - t[:, j]) / denom
-        ) / scale
+    cubic = range(T.shape[1] - 2)
+    lead = [t[:, -1] - t[:, j] for j in cubic]
+    trail = [t[:, -2] - t[:, j] for j in cubic]
+    out[:, 0] = X
+    width = max(1, FILL_CHUNK // len(X))
+    for c in range(0, X.shape[1], width):
+        x, chunk = X[:, c:c + width], out[:, :, c:c + width]
+        pk = _cube_plus(x - t[:, -1])
+        pkm1 = _cube_plus(x - t[:, -2])
+        for j in cubic:
+            pj = _cube_plus(x - t[:, j])
+            chunk[:, j + 1] = (
+                pj - pkm1 * lead[j] / denom + pk * trail[j] / denom) / scale
 
 
 def _cube_plus(u) -> np.ndarray:
@@ -298,7 +309,7 @@ def _resolve_term(term: Term, data: Dataset, knots) -> Term:
     """Freeze data-dependent pieces (knots, categorical levels);
     ``knots(spline)`` gives a spline's default knots on ``data``."""
     if isinstance(term, Spline) and term.knots is None:
-        return replace(term, knots=tuple(knots(term)))
+        return Spline(term.column, term.nknots, tuple(knots(term)))
     if isinstance(term, Spline):
         t = np.asarray(term.knots, dtype=float)
         if t.size < 3 or np.any(np.diff(t) <= 0):

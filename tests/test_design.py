@@ -24,6 +24,7 @@ from riskratio.errors import (
     UnknownColumn,
 )
 from riskratio.design import (
+    FILL_CHUNK,
     _default_knot_rows,
     build_design_stack,
     column_ranges,
@@ -523,3 +524,36 @@ class TestBuildDesignStack:
         base = designs[0].X.base
         assert base.shape == (5, designs[0].p, 100) and base.flags.c_contiguous
         assert all(d.X.base is base for d in designs)
+
+
+def rcs_whole(x, knots):
+    """The basis by the formula of ``rcs_basis`` over the whole vector at
+    once, with the same operations in the same order."""
+    t = np.asarray(knots, dtype=float)
+    out = np.empty((x.size, t.size - 1))
+    out[:, 0] = x
+
+    def cube(u):
+        v = np.maximum(u, 0.0)
+        return v * v * v
+
+    scale = (t[-1] - t[0]) ** 2
+    denom = t[-1] - t[-2]
+    pk, pkm1 = cube(x - t[-1]), cube(x - t[-2])
+    for j in range(t.size - 2):
+        out[:, j + 1] = (cube(x - t[j]) - pkm1 * (t[-1] - t[j]) / denom
+                         + pk * (t[-2] - t[j]) / denom) / scale
+    return out
+
+
+@pytest.mark.parametrize("rows, n", [(1, 3 * FILL_CHUNK + 17), (7, FILL_CHUNK // 3)])
+def test_chunked_spline_fill_equals_whole_vectors(rows, n):
+    """Filling a chunk of columns at a time gives the whole-vector basis
+    bit for bit, in a stack of one and across chunk edges of a stack."""
+    datas = [draw("moderate", n, rng=stream(35, k)) for k in range(rows)]
+    designs = build_design_stack(datas, parse_spec("1 + rcs(L1,5)"))
+    for data, design in zip(datas, designs):
+        x = data.column("L1")
+        knots = design.terms[1].knots
+        assert design.X[:, 1:].tobytes() == rcs_whole(x, knots).tobytes()
+        assert rcs_basis(x, knots).tobytes() == rcs_whole(x, knots).tobytes()
