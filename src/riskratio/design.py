@@ -343,7 +343,7 @@ def _resolved(spec, datas, b: int, knots: dict) -> tuple[Term, ...]:
     def spline_knots(term):
         key = (term.column, term.nknots)
         if key not in knots:
-            X = _stacked([d.column(term.column) for d in datas])
+            X = stacked([d.column(term.column) for d in datas])
             knots[key] = _default_knot_rows(X, term.nknots)
         found = knots[key][b]
         if isinstance(found, Exception):
@@ -400,9 +400,9 @@ def _term_columns(term: Term) -> tuple[str, ...]:
     return ()
 
 
-def _stacked(arrays) -> np.ndarray:
-    """Equal-length vectors as the rows of one array: a view of a single
-    vector, one copy of several."""
+def stacked(arrays) -> np.ndarray:
+    """Arrays of one shape as one array along a new first axis: a view of
+    a single array, one copy of several."""
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
@@ -413,7 +413,7 @@ def _columns(datas):
 
     def columns(name):
         if name not in cache:
-            cache[name] = _stacked([d.column(name) for d in datas])
+            cache[name] = stacked([d.column(name) for d in datas])
         return cache[name]
     return columns
 
@@ -422,8 +422,8 @@ def _fill(S, terms, columns, exposure: str | None = None) -> None:
     """Write the columns of each row's resolved terms into the stack ``S``
     (B x p x n): row b of ``terms`` holds design b's terms, equal in shape
     to every other row's, and ``columns(name)`` gives a column on every
-    row (B x n).  With ``exposure`` named, only the terms that read it are
-    written."""
+    row (B x n, or 1 x n where it is the same on every row).  With
+    ``exposure`` named, only the terms that read it are written."""
     col = 0
     for ts in zip(*terms):
         width = len(_term_labels(ts[0]))
@@ -582,7 +582,7 @@ def force_exposure(S, designs, values) -> None:
     """
     exposure = designs[0].exposure
     observed = _columns([d.data for d in designs])
-    forced = np.broadcast_to(values, S.shape[::2])
+    forced = values[None]
     _fill(S, [d.terms for d in designs],
           lambda name: forced if name == exposure else observed(name), exposure)
 

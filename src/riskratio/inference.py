@@ -28,7 +28,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import Dataset
-from .design import DesignMatrix, force_exposure, realize, shape_key
+from .design import DesignMatrix, force_exposure, realize, shape_key, stacked
 from .eecore import ETA_MAX, FitResult, fit_robust_poisson, fit_robust_poisson_stack
 from .errors import (
     FitFailed,
@@ -228,7 +228,7 @@ def marginal_rr_stack(fits, datas, a1: float = 1.0, a0: float = 0.0,
     for idx in stacks.values():
         fs, ds = [fits[i] for i in idx], [datas[i] for i in idx]
         designs = [f.design for f in fs]
-        betas = np.stack([f.beta for f in fs])[:, :, None]
+        betas = stacked([f.beta for f in fs])[:, :, None]
         try:
             (m1, g1, over1), (m0, g0, over0) = _standardized_stack(
                 designs, betas, ds, (a1, a0))
@@ -238,7 +238,7 @@ def marginal_rr_stack(fits, datas, a1: float = 1.0, a0: float = 0.0,
             continue
         log_rr = (np.log(m1) - np.log(m0)).tolist()
         g = (g1 - g0)[:, None, :]
-        var = (g @ np.stack([f.cov_sandwich for f in fs]) @ g.swapaxes(1, 2))[:, 0, 0]
+        var = (g @ stacked([f.cov_sandwich for f in fs]) @ g.swapaxes(1, 2))[:, 0, 0]
         for k, i in enumerate(idx):
             out[i] = (NonFiniteStandardization("exp overflow during standardization")
                       if over1[k] or over0[k] else

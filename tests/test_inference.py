@@ -412,17 +412,18 @@ def _estimate_bits(est):
 class TestMarginalRRStack:
     """Stacked standardization equals one-fit ``marginal_rr`` bit for bit."""
 
-    @staticmethod
-    def _block(seed, spec, n=300, size=12):
-        scenario = get_scenario("moderate")
-        datas = [generate(scenario, n, rng=stream(seed, k)) for k in range(size)]
-        designs = build_design_stack(
-            datas, parse_spec(getattr(scenario, f"{spec}_spec")), "A")
+    SPECS = {"simple": get_scenario("moderate").simple_spec,
+             "rich": get_scenario("moderate").rich_spec,
+             "exposure interaction": "1 + A + rcs(L1,4) + L2 + A:rcs(L2,3)"}
+
+    def _block(self, seed, spec, n=300, size=12):
+        datas = [generate("moderate", n, rng=stream(seed, k)) for k in range(size)]
+        designs = build_design_stack(datas, parse_spec(self.SPECS[spec]), "A")
         fits = inference.fit_each("robust-poisson", designs, [d.y for d in datas])
         assert not any(isinstance(f, Exception) for f in fits)
         return fits, datas
 
-    @pytest.mark.parametrize("spec", ["simple", "rich"])
+    @pytest.mark.parametrize("spec", ["simple", "rich", "exposure interaction"])
     @pytest.mark.parametrize("seed", [41, 42, 43])
     def test_equals_one_fit(self, seed, spec):
         fits, datas = self._block(seed, spec)
