@@ -557,3 +557,20 @@ def test_chunked_spline_fill_equals_whole_vectors(rows, n):
         knots = design.terms[1].knots
         assert design.X[:, 1:].tobytes() == rcs_whole(x, knots).tobytes()
         assert rcs_basis(x, knots).tobytes() == rcs_whole(x, knots).tobytes()
+
+
+def test_spline_scale_is_the_scalar_square():
+    """(t_k - t_1)^2 is taken as the scalar power, which differs from the
+    product d * d that array squaring computes in the last bit for some d;
+    the basis keeps the scalar one that one design has always used."""
+    rng = stream(36, 0)
+    d = next(d for d in rng.standard_normal(10_000) * 7.0 + 10.0
+             if float(d) ** 2 != float(d) * float(d))
+    knots = [0.0, d / 3, d / 2, d]
+    x = stream(36, 1).uniform(-1.0, d + 1.0, 500)
+    designs = build_design_stack(
+        [Dataset(y=np.zeros(500), columns={"L": x})] * 3,
+        [Spline("L", knots=tuple(knots))])
+    for design in [*designs, None]:
+        basis = rcs_basis(x, knots) if design is None else design.X
+        assert basis.tobytes() == rcs_whole(x, knots).tobytes()

@@ -433,6 +433,13 @@ class TestMarginalRRStack:
         alone = [marginal_rr(f, d, 1.0, 0.0, level=0.9)
                  for f, d in zip(fits, datas_used)]
         assert [_estimate_bits(e) for e in stacked] == [_estimate_bits(e) for e in alone]
+        # and the one-fit formulas with plain vectors give the same bits
+        for est, fit, data in zip(stacked, fits, datas_used):
+            m1, g1 = inference._standardized_means(fit, data, 1.0)
+            m0, g0 = inference._standardized_means(fit, data, 0.0)
+            g = g1 - g0
+            assert est.log_rr == float(np.log(m1) - np.log(m0))
+            assert est.se_log_rr == float(np.sqrt(g @ fit.cov_sandwich @ g))
 
     def test_overflowing_row_fails_alone(self):
         fits, datas = self._block(44, "rich")
