@@ -391,6 +391,18 @@ def _term_labels(term: Term) -> list[str]:
     raise TypeError(f"unknown term {term!r}")
 
 
+def _width(term: Term) -> int:
+    """The number of columns one resolved term contributes, the length of
+    its ``_term_labels`` without formatting them."""
+    if isinstance(term, Spline):
+        return len(term.knots) - 1
+    if isinstance(term, Categorical):
+        return len(term.levels) - 1
+    if isinstance(term, Interaction):
+        return _width(term.left) * _width(term.right)
+    return 1
+
+
 def _term_columns(term: Term) -> tuple[str, ...]:
     """The data columns a term reads, in the order it reads them."""
     if isinstance(term, (Main, Spline, Categorical)):
@@ -426,7 +438,7 @@ def _fill(S, terms, columns, exposure: str | None = None) -> None:
     ``exposure`` named, only the terms that read it are written."""
     col = 0
     for ts in zip(*terms):
-        width = len(_term_labels(ts[0]))
+        width = _width(ts[0])
         if exposure is None or exposure in _term_columns(ts[0]):
             _evaluate(ts, columns, S[:, col:col + width])
         col += width
@@ -464,7 +476,7 @@ def _operand(ts, columns) -> np.ndarray:
     if isinstance(ts[0], Main):
         return columns(ts[0].column)[:, None]
     values = columns(ts[0].column)
-    out = np.empty((len(ts), len(_term_labels(ts[0])), values.shape[1]))
+    out = np.empty((len(ts), _width(ts[0]), values.shape[1]))
     _evaluate(ts, columns, out)
     return out
 
