@@ -3,7 +3,8 @@
 Exit codes: 0 success (including NA study rows), 2 usage/config error
 (an invalid option value among them), 3 data error (a missing or constant
 column and spline knots a column cannot give among them), 4 numerical
-failure of a requested single fit (including ``NoFiniteSolution``).
+failure of a requested single fit (including ``NoFiniteSolution``) or of
+a study in which no cell has any successful replication.
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ its robust-Poisson designs as one stack and its log-barrier designs as
 another, and standardizes each fit set as one stack
 (``inference.marginal_rr_stack``); every design, fit and estimate equals
 its one-replication value bit for bit.  Reports are therefore identical
-regardless of block length, thread count or execution order.
+regardless of block length, thread count or execution order.  A study's
+results are one R x cells x 3 array of records (rr, lo, hi), NaN where a
+replication failed; a record counts when all three are finite.
 
 Cheap arithmetic, same draws: the scenario probabilities are written for
 speed (cubes as products, ``expit`` through ``tanh``).  Against ``x**3``
@@ -31,6 +33,7 @@ and fails if a later rewrite flips one.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -255,15 +258,17 @@ class StudyConfig:
             raise ConfigError("must be between 0 and 1", key="level")
         if self.truth_n < 2:
             raise ConfigError("must be >= 2", key="truth_n")
-        for m in self.methods:
-            if m not in inference.FIT_METHODS:
-                raise ConfigError(f"unknown method {m!r}", key="methods")
-        for s in self.specifications:
-            if s not in SPECIFICATIONS:
-                raise ConfigError(f"unknown specification {s!r}", key="specifications")
-        for e in self.estimands:
-            if e not in ESTIMANDS:
-                raise ConfigError(f"unknown estimand {e!r}", key="estimands")
+        # A study's cells are distinct: each list is non-empty, unrepeated.
+        for key, known in (("methods", inference.FIT_METHODS),
+                           ("specifications", SPECIFICATIONS), ("estimands", ESTIMANDS)):
+            names = getattr(self, key)
+            if not names:
+                raise ConfigError("must name at least one", key=key)
+            for i, name in enumerate(names):
+                if name not in known:
+                    raise ConfigError(f"unknown {key[:-1]} {name!r}", key=key)
+                if name in names[:i]:
+                    raise ConfigError(f"{key[:-1]} {name!r} is repeated", key=key)
 
 
 def parse_config(text: str) -> StudyConfig:
@@ -331,54 +336,50 @@ class _Replicator:
     estimands: tuple[str, ...]
     level: float
 
-    def block(self, keys) -> list[dict]:
-        """A block of replications, one result per key, in order: each is
-        {(method, spec, estimand): (rr, lo, hi) | None}.
+    def block(self, keys) -> np.ndarray:
+        """A block of replications: one record per key, in order, each a
+        cells x 3 array of (rr, lo, hi), its cells in the order of
+        ``itertools.product(methods, terms, estimands)``.
 
         All replications are generated first.  Each specification's designs
         are then built as stacks (``build_design_stack``), each (method,
         specification) is one ``inference.fit_each`` call over the block,
         and each marginal estimand one ``inference.marginal_rr_stack`` call
         over its usable fits.  A replication whose design, fit or estimand
-        raises is skipped for that cell, as alone; a fit on the
-        log-binomial boundary counts as failed.
+        raises keeps NaN in that cell, as alone; a fit on the log-binomial
+        boundary counts as failed.
         """
         datas = [generate(self.scenario, self.n, rng=stream(self.seed, k))
                  for k in keys]
-        out = [dict.fromkeys((m, s, e) for m in self.methods for s in self.terms
-                             for e in self.estimands) for _ in datas]
-        for spec_name, terms in self.terms.items():
+        out = np.full((len(datas), len(self.methods), len(self.terms),
+                       len(self.estimands), 3), np.nan)
+        for s, (spec_name, terms) in enumerate(self.terms.items()):
             designs = build_design_stack(datas, terms, exposure="A")
             built = [k for k, d in enumerate(designs)
                      if not isinstance(d, RiskRatioError)]
-            for method in self.methods:
+            for m, method in enumerate(self.methods):
                 fits = inference.fit_each(method, [designs[k] for k in built],
                                           [datas[k].y for k in built])
                 usable = [(k, fit) for k, fit in zip(built, fits)
                           if not isinstance(fit, Exception) and not fit.on_boundary]
-                for est in self.estimands:
-                    values = self._estimates(est, usable, designs, datas)
-                    for (k, _), value in zip(usable, values):
-                        if value is not None:
-                            out[k][(method, spec_name, est)] = value
-        return out
+                for e, est in enumerate(self.estimands):
+                    found = self._estimates(est, usable, designs, datas)
+                    for (k, _), value in zip(usable, found):
+                        if not isinstance(value, RiskRatioError):
+                            out[k, m, s, e] = value.rr, value.ci_low, value.ci_high
+        return out.reshape(len(datas), -1, 3)
 
     def _estimates(self, est, usable, designs, datas) -> list:
-        """(rr, lo, hi) of one estimand for each (key, fit) of ``usable``,
-        or None where it fails or is not finite."""
+        """The ``RREstimate`` of one estimand for each (key, fit) of
+        ``usable``, or the ``RiskRatioError`` it failed with."""
         if est == "coefficient":
-            found = [inference.coefficient_rr(fit, designs[k].exposure_cols[0],
-                                              self.level) for k, fit in usable]
-        else:
-            found = inference.marginal_rr_stack(
-                [fit for _, fit in usable], [datas[k] for k, _ in usable],
-                1.0, 0.0, level=self.level)
-        return [(e.rr, e.ci_low, e.ci_high)
-                if not isinstance(e, RiskRatioError) and np.isfinite(e.rr)
-                and np.isfinite(e.ci_low) and np.isfinite(e.ci_high) else None
-                for e in found]
+            return [inference.coefficient_rr(fit, designs[k].exposure_cols[0],
+                                             self.level) for k, fit in usable]
+        return inference.marginal_rr_stack(
+            [fit for _, fit in usable], [datas[k] for k, _ in usable],
+            1.0, 0.0, level=self.level)
 
-    def run(self, keys, threads: int = 1) -> list[dict]:
+    def run(self, keys, threads: int = 1) -> list:
         """Every replication of ``keys``, in order, mapped in blocks of
         max(1, STACK_ROWS // n) keys; with ``threads`` > 1 the blocks go
         to a thread pool, and are cut shorter where that gives every
@@ -394,22 +395,29 @@ class _Replicator:
         return [result for block in done for result in block]
 
 
-def _cell_metrics(values, truth):
-    """Bias/RMSE/coverage with MCSEs over non-failed replications."""
-    R = len(values)
-    ok = [v for v in values if v is not None]
-    failures = R - len(ok)
+def _successes(records):
+    """The columns rr, lo, hi, each contiguous, of the replications that
+    succeeded among ``records`` (R x 3): those whose rr, lo and hi are all
+    finite.  Every other replication failed."""
+    return records[np.isfinite(records).all(axis=1)].T.copy()
+
+
+def _cell_metrics(records, truth):
+    """Bias/RMSE/coverage with MCSEs over the successes among ``records``
+    (R x 3: rr, lo, hi per replication)."""
+    R = len(records)
+    rr, lo, hi = _successes(records)
+    r_eff = rr.size
+    failures = R - r_eff
     cell = {"replications": R, "failures": failures,
-            "r_effective": len(ok), "na": failures > 0.5 * R or not ok}
+            "r_effective": r_eff, "na": failures > 0.5 * R or not r_eff}
     if cell["na"]:
         return cell
-    rr = np.array([v[0] for v in ok])
-    covered = np.array([v[1] <= truth <= v[2] for v in ok], dtype=float)
+    covered = ((lo <= truth) & (truth <= hi)).astype(float)
     bias = float(rr.mean() - truth)
-    var = float(rr.var(ddof=1)) if len(ok) > 1 else 0.0
+    var = float(rr.var(ddof=1)) if r_eff > 1 else 0.0
     sd = np.sqrt(var)
     cover = float(covered.mean())
-    r_eff = len(ok)
     cell.update(
         bias=bias,
         rmse=float(np.sqrt(bias**2 + var)),
@@ -437,11 +445,13 @@ def run_study(config: StudyConfig, threads: int = 1) -> dict:
     and the log-barrier as stacked loops (``inference.fit_each``), and
     standardizes each fit set as one stack (``inference.marginal_rr_stack``).
     Every design, fit and estimate in a stack equals its one-replication
-    value bit for bit, and results are kept in replication order, so the
-    output is identical for any block length and any ``threads`` value.  ``threads`` > 1 maps the blocks on a thread pool;
-    a study with fewer than ``threads`` full blocks is cut into
-    ``threads`` shorter ones, so that no thread idles.  ``threads`` < 1
-    raises ``ConfigError``.
+    value bit for bit, and the records (rr, lo, hi) are kept in
+    replication order as one R x cells x 3 array, so the output is
+    identical for any block length and any ``threads`` value.  A cell's
+    metrics read its R x 3 column (``_cell_metrics``).  ``threads`` > 1
+    maps the blocks on a thread pool; a study with fewer than ``threads``
+    full blocks is cut into ``threads`` shorter ones, so that no thread
+    idles.  ``threads`` < 1 raises ``ConfigError``.
     """
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
@@ -452,21 +462,12 @@ def run_study(config: StudyConfig, threads: int = 1) -> dict:
         {s: _spec_terms(scenario, s) for s in config.specifications},
         config.methods, config.estimands, config.level,
     )
-    results = replicator.run(range(config.replications), threads)
-
-    cells = []
-    any_ok = False
-    for method in config.methods:
-        for spec_name in config.specifications:
-            for est in config.estimands:
-                key = (method, spec_name, est)
-                values = [res[key] for res in results]
-                cell = _cell_metrics(values, truth["rr_true"])
-                if cell["r_effective"] > 0:
-                    any_ok = True
-                cell.update(method=method, specification=spec_name, estimand=est)
-                cells.append(cell)
-    if not any_ok:
+    records = np.array(replicator.run(range(config.replications), threads))
+    cells = [dict(_cell_metrics(records[:, c], truth["rr_true"]),
+                  method=method, specification=spec_name, estimand=est)
+             for c, (method, spec_name, est) in enumerate(itertools.product(
+                 config.methods, config.specifications, config.estimands))]
+    if not any(cell["r_effective"] for cell in cells):
         raise AllReplicationsFailed("no cell produced any successful replication")
 
     return {
@@ -503,25 +504,22 @@ def consistency_demo(
     scenario = get_scenario("figure-demo")
     truth = monte_carlo_truth(scenario, seed=seed)
     terms = {"simple": parse_spec(scenario.simple_spec)}
-    cell = ("robust-poisson", "simple", "coefficient")
     rows, dropped = [], []
     for s, n in enumerate(sizes):
         replicator = _Replicator(scenario, n, seed, terms, ("robust-poisson",),
                                  ("coefficient",), 0.95)
         done = replicator.run([(s << 32) | r for r in range(replications)])
-        values = [v[cell] for v in done if v[cell] is not None]
-        if not values:
+        rr, lo, hi = _successes(np.array(done)[:, 0])
+        if not rr.size:
             dropped.append(n)
             continue
-        rrs, los, his = zip(*values)
-        rr = np.array(rrs)
         rows.append({
             "n": n,
             "rr_hat": float(rr.mean()),
-            "ci_low": float(np.mean(los)),
-            "ci_high": float(np.mean(his)),
+            "ci_low": float(lo.mean()),
+            "ci_high": float(hi.mean()),
             "mean_abs_error": float(np.mean(np.abs(rr - truth["rr_true"]))),
-            "mean_ci_width": float(np.mean(np.array(his) - np.array(los))),
-            "n_converged": len(rrs),
+            "mean_ci_width": float(np.mean(hi - lo)),
+            "n_converged": rr.size,
         })
     return {"truth": truth, "rows": rows, "dropped": dropped}

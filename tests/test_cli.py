@@ -419,6 +419,30 @@ class TestExitCodes:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command, line, message", [
+        ("validate", "methods =", "config key 'methods': must name at least one"),
+        ("study", "estimands = coefficient, coefficient",
+         "config key 'estimands': estimand 'coefficient' is repeated"),
+    ])
+    def test_empty_or_repeated_study_list_exits_2(self, tmp_path, capsys,
+                                                  command, line, message):
+        cfg = tmp_path / "cells.cfg"
+        cfg.write_text(f"scenario = simple\nreplications = 2\n{line}\n")
+        args = ["validate", "--config", str(cfg)] if command == "validate" else ["study", str(cfg)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_study_without_any_fitted_replication_exits_4(self, tmp_path, capsys):
+        # p = 4 columns on n = 3 rows: every replication of every cell fails.
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("scenario = simple\nn = 3\nreplications = 5\ntruth_n = 10000\n")
+        assert main(["study", str(cfg)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "error: no cell produced any successful replication\n"
+        assert captured.out == ""
+
     def test_no_events_in_exposed_stratum_exits_4(self, tmp_path, capsys):
         path = tmp_path / "zero.csv"
         rows = ["y,A,L"] + [f"0,1,{i % 7}" for i in range(50)]

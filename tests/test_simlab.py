@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import pathlib
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from riskratio import (
     run_study,
 )
 from riskratio import simlab
-from riskratio.errors import ConfigError
+from riskratio.errors import AllReplicationsFailed, ConfigError
 from riskratio.report import to_machine_json
 from riskratio.rng import stream
 from riskratio.simlab import get_scenario
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def simple_scenario_exact():
@@ -183,6 +186,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(text)
 
+    @pytest.mark.parametrize("text, key", [
+        ("methods =", "methods"),
+        ("specifications = ,", "specifications"),
+        ("estimands =", "estimands"),
+        ("methods = robust-poisson, logbin-ml, robust-poisson", "methods"),
+        ("specifications = rich, rich", "specifications"),
+        ("estimands = coefficient, coefficient", "estimands"),
+    ])
+    def test_empty_or_repeated_list_rejected(self, text, key):
+        # Each (method, specification, estimand) cell must be distinct.
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"scenario = simple\n{text}")
+        assert err.value.key == key
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+    def test_shipped_configs_parse(self, path):
+        parse_config(path.read_text(encoding="utf-8"))
+
     @pytest.mark.parametrize("level", ["2", "1", "0", "-0.5", "nan"])
     def test_level_outside_unit_interval(self, level):
         with pytest.raises(ConfigError) as err:
@@ -274,6 +295,13 @@ class TestStudy:
         with pytest.raises(ConfigError, match="threads must be at least 1"):
             run_study(self.CFG, threads=threads)
 
+    def test_every_cell_failing_raises(self):
+        # p = 4 columns on n = 3 rows: no replication can be fitted.
+        cfg = StudyConfig(scenario="simple", n=3, replications=5, truth_n=10_000)
+        with pytest.raises(AllReplicationsFailed,
+                           match="no cell produced any successful replication"):
+            run_study(cfg)
+
     def test_failure_counting(self):
         cfg = StudyConfig(
             scenario="moderate", n=400, replications=20, base_seed=5,
@@ -284,6 +312,58 @@ class TestStudy:
         cell = rep["cells"][0]
         assert cell["failures"] > 10
         assert cell["na"]
+
+
+def non_finite_estimates(monkeypatch, inf_high, nan_rr):
+    """Make the i-th call of ``coefficient_rr`` return an infinite upper
+    limit for i in ``inf_high`` and a NaN rr for i in ``nan_rr``."""
+    original, calls = simlab.inference.coefficient_rr, []
+
+    def patched(*args, **kwargs):
+        est = original(*args, **kwargs)
+        i = len(calls)
+        calls.append(i)
+        if i in inf_high:
+            return dataclasses.replace(est, ci_high=np.inf)
+        if i in nan_rr:
+            return dataclasses.replace(est, rr=np.nan)
+        return est
+
+    monkeypatch.setattr(simlab.inference, "coefficient_rr", patched)
+    return calls
+
+
+class TestNonFiniteEstimates:
+    """A replication whose rr, lower or upper limit is not finite counts as
+    a failure, in a study cell and in the consistency figure alike."""
+
+    CFG = StudyConfig(
+        scenario="simple", n=300, replications=20, base_seed=99,
+        estimands=("coefficient",), truth_n=100_000,
+    )
+
+    @pytest.mark.parametrize("inf_high, nan_rr, na", [
+        ({2, 11}, {5}, False),                  # 3 of 20 fail
+        ({0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}, False),   # 10 of 20: not > R/2
+        ({0, 1, 2, 3, 4, 5}, {6, 7, 8, 9, 19}, True),  # 11 of 20
+    ])
+    def test_study_cell(self, monkeypatch, inf_high, nan_rr, na):
+        (clean,) = run_study(self.CFG)["cells"]
+        assert clean["failures"] == 0
+        calls = non_finite_estimates(monkeypatch, inf_high, nan_rr)
+        (cell,) = run_study(self.CFG)["cells"]
+        assert len(calls) == 20
+        assert cell["failures"] == len(inf_high) + len(nan_rr)
+        assert cell["r_effective"] == 20 - cell["failures"]
+        assert cell["na"] is na
+
+    def test_consistency_demo(self, monkeypatch):
+        clean = consistency_demo(sizes=(200,), replications=12, seed=3)
+        assert clean["rows"][0]["n_converged"] == 12
+        non_finite_estimates(monkeypatch, {0, 7}, {4})
+        (row,) = consistency_demo(sizes=(200,), replications=12, seed=3)["rows"]
+        assert row["n_converged"] == 9
+        assert np.isfinite([row["rr_hat"], row["ci_low"], row["ci_high"]]).all()
 
 
 class TestConsistencyDemo:
