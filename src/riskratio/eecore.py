@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import DesignMatrix, as_matrix, column_ranges
+from .design import DesignMatrix, as_matrix, column_ranges, stacked
 from .errors import (
     DataError,
     NoFiniteSolution,
@@ -308,11 +308,7 @@ def _fit_stack(Xs, ys, dms) -> list:
     if p > n:
         return [DataError(f"p={p} parameters with only n={n} observations")
                 for _ in Xs]
-    # The stack of X.T slices: a view for one design, one copy for more.
-    if len(Xs) == 1:
-        Xt, y = Xs[0].T[None], ys[0][None, :, None]
-    else:
-        Xt, y = np.stack([X.T for X in Xs]), np.stack(ys)[:, :, None]
+    Xt, y = stacked([X.T for X in Xs]), stacked(ys)[:, :, None]
     ranges = np.array([column_ranges(X) if dm is None else dm.column_ranges
                        for X, dm in zip(Xs, dms)])
     failed = _no_finite_solution(_t(Xt), y, ranges[:, 0], ranges[:, 1],

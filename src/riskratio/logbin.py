@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .design import stacked
 from .eecore import (
     FitResult, _as_row, _by_row, _design_arrays, _in_stacks, _rows, _t, _without,
 )
@@ -350,9 +351,8 @@ def _barrier_stack(Xs, ys, dms) -> list:
     rows = np.array(list(starts), dtype=int)
     if not rows.size:
         return fits
-    # The stack of X.T slices: a view for one design, one copy for more.
-    Xt = Xs[rows[0]].T[None] if len(rows) == 1 else np.stack([Xs[i].T for i in rows])
-    y = np.stack([ys[i] for i in rows])[:, :, None]
+    Xt = stacked([Xs[i].T for i in rows])
+    y = stacked([ys[i] for i in rows])[:, :, None]
     beta = np.stack(list(starts.values()))[..., None]
     eta = _t(Xt) @ beta
     if (eta > 0).any():

@@ -311,6 +311,14 @@ class TestStack:
             assert events["lstsq"] and events["no_step_accepted"] and events["halving"]
             assert not events["stage_capped"]
 
+    def test_one_design_leaves_its_outcome_alone(self):
+        # A stack of one reads the caller's y in place, not a copy of it.
+        for name, X, y in mixed_stack():
+            fixed = y.copy()
+            fixed.flags.writeable = False
+            assert fit_digest(outcome(fit_logbin_barrier, X, fixed)) == \
+                fit_digest(outcome(fit_logbin_barrier, X, y)), name
+
     def test_fit_each_matches_the_method(self):
         cases = mixed_stack()
         fits = fit_each("logbin-ab", [X for _, X, _ in cases], [y for *_, y in cases])
