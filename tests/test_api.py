@@ -1,7 +1,9 @@
 """The public surface and the package-wide error-handling rule."""
 
+import importlib.util
 import pathlib
 import re
+import sys
 
 import riskratio
 
@@ -38,3 +40,22 @@ def test_no_numpy2_only_names():
         if newer.search(line)
     ]
     assert found == []
+
+
+def test_tracer_names_resolve(monkeypatch):
+    # The benchmark's tracer looks its functions up by name; a rename in
+    # the package would break every traced benchmark run.
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.FUNCTIONS
+    missing = []
+    for module_name, attr, *_ in tracer.FUNCTIONS:
+        owner = importlib.import_module(f"riskratio.{module_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []
