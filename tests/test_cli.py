@@ -420,16 +420,16 @@ class TestExitCodes:
         assert captured.out == ""
 
     @pytest.mark.parametrize("command, line, message", [
-        ("validate", "methods =", "config key 'methods': must name at least one"),
-        ("study", "estimands = coefficient, coefficient",
+        (["validate", "--config"], "methods =",
+         "config key 'methods': must name at least one"),
+        (["study"], "estimands = coefficient, coefficient",
          "config key 'estimands': estimand 'coefficient' is repeated"),
     ])
     def test_empty_or_repeated_study_list_exits_2(self, tmp_path, capsys,
                                                   command, line, message):
         cfg = tmp_path / "cells.cfg"
         cfg.write_text(f"scenario = simple\nreplications = 2\n{line}\n")
-        args = ["validate", "--config", str(cfg)] if command == "validate" else ["study", str(cfg)]
-        assert main(args) == 2
+        assert main([*command, str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""

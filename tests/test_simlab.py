@@ -316,7 +316,8 @@ class TestStudy:
 
 def non_finite_estimates(monkeypatch, inf_high, nan_rr):
     """Make the i-th call of ``coefficient_rr`` return an infinite upper
-    limit for i in ``inf_high`` and a NaN rr for i in ``nan_rr``."""
+    limit for i in ``inf_high`` and a NaN rr for i in ``nan_rr``.  In a
+    one-block study whose fits all succeed, call i is replication i's."""
     original, calls = simlab.inference.coefficient_rr, []
 
     def patched(*args, **kwargs):
@@ -343,9 +344,9 @@ class TestNonFiniteEstimates:
     )
 
     @pytest.mark.parametrize("inf_high, nan_rr, na", [
-        ({2, 11}, {5}, False),                  # 3 of 20 fail
-        ({0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}, False),   # 10 of 20: not > R/2
-        ({0, 1, 2, 3, 4, 5}, {6, 7, 8, 9, 19}, True),  # 11 of 20
+        ({2, 11}, {5}, False),                          # 3 of 20 fail
+        ({0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}, False),      # 10 of 20: not > R/2
+        ({0, 1, 2, 3, 4, 5}, {6, 7, 8, 9, 19}, True),   # 11 of 20
     ])
     def test_study_cell(self, monkeypatch, inf_high, nan_rr, na):
         (clean,) = run_study(self.CFG)["cells"]
