@@ -2,9 +2,12 @@
 
 Exit codes: 0 success (including NA study rows), 2 usage/config error
 (an invalid option value among them), 3 data error (a missing or constant
-column and spline knots a column cannot give among them), 4 numerical
-failure of a requested single fit (including ``NoFiniteSolution``) or of
-a study in which no cell has any successful replication.
+column, spline knots a column cannot give, and more model parameters than
+rows among them), 4 numerical failure of a requested single fit (including
+``NoFiniteSolution``) or of a study in which no cell has any successful
+replication.  The three fit methods share one input contract
+(``eecore._in_stacks``), so the same data error gives exit 3 whatever the
+``--method``.
 """
 
 from __future__ import annotations

@@ -27,6 +27,11 @@ a stack are columns: beta is B x p x 1, y and mu are B x n x 1.
 design with plain vectors or such a stack.  One design is a stack of one
 by a view (``X.T[None]``), without a copy of ``X``.
 
+One front end, ``_in_stacks``, takes the input of all three fitters (this
+module's and ``logbin``'s two): it checks each input rule once per group
+of equal-shape designs and gathers each group into one stack, so every
+method accepts and rejects the same input in the same way.
+
 Failures are per design: a stacked LAPACK call that raises is repeated
 design by design (``_by_row``), so each design gets what it gets alone.
 
@@ -205,18 +210,6 @@ def _check_conditioning(jac) -> np.ndarray:
     return cond
 
 
-def _newton_step(jac, score):
-    """The Newton steps solve(-J, score) of a stack.  A stack of one whose
-    solve fails raises ``SingularJacobian``; a larger stack passes the
-    ``LinAlgError`` on, so that its designs are solved one by one."""
-    try:
-        return np.linalg.solve(-jac, score)
-    except np.linalg.LinAlgError:
-        if len(jac) > 1:
-            raise
-        raise SingularJacobian(float(np.linalg.cond(-jac[0]))) from None
-
-
 def _by_row(fn, like, *stacks):
     """``fn(*stacks)`` as (value, {row: exception}).
 
@@ -245,12 +238,12 @@ def fit_robust_poisson(design: DesignMatrix | np.ndarray, y) -> FitResult:
 
     This is the one-design case of ``fit_robust_poisson_stack``: a stack
     of one, a view of its ``X``.  ``design`` is a ``DesignMatrix`` or a
-    bare n x p array, converted once to the layout of a built design.
-    A design with more columns than rows raises ``DataError``; data for
-    which no finite root exists (see ``_no_finite_solution``), an
-    outcome that is 0 on every row among them, raise ``NoFiniteSolution``
-    before iterating.  A fit that does not converge raises
-    ``NonConvergence``, so the result always has ``converged`` set.
+    bare n x p array, taken under the input rules every fitter shares
+    (``_in_stacks``); p > n raises ``DataError``.  Data for which no
+    finite root exists (see ``_no_finite_solution``), an outcome that is 0
+    on every row among them, raise ``NoFiniteSolution`` before iterating.
+    A fit that does not converge raises ``NonConvergence``, so the result
+    always has ``converged`` set.
 
     Each accepted iterate keeps its fitted means mu = exp(X beta), computed
     once for the step-halving score and reused by the next Jacobian.  At
@@ -261,10 +254,7 @@ def fit_robust_poisson(design: DesignMatrix | np.ndarray, y) -> FitResult:
     final Jacobian, whose value is ``condition_estimate``; above
     ``COND_MAX`` it raises ``SingularJacobian``.
     """
-    (fit,) = fit_robust_poisson_stack([design], [y])
-    if isinstance(fit, Exception):
-        raise fit
-    return fit
+    return _alone(_fit_stack, design, y)
 
 
 def fit_robust_poisson_stack(designs, ys) -> list:
@@ -275,65 +265,101 @@ def fit_robust_poisson_stack(designs, ys) -> list:
     ``RiskRatioError``/``LinAlgError`` that ``fit_robust_poisson`` raises
     on it alone; bit for bit the one-design fit either way.
     """
-    return _in_stacks(_fit_stack, [_design_arrays(d, y) for d, y in zip(designs, ys)])
+    return _in_stacks(_fit_stack, designs, ys)
 
 
-def _design_arrays(design, y):
-    """(X, DesignMatrix or None, y) of a design and its outcome, as floats;
-    a bare array is converted once to the layout of a built design."""
-    if isinstance(design, DesignMatrix):
-        return design.X, design, np.asarray(y, float)
-    return as_matrix(design), None, np.asarray(y, float)
+def _in_stacks(fit_stack, designs, ys) -> list:
+    """The front end of every fitter: ``fit_stack(members, Xt, y, ranges)``
+    on each group of equal-shape designs, with their outcomes ``ys``; the
+    entries come back in the order of ``designs``.
 
-
-def _in_stacks(fit_stack, arrays) -> list:
-    """``fit_stack(Xs, ys, dms)`` on each group of equal-shape designs among
-    ``arrays``, (X, DesignMatrix or None, y) triples; its results come back
-    in the order of ``arrays``."""
-    fits = [None] * len(arrays)
+    A design is a ``DesignMatrix`` or a bare n x p array, converted once to
+    the layout of a built design.  The input rules hold once per group,
+    before any fit: an outcome that is not one value per row of its
+    design, or a non-finite value, raises ``ValueError`` for the whole
+    call; a design with p > n gets ``DataError`` and is not fitted.
+    ``fit_stack`` gets the group's (X, DesignMatrix or None, y) triples,
+    the C-contiguous stack of their ``X.T`` (B x p x n), their outcomes as
+    B x n x 1 columns and their column ranges (B x 2 x p, kept by a built
+    design), off which X's finiteness is read.
+    """
     groups: dict[tuple, list] = {}
-    for i, (X, dm, y) in enumerate(arrays):
-        groups.setdefault(X.shape, []).append((i, X, dm, y))
-    for members in groups.values():
-        idx, Xs, dms, yv = zip(*members)
-        for i, fit in zip(idx, fit_stack(Xs, yv, dms)):
-            fits[i] = fit
-    return fits
+    for i, (design, y) in enumerate(zip(designs, ys)):
+        dm = design if isinstance(design, DesignMatrix) else None
+        X, y = as_matrix(design) if dm is None else dm.X, np.asarray(y, float)
+        if X.ndim != 2 or y.shape != X.shape[:1]:
+            raise ValueError(f"design of shape {X.shape} and outcome of shape "
+                             f"{y.shape} do not match: need n x p and n")
+        groups.setdefault(X.shape, []).append((i, (X, dm, y)))
+    stacks = []
+    for group in groups.values():
+        idx, members = zip(*group)
+        ranges = np.array([column_ranges(X) if dm is None else dm.column_ranges
+                           for X, dm, _ in members])
+        y = stacked([y for *_, y in members])
+        if not (np.isfinite(ranges).all() and np.isfinite(y).all()):
+            raise ValueError("design matrix and outcome must be finite")
+        stacks.append((idx, members, ranges, y))
+    fits = {}
+    for idx, members, ranges, y in stacks:
+        n, p = members[0][0].shape
+        if p > n:
+            out = [DataError(f"p={p} parameters with only n={n} observations")
+                   for _ in idx]
+        else:
+            out = fit_stack(members, stacked([X.T for X, *_ in members]),
+                            y[:, :, None], ranges)
+        fits.update(zip(idx, out))
+    return [fits[i] for i in range(len(fits))]
 
 
-def _fit_stack(Xs, ys, dms) -> list:
-    """Fit equal-shape column-major designs ``Xs`` with outcomes ``ys``;
-    ``dms`` holds each one's ``DesignMatrix`` or None."""
-    n, p = Xs[0].shape
-    if p > n:
-        return [DataError(f"p={p} parameters with only n={n} observations")
-                for _ in Xs]
-    Xt, y = stacked([X.T for X in Xs]), stacked(ys)[:, :, None]
-    ranges = np.array([column_ranges(X) if dm is None else dm.column_ranges
-                       for X, dm in zip(Xs, dms)])
-    failed = _no_finite_solution(_t(Xt), y, ranges[:, 0], ranges[:, 1],
-                                 [None if dm is None else dm.labels for dm in dms])
-    fits = [failed.get(i) for i in range(len(Xs))]
-    rows = np.flatnonzero(_without(len(Xs), failed))
+def _alone(fit_stack, design, y):
+    """``_in_stacks`` of one design: its fit, or its error raised."""
+    (fit,) = _in_stacks(fit_stack, [design], [y])
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
+
+
+def _captured(fn, *args):
+    """``fn(*args)``, or the ``RiskRatioError`` or ``LinAlgError`` it
+    raised, as an entry of a list of fits."""
+    try:
+        return fn(*args)
+    except (RiskRatioError, np.linalg.LinAlgError) as exc:
+        return exc
+
+
+def _fit_stack(members, Xt, y, ranges) -> list:
+    """Robust Poisson on one group of ``_in_stacks``: the designs without
+    a finite root fail before iterating, the others share one Newton
+    loop."""
+    labels = [None if dm is None else dm.labels for _, dm, _ in members]
+    failed = _no_finite_solution(_t(Xt), y, ranges[:, 0], ranges[:, 1], labels)
+    fits = [failed.get(i) for i in range(len(members))]
+    rows = np.flatnonzero(_without(len(members), failed))
     if not rows.size:
         return fits
     Xt, y = _rows(Xt, rows), _rows(y, rows)
-    beta = np.stack([_initial_beta(Xs[i], ys[i]) for i in rows])[:, :, None]
-    for k, fit in _newton(Xt, y, beta, n, [dms[i] for i in rows]).items():
+    beta = np.stack([_initial_beta(members[i][0], members[i][2]) for i in rows])
+    for k, fit in _newton(Xt, y, beta[:, :, None], [members[i][1] for i in rows]).items():
         fits[rows[k]] = fit
     return fits
 
 
-def _newton(Xt, y, beta, n, dms) -> dict:
+def _newton(Xt, y, beta, dms) -> dict:
     """Damped Newton on a stack from the starting points ``beta``; ``dms``
     holds each row's ``DesignMatrix`` or None.
 
     Returns {row: FitResult or exception}; rows are positions in the given
     stack.  The Jacobian computed after each step serves the next step, and
     is the final Jacobian of a row that has just converged, which
-    ``_converged`` finishes from it.  A row unconverged after MAX_ITER
-    steps gets ``NonConvergence`` and no further Jacobian.  Finished and
-    failed rows leave the stack, which is then gathered anew from ``Xt``.
+    ``_converged`` finishes from it.  A row whose Newton solve fails or
+    gives a non-finite step gets ``SingularJacobian`` from its
+    conditioning, or else keeps the solve's ``LinAlgError``.  A row
+    unconverged after MAX_ITER steps gets ``NonConvergence`` and no further
+    Jacobian.  Finished and failed rows leave the stack, which is then
+    gathered anew from ``Xt``.
     """
     rows = np.arange(len(Xt))
     out = {}
@@ -341,14 +367,16 @@ def _newton(Xt, y, beta, n, dms) -> dict:
     mu = np.exp(_t(Xt) @ beta)
     score = ee_score(_t(Xt), y, beta, mu=mu)
     norm = np.abs(score).max(axis=(1, 2))       # ||score||_inf per row
-    tol = SCORE_TOL * n
+    tol = SCORE_TOL * Xt.shape[2]
     jac = ee_jacobian(_t(Xt), y, beta, mu=mu)
 
     for iterations in range(1, MAX_ITER + 1):
-        delta, failed = _by_row(_newton_step, score, jac, score)
-        if not np.isfinite(delta).all():
-            # A row whose solve failed has a zero step, so is not checked.
-            at = np.flatnonzero(~np.isfinite(delta).all(axis=(1, 2)))
+        delta, failed = _by_row(lambda j, s: np.linalg.solve(-j, s), score, jac, score)
+        if failed or not np.isfinite(delta).all():
+            # A failed solve leaves a zero step; its row is checked too.
+            unsolved = ~np.isfinite(delta).all(axis=(1, 2))
+            unsolved[list(failed)] = True
+            at = np.flatnonzero(unsolved)
             _, bad = _by_row(_check_conditioning, norm[at], jac[at])
             failed.update({at[k]: exc for k, exc in bad.items()})
 
@@ -387,31 +415,24 @@ def _newton(Xt, y, beta, n, dms) -> dict:
 
 def _converged(rows, Xt, y, beta, mu, jac, norm, iterations, dms) -> dict:
     """{row: FitResult or exception} of the given converged rows of a stack,
-    from their final Jacobians ``jac``: their conditioning, which above
-    ``COND_MAX`` raises ``SingularJacobian``, and their sandwich."""
-    cond, failed = _by_row(_check_conditioning, norm, jac)
-    out = {rows[k]: exc for k, exc in failed.items()}
-    if failed:
-        keep = _without(len(rows), failed)
-        if not keep.any():
-            return out
-        rows, Xt, y, beta, mu, jac, norm, cond = (
-            a[keep] for a in (rows, Xt, y, beta, mu, jac, norm, cond))
+    from their final Jacobians ``jac``: their conditioning and their
+    sandwich.  A row whose conditioning is above ``COND_MAX`` gets
+    ``SingularJacobian``, whatever its sandwich gave."""
+    cond, ill = _by_row(_check_conditioning, norm, jac)
     cov, failed = _by_row(sandwich_covariance, jac, _t(Xt), y, beta, mu, jac)
+    failed.update(ill)
     n_mu_gt1 = (mu > 1.0).sum(axis=(1, 2))
-    for k, r in enumerate(rows):
-        out[r] = failed[k] if k in failed else FitResult(
-            beta=beta[k, :, 0],
-            cov_sandwich=cov[k],
-            converged=True,
-            iterations=iterations,
-            max_abs_score=float(norm[k]),
-            mu_hat=mu[k, :, 0],
-            n_mu_gt1=int(n_mu_gt1[k]),
-            condition_estimate=float(cond[k]),
-            design=dms[r],
-        )
-    return out
+    return {r: failed[k] if k in failed else FitResult(
+        beta=beta[k, :, 0],
+        cov_sandwich=cov[k],
+        converged=True,
+        iterations=iterations,
+        max_abs_score=float(norm[k]),
+        mu_hat=mu[k, :, 0],
+        n_mu_gt1=int(n_mu_gt1[k]),
+        condition_estimate=float(cond[k]),
+        design=dms[r],
+    ) for k, r in enumerate(rows)}
 
 
 def _without(size, failed) -> np.ndarray:

@@ -2,8 +2,12 @@
 
 ``FIT_METHODS`` maps each method name to a fitter (design, y) ->
 ``FitResult``; the CLI fits through it, and the study runner through
-``fit_each``, which fits many designs at once where the method can.  Two
-estimands: the exponentiated coefficient (conditional RR from the
+``fit_each``, which fits many designs at once where the method has a
+stacked fitter (``_FIT_STACKS``) and turns each fit's raised error into an
+entry of its list (``eecore._captured``).  Every method shares the input
+rules of ``eecore._in_stacks``.
+
+Two estimands: the exponentiated coefficient (conditional RR from the
 log-linear model) and the standardized marginal RR obtained by averaging
 model-predicted risks over the estimation sample with the exposure forced
 to each level (g-computation).  Intervals are Wald on the log scale, with
@@ -29,7 +33,9 @@ import numpy as np
 
 from .data import Dataset
 from .design import DesignMatrix, force_exposure, realize, shape_key, stacked
-from .eecore import ETA_MAX, FitResult, fit_robust_poisson, fit_robust_poisson_stack
+from .eecore import (
+    ETA_MAX, FitResult, _captured, fit_robust_poisson, fit_robust_poisson_stack,
+)
 from .errors import (
     FitFailed,
     NonFiniteStandardization,
@@ -54,8 +60,11 @@ class RREstimate:
 
 
 def _usable(method: str, fit: FitResult) -> FitResult:
-    """A log-binomial fit as its fitter returned it, if it converged (a fit
-    without a covariance never has); any other fit raises ``FitFailed``."""
+    """A fit as its fitter returned it, if it converged (a log-binomial fit
+    without a covariance never has); an unconverged fit raises
+    ``FitFailed``, and an exception in place of a fit is raised."""
+    if isinstance(fit, Exception):
+        raise fit
     if not fit.converged:
         raise FitFailed(
             f"{method} failed: {fit.failure_reason or 'non-convergence'} "
@@ -73,6 +82,13 @@ FIT_METHODS = {
 }
 DEFAULT_METHOD = "robust-poisson"
 
+# The methods that fit a list of designs as stacks, each entry (designs,
+# ys) -> one fit or exception per design; the others fit design by design.
+_FIT_STACKS = {
+    "robust-poisson": lambda designs, ys: fit_robust_poisson_stack(designs, ys),
+    "logbin-ab": lambda designs, ys: fit_logbin_barrier_stack(designs, ys),
+}
+
 
 def fit_each(method: str, designs, ys) -> list:
     """Fit each design with its outcome by method name.
@@ -80,34 +96,15 @@ def fit_each(method: str, designs, ys) -> list:
     Returns, per design, its ``FitResult`` or the ``RiskRatioError`` or
     ``LinAlgError`` its fit raised; each entry is what
     ``FIT_METHODS[method](design, y)`` returns or raises, ``FitFailed``
-    for an unconverged log-binomial fit included.  Robust Poisson and the
-    log-barrier fit the designs as stacks (``fit_robust_poisson_stack``,
-    ``fit_logbin_barrier_stack``); log-binomial ML fits them one by one.
-    Non-finite input raises ``ValueError``, as the fitters do.
+    for an unconverged log-binomial fit included.  A method in
+    ``_FIT_STACKS`` fits the designs as stacks; another fits them one by
+    one.  Input that breaks the fitters' input rules raises ``ValueError``,
+    as the fitters do (``eecore._in_stacks``).
     """
-    if method == "robust-poisson":
-        return fit_robust_poisson_stack(designs, ys)
-    if method == "logbin-ab":
-        return [_usable_or_failure("logbin-ab", fit)
-                for fit in fit_logbin_barrier_stack(designs, ys)]
-    fits = []
-    for design, y in zip(designs, ys):
-        try:
-            fits.append(FIT_METHODS[method](design, y))
-        except (RiskRatioError, np.linalg.LinAlgError) as exc:
-            fits.append(exc)
-    return fits
-
-
-def _usable_or_failure(method: str, fit):
-    """``_usable(method, fit)``, or the ``FitFailed`` it raises; an
-    exception in place of a fit as it is."""
-    if isinstance(fit, Exception):
-        return fit
-    try:
-        return _usable(method, fit)
-    except FitFailed as exc:
-        return exc
+    if method not in _FIT_STACKS:
+        return [_captured(FIT_METHODS[method], design, y)
+                for design, y in zip(designs, ys)]
+    return [_captured(_usable, method, fit) for fit in _FIT_STACKS[method](designs, ys)]
 
 
 def _z(level: float) -> float:
@@ -175,16 +172,6 @@ def _standardized_stack(designs, betas, datas, levels) -> list:
         total = mu[:, :, 0].sum(axis=1)
         out.append((total / data.n, (S @ mu)[:, :, 0] / total[:, None], over))
     return out
-
-
-def _standardized_means(fit: FitResult, data: Dataset, a: float):
-    """Mean fitted risk with the exposure forced to level a, plus the
-    gradient of its log w.r.t. beta: ``_standardized_stack`` of one fit."""
-    (means, grads, over), = _standardized_stack(
-        [fit.design], fit.beta[None, :, None], [data], (a,))
-    if over[0]:
-        raise NonFiniteStandardization("exp overflow during standardization")
-    return means[0], grads[0]
 
 
 def marginal_rr(

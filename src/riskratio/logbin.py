@@ -19,18 +19,19 @@ and each design's fit equals its one-design fit bit for bit.  Each design
 keeps its own barrier weight, stage and iterate; per-row masks decide
 step truncation, step halving and the end of a stage or of the fit, and a
 design that ends its last stage leaves the stack.  The ML fitter stays one
-design at a time: it fails fast, and costs little.
+design at a time: it fails fast, and costs little.  Both fitters take
+their input through ``eecore._in_stacks``, the ML fitter as a stack of
+one, so they accept and reject input exactly as robust Poisson does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .design import stacked
 from .eecore import (
-    FitResult, _as_row, _by_row, _design_arrays, _in_stacks, _rows, _t, _without,
+    FitResult, _alone, _as_row, _by_row, _captured, _in_stacks, _rows, _t, _without,
 )
-from .errors import InfeasiblePoint, NoFeasibleStart, RiskRatioError
+from .errors import InfeasiblePoint, NoFeasibleStart
 from . import eecore
 
 ETA_CAP = -1e-10        # accepted iterates keep max_i x_i beta <= this
@@ -180,8 +181,8 @@ def feasible_start(X, y) -> np.ndarray:
         beta = np.zeros(p)
         beta[intercept[0]] = np.log(max(min(ybar, 1 - 1.0 / (2 * n)), 1.0 / (2 * n)))
         return beta
-    try:
-        fit = eecore.fit_robust_poisson(X, y)
+    fit = _captured(eecore.fit_robust_poisson, X, y)
+    if not isinstance(fit, Exception):
         beta = fit.beta.copy()
         shift = np.max(X @ beta) + 0.1
         if shift > 0:
@@ -192,19 +193,7 @@ def feasible_start(X, y) -> np.ndarray:
             beta = beta * scale
         if np.max(X @ beta) < 0:
             return beta
-    except (RiskRatioError, np.linalg.LinAlgError):
-        pass
     raise NoFeasibleStart("could not construct a strictly feasible start")
-
-
-def _arrays(design, y):
-    """(X, DesignMatrix or None, y) as floats, a bare array in the layout of
-    a built design (``design.as_matrix``); rejects non-finite input, which
-    the linear algebra below would otherwise carry along as NaN."""
-    X, dm, y = _design_arrays(design, y)
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise ValueError("design matrix and outcome must be finite")
-    return X, dm, y
 
 
 def _finish(X, y, beta, converged, on_boundary, iterations, reason, dm):
@@ -248,9 +237,14 @@ def fit_logbin_ml(design, y) -> FitResult:
     probability reaching 1).  This is the classic failure mode of
     log-binomial maximum likelihood when the optimum is on or near the
     boundary; it is reported via ``converged``/``failure_reason``, never
-    raised.  The barrier fitter is the safeguarded alternative.
+    raised.  The barrier fitter is the safeguarded alternative.  Input is
+    taken as by every fitter (``eecore._in_stacks``), as a stack of one.
     """
-    X, dm, y = _arrays(design, y)
+    return _alone(lambda members, *stack: [_ml(*m) for m in members], design, y)
+
+
+def _ml(X, dm, y) -> FitResult:
+    """``fit_logbin_ml`` of one design, past the input rules."""
     n = X.shape[0]
     tol = GRAD_TOL * n
     ny = 1 - y
@@ -306,10 +300,7 @@ def fit_logbin_barrier(design, y) -> FitResult:
     is raised; a fit that does not reach stationarity is returned
     unconverged.
     """
-    (fit,) = fit_logbin_barrier_stack([design], [y])
-    if isinstance(fit, Exception):
-        raise fit
-    return fit
+    return _alone(_barrier_stack, design, y)
 
 
 def fit_logbin_barrier_stack(designs, ys) -> list:
@@ -318,10 +309,10 @@ def fit_logbin_barrier_stack(designs, ys) -> list:
     Designs of equal shape run in one barrier loop.  Returns one entry per
     design, in order: its ``FitResult`` or the ``RiskRatioError``/
     ``LinAlgError`` that ``fit_logbin_barrier`` raises on it alone; bit for
-    bit the one-design fit either way.  Non-finite input raises
-    ``ValueError`` for the whole call.
+    bit the one-design fit either way.  Input is taken by
+    ``eecore._in_stacks``: p > n gives ``DataError``, with no start sought.
     """
-    return _in_stacks(_barrier_stack, [_arrays(d, y) for d, y in zip(designs, ys)])
+    return _in_stacks(_barrier_stack, designs, ys)
 
 
 # The barrier weight of each stage: BARRIER_T_START, times BARRIER_T_FACTOR
@@ -332,28 +323,21 @@ while _STAGE_T[-1] * BARRIER_T_FACTOR >= BARRIER_T_STOP * 0.999:
 _STAGE_T = np.array(_STAGE_T)
 
 
-def _barrier_stack(Xs, ys, dms) -> list:
-    """Fit equal-shape column-major designs ``Xs`` with outcomes ``ys`` by
-    the barrier method; ``dms`` holds each one's ``DesignMatrix`` or None.
+def _barrier_stack(members, Xt, y, ranges) -> list:
+    """The barrier method on one group of ``eecore._in_stacks``.
 
     Each design starts from its own ``feasible_start``; the stages run on
     the stack (``_barrier``), and each finished design gets its final
     gradient and ``_finish`` alone, from the iterate the stack kept.
     """
-    n = Xs[0].shape[0]
-    fits: list = [None] * len(Xs)
-    starts = {}
-    for i, (X, y) in enumerate(zip(Xs, ys)):
-        try:
-            starts[i] = feasible_start(X, y)
-        except (RiskRatioError, np.linalg.LinAlgError) as exc:
-            fits[i] = exc
-    rows = np.array(list(starts), dtype=int)
+    n = Xt.shape[2]
+    starts = [_captured(feasible_start, X, y1) for X, _, y1 in members]
+    fits = [s if isinstance(s, Exception) else None for s in starts]
+    rows = np.array([k for k, fit in enumerate(fits) if fit is None], dtype=int)
     if not rows.size:
         return fits
-    Xt = stacked([Xs[i].T for i in rows])
-    y = stacked([ys[i] for i in rows])[:, :, None]
-    beta = np.stack(list(starts.values()))[..., None]
+    Xt, y = _rows(Xt, rows), _rows(y, rows)
+    beta = np.stack([starts[k] for k in rows])[..., None]
     eta = _t(Xt) @ beta
     if (eta > 0).any():
         infeasible = (eta > 0).any(axis=(1, 2))
@@ -370,14 +354,14 @@ def _barrier_stack(Xs, ys, dms) -> list:
     for at, iterations, beta, state in finished:
         for k, r in enumerate(at):
             i = rows[r]
-            X, y = Xs[i], ys[i]
+            X, dm, y = members[i]
             eta = state.eta[k, :, 0]
             on_boundary = eta.max() > -BOUNDARY_EPS * 10
             grad = _gradient_q(X, y, state.ny[k, :, 0] * _q(eta, state.s[k, :, 0]))
             converged = bool(np.abs(grad).max() < 1e-4 * n or on_boundary)
             reason = None if converged else "barrier did not reach stationarity"
             fits[i] = _finish(X, y, beta[k, :, 0], converged, on_boundary,
-                              iterations, reason, dms[i])
+                              iterations, reason, dm)
     return fits
 
 

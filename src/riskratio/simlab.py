@@ -63,8 +63,6 @@ def expit(x):
 class Scenario:
     """One data-generating process: covariates, exposure model, outcome model."""
 
-    name: str
-    covariates: tuple[str, ...]
     simple_spec: str
     rich_spec: str
 
@@ -155,22 +153,18 @@ class _FigureDemo(Scenario):
 
 SCENARIOS: dict[str, Scenario] = {
     "simple": _Simple(
-        "simple", ("L1", "L2"),
         simple_spec="1 + A + L1 + L2",
         rich_spec="1 + A + L1 + L2 + L1:L2",
     ),
     "moderate": _Moderate(
-        "moderate", ("L1", "L2"),
         simple_spec="1 + A + L1 + L2",
         rich_spec="1 + A + rcs(L1,4) + rcs(L2,4) + L1:L2",
     ),
     "complex": _Complex(
-        "complex", ("L1", "L2"),
         simple_spec="1 + A + L1 + L2",
         rich_spec="1 + A + rcs(L1,4) + rcs(L2,4) + L1:L2",
     ),
     "figure-demo": _FigureDemo(
-        "figure-demo", ("L1",),
         simple_spec="1 + A + L1",
         rich_spec="1 + A + L1",
     ),
@@ -188,11 +182,14 @@ def get_scenario(name: str) -> Scenario:
 
 
 def generate(scenario: Scenario | str, n: int, seed=None, rng=None) -> Dataset:
-    """Draw one dataset from a scenario; deterministic given (scenario, n, seed)."""
+    """Draw one dataset from a scenario; deterministic given (scenario, n,
+    seed), or drawn from ``rng``; both given raise ``TypeError``."""
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     if rng is None:
         rng = stream(0 if seed is None else seed, 0)
+    elif seed is not None:
+        raise TypeError("generate takes seed or rng, not both")
     cols = scenario.gen_covariates(rng, n)
     a = (rng.random(n) < scenario.p_exposure(cols)).astype(float)
     y = (rng.random(n) < scenario.p_outcome(a, cols)).astype(float)
@@ -250,6 +247,10 @@ class StudyConfig:
 
     def __post_init__(self):
         get_scenario(self.scenario)
+        for key in ("n", "replications", "base_seed", "truth_n"):
+            value = getattr(self, key)
+            if type(value) is not int:      # not a bool, an int subclass, either
+                raise ConfigError(f"must be an integer, got {value!r}", key=key)
         if self.replications < 1:
             raise ConfigError("must be >= 1", key="replications")
         if self.n < 1:
@@ -262,6 +263,8 @@ class StudyConfig:
         for key, known in (("methods", inference.FIT_METHODS),
                            ("specifications", SPECIFICATIONS), ("estimands", ESTIMANDS)):
             names = getattr(self, key)
+            if isinstance(names, str):
+                raise ConfigError(f"must be a list of names, got {names!r}", key=key)
             if not names:
                 raise ConfigError("must name at least one", key=key)
             for i, name in enumerate(names):

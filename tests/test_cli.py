@@ -18,7 +18,7 @@ from riskratio import (
 )
 from riskratio.cli import main
 from riskratio.rng import stream
-from riskratio.simlab import generate, get_scenario
+from riskratio.simlab import expit, generate, get_scenario
 
 
 @pytest.fixture
@@ -202,6 +202,22 @@ class TestFit:
         assert marginal["method"] == "delta"
 
 
+    def test_fitted_means_above_one_are_warned(self, tmp_path, capsys):
+        # A risk that rises steeply in L: the log-linear fit puts 37 of the
+        # 300 fitted means above 1, and says so.
+        rng = stream(64, 0)
+        L = rng.uniform(-1, 1, 300)
+        A = (rng.random(300) < 0.5) * 1.0
+        y = (rng.random(300) < expit(-1 + 0.5 * A + 5 * L)) * 1.0
+        path = tmp_path / "steep.csv"
+        path.write_text("y,A,L\n" + "".join(
+            f"{int(yi)},{int(ai)},{li:.17g}\n" for yi, ai, li in zip(y, A, L)))
+        assert main(["fit", "--csv", str(path), "--outcome", "y",
+                     "--exposure", "A", "--spec", "1 + A + L"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "warning: 37 fitted means exceed 1"
+
+
 class TestStudy:
     SMOKE = (
         "scenario = simple\nn = 200\nreplications = 10\nbase_seed = 11\n"
@@ -351,6 +367,26 @@ class TestExitCodes:
             "--spec", "1 + + A",
         ]) == 2
         capsys.readouterr()
+
+    def test_spec_without_the_exposure_exits_2(self, two_by_two_csv, capsys):
+        assert main([
+            "fit", "--csv", two_by_two_csv, "--outcome", "y", "--exposure", "A",
+            "--spec", "1",
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "error: spec '1' produces no columns for exposure 'A'\n")
+
+    @pytest.mark.parametrize("method", ["robust-poisson", "logbin-ml", "logbin-ab"])
+    def test_more_parameters_than_rows_exits_3_for_every_method(self, tmp_path,
+                                                                  capsys, method):
+        # Every method takes its input through one front end, which refuses
+        # p > n before any iteration.
+        path = tmp_path / "three.csv"
+        path.write_text("y,A,L1,L2\n1,1,0.5,1\n0,0,1.5,2\n1,1,-1,0.3\n")
+        assert main(["fit", "--csv", str(path), "--outcome", "y",
+                     "--exposure", "A", "--method", method]) == 3
+        assert capsys.readouterr().err == (
+            "error: p=4 parameters with only n=3 observations\n")
 
     def test_missing_file_exits_3(self, capsys):
         assert main([

@@ -488,6 +488,48 @@ class TestStack:
         assert solo[4][1] == "SingularJacobian"     # the collinear array
         assert self.halvings(monkeypatch, *cases[-4]) > 0   # n = 15, r = 4
 
+    def test_ill_conditioned_row_among_converging_rows(self, monkeypatch):
+        # Scaling L by 1e-6 leaves the Newton loop converging, but the
+        # final Jacobian's cond(-J) is about 1.3e12, above COND_MAX.  That
+        # row converges in the same iteration as two ordinary ones and is
+        # finished with them: it gets SingularJacobian, they get fits.
+        cases = [stratum_sample(n=400, seed=seed)[::2] for seed in range(4)]
+        scaled = cases[0][0].copy()
+        scaled[:, 2] *= 1e-6
+        cases.insert(1, (scaled, cases[0][1]))
+        finished = []
+        inner = eecore._converged
+
+        def recorded(rows, *args):
+            out = inner(rows, *args)
+            finished.append([type(out[r]).__name__ for r in rows])
+            return out
+
+        monkeypatch.setattr(eecore, "_converged", recorded)
+        fits = eecore.fit_robust_poisson_stack(*zip(*cases))
+        assert ["FitResult", "SingularJacobian", "FitResult"] in finished
+        monkeypatch.undo()
+        solo = [solo_outcome(d, y) for d, y in cases]
+        assert [fit_outcome(f) for f in fits] == solo
+        assert solo[1][1] == "SingularJacobian"
+        assert [o[0] for o in solo] == ["fit", "raised", "fit", "fit", "fit"]
+
+    def test_failed_solve_is_a_singular_jacobian(self):
+        # A zero column makes every Jacobian exactly singular, so the first
+        # Newton solve raises; alone or in a stack, the design gets
+        # SingularJacobian with an infinite condition estimate.
+        cases = []
+        for seed in range(3):
+            X, _, y = stratum_sample(seed=seed)
+            extra = np.zeros(len(y)) if seed == 1 else stratum_sample(seed=seed + 10)[0][:, 2]
+            cases.append((np.column_stack([X, extra]), y))
+        fits = eecore.fit_robust_poisson_stack(*zip(*cases))
+        solo = [solo_outcome(d, y) for d, y in cases]
+        assert [fit_outcome(f) for f in fits] == solo
+        assert [o[0] for o in solo] == ["fit", "raised", "fit"]
+        assert solo[1][1:] == ("SingularJacobian", "estimating-equation Jacobian "
+                               "is numerically singular (condition estimate inf)")
+
     def test_overflowing_and_exhausted_steps(self, monkeypatch):
         # From an intercept of -8 the first full steps overflow and are
         # halved; from -600 the Jacobian is about 1e-258, the steps about

@@ -17,19 +17,31 @@ from riskratio import (
     build_design_matrix,
     coefficient_rr,
     fit_logbin_barrier,
+    fit_logbin_ml,
     fit_robust_poisson,
     generate,
     marginal_rr,
     parse_spec,
 )
-from riskratio import inference
+from riskratio import inference, logbin
 from riskratio.design import build_design_stack, realize
-from riskratio.errors import FitFailed, NonFiniteStandardization, TooManyFailures
+from riskratio.errors import (
+    DataError, FitFailed, NonFiniteStandardization, TooManyFailures,
+)
 from riskratio.rng import stream
 from riskratio.simlab import get_scenario
 
 from oracles import bootstrap_rebuild
 from test_eecore import EIGHT_ROWS, two_by_two
+
+
+def standardized_means(fit, data, a):
+    """Mean fitted risk with the exposure forced to level a, plus the
+    gradient of its log w.r.t. beta: ``_standardized_stack`` of one fit."""
+    (means, grads, over), = inference._standardized_stack(
+        [fit.design], fit.beta[None, :, None], [data], (a,))
+    assert not over[0]
+    return means[0], grads[0]
 
 
 def eight_row_dataset():
@@ -155,10 +167,8 @@ class TestMarginalRR:
             fd[j] = (log_rr_at(bp) - log_rr_at(bm)) / (2 * h)
         # recover the implied gradient from the delta-method variance by
         # re-deriving it the same way marginal_rr does
-        from riskratio.inference import _standardized_means
-
-        _, g1 = _standardized_means(fit, data, 1.0)
-        _, g0 = _standardized_means(fit, data, 0.0)
+        _, g1 = standardized_means(fit, data, 1.0)
+        _, g0 = standardized_means(fit, data, 0.0)
         np.testing.assert_allclose(g1 - g0, fd, rtol=1e-5, atol=1e-8)
 
 
@@ -199,7 +209,7 @@ class TestStandardizedMeans:
         monkeypatch.setattr(inference, "realize",
                             lambda *args: realized.append(1) or realize(*args))
         for (d, a), (m_ref, g_ref) in zip(cases, expected):
-            m, g = inference._standardized_means(fit, d, a)
+            m, g = standardized_means(fit, d, a)
             assert m == m_ref and g.tobytes() == g_ref.tobytes()
         # Only the other sample, of the same size, goes through realize().
         assert len(realized) == 3
@@ -274,6 +284,57 @@ class TestFitMethods:
         assert isinstance(fit, FitResult) and fit is returned[0]
         assert fit.converged and fit.design is dm
         assert fit.variance == ("sandwich" if method == "robust-poisson" else "model")
+
+
+class TestInputContract:
+    """The three methods take their input through one front end
+    (``eecore._in_stacks``): the same input is accepted or refused in the
+    same way by the one-design fitter, its ``FIT_METHODS`` entry and
+    ``fit_each``."""
+
+    METHODS = [("robust-poisson", fit_robust_poisson), ("logbin-ml", fit_logbin_ml),
+               ("logbin-ab", fit_logbin_barrier)]
+
+    @staticmethod
+    def sample():
+        data = generate("simple", 200, rng=stream(709, 0))
+        return build_design_matrix(data, parse_spec("1 + A + L1 + L2"), "A").X, data.y
+
+    @pytest.mark.parametrize("method, fitter", METHODS)
+    def test_bad_input_raises_one_value_error(self, method, fitter):
+        X, y = self.sample()
+        nan_x, inf_y = X.copy(), y.copy()
+        nan_x[5, 2], inf_y[7] = np.nan, np.inf
+        finite = "design matrix and outcome must be finite"
+        cases = [(nan_x, y, finite), (X, inf_y, finite),
+                 (X, y[:-1], "design of shape (200, 4) and outcome of shape (199,) "
+                             "do not match: need n x p and n")]
+        for bad_x, bad_y, text in cases:
+            for call in (lambda: fitter(bad_x, bad_y),
+                         lambda: FIT_METHODS[method](bad_x, bad_y),
+                         lambda: inference.fit_each(method, [X, bad_x], [y, bad_y])):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError) as info:
+                        call()
+                assert str(info.value) == text
+
+    @pytest.mark.parametrize("method, fitter", METHODS)
+    def test_more_parameters_than_rows_is_a_data_error(self, method, fitter,
+                                                       monkeypatch):
+        X, y = self.sample()
+        text = "p=4 parameters with only n=3 observations"
+        good, wide = inference.fit_each(method, [X, X[:3]], [y, y[:3]])
+        assert good.converged and isinstance(wide, DataError) and str(wide) == text
+        starts = []
+        monkeypatch.setattr(logbin, "feasible_start", lambda *a: starts.append(a))
+        for call in (fitter, FIT_METHODS[method]):
+            with pytest.raises(DataError) as info:
+                call(X[:3], y[:3])
+            assert str(info.value) == text
+        entries = inference.fit_each(method, [X[:3], X[1:4]], [y[:3], y[1:4]])
+        assert [(type(e), str(e)) for e in entries] == [(DataError, text)] * 2
+        assert starts == []
 
 
 class TestBootstrap:
@@ -435,8 +496,8 @@ class TestMarginalRRStack:
         assert [_estimate_bits(e) for e in stacked] == [_estimate_bits(e) for e in alone]
         # and the one-fit formulas with plain vectors give the same bits
         for est, fit, data in zip(stacked, fits, datas_used):
-            m1, g1 = inference._standardized_means(fit, data, 1.0)
-            m0, g0 = inference._standardized_means(fit, data, 0.0)
+            m1, g1 = standardized_means(fit, data, 1.0)
+            m0, g0 = standardized_means(fit, data, 0.0)
             g = g1 - g0
             assert est.log_rr == float(np.log(m1) - np.log(m0))
             assert est.se_log_rr == float(np.sqrt(g @ fit.cov_sandwich @ g))

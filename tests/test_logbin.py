@@ -138,6 +138,31 @@ class TestMlFitter:
         assert not fit.converged
         assert fit.failure_reason == "non-finite covariance"
 
+    def test_singular_weighted_least_squares(self):
+        # A repeated column makes X'WX singular: Cholesky refuses it on the
+        # first iteration, and the fit ends at the feasible start.
+        rng = stream(708, 0)
+        a = (rng.random(200) < 0.5) * 1.0
+        l = rng.standard_normal(200)
+        y = (rng.random(200) < 0.3) * 1.0
+        X = np.column_stack([np.ones(200), a, l, l])
+        fit = fit_logbin_ml(X, y)
+        assert (fit.converged, fit.failure_reason, fit.iterations) == (
+            False, "singular weighted least squares", 1)
+        assert fit.beta.tobytes() == feasible_start(X, y).tobytes()
+        with pytest.raises(FitFailed, match="logbin-ml failed: singular weighted"):
+            FIT_METHODS["logbin-ml"](X, y)
+
+    def test_iteration_cap(self, monkeypatch):
+        data = simple_sample(0)
+        dm = build_design_matrix(data, parse_spec("1 + A + L1 + L2"), exposure="A")
+        assert fit_logbin_ml(dm, data.y).iterations > 1
+        monkeypatch.setattr(logbin, "MAX_ITER", 1)
+        fit = fit_logbin_ml(dm, data.y)
+        assert (fit.converged, fit.failure_reason, fit.iterations) == (
+            False, "iteration cap", 1)
+        assert np.max(dm.X @ fit.beta) < 0
+
     def test_saturated_2x2_matches_robust_poisson(self):
         data = two_by_two()
         dm = build_design_matrix(data, parse_spec("1 + A"), exposure="A")

@@ -146,6 +146,13 @@ class TestGenerate:
         np.testing.assert_array_equal(a.y, b.y)
         np.testing.assert_array_equal(a.column("L1"), b.column("L1"))
 
+    def test_seed_and_rng_together_rejected(self):
+        # Either one names the draw; given both, neither may be dropped.
+        with pytest.raises(TypeError, match="seed or rng, not both"):
+            generate("simple", 5, seed=1, rng=stream(9, 0))
+        seeded = generate("simple", 50, seed=1)
+        np.testing.assert_array_equal(seeded.y, generate("simple", 50, rng=stream(1, 0)).y)
+
 
 class TestTruth:
     def test_simple_matches_exact_strata(self):
@@ -199,6 +206,26 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(f"scenario = simple\n{text}")
         assert err.value.key == key
+
+    @pytest.mark.parametrize("key, value", [
+        ("methods", "robust-poisson"),
+        ("specifications", "simple"),
+        ("estimands", "coefficient"),
+        ("n", 2.5),
+        ("n", True),
+        ("replications", 10.0),
+        ("replications", "10"),
+        ("base_seed", None),
+        ("base_seed", False),
+        ("truth_n", 1e6),
+    ])
+    def test_field_of_the_wrong_type_rejected(self, key, value):
+        # Given from Python, not parsed: a string is not a list of names,
+        # and a count is an int, not a float, a string or a bool.
+        with pytest.raises(ConfigError) as err:
+            StudyConfig(scenario="simple", **{key: value})
+        assert err.value.key == key
+        assert repr(value) in str(err.value)
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
     def test_shipped_configs_parse(self, path):
