@@ -210,6 +210,15 @@ def _check_conditioning(jac) -> np.ndarray:
     return cond
 
 
+def _captured(fn, *args):
+    """``fn(*args)``, or the ``RiskRatioError`` or ``LinAlgError`` it
+    raised, as an entry of a list of fits."""
+    try:
+        return fn(*args)
+    except (RiskRatioError, np.linalg.LinAlgError) as exc:
+        return exc
+
+
 def _by_row(fn, like, *stacks):
     """``fn(*stacks)`` as (value, {row: exception}).
 
@@ -219,16 +228,16 @@ def _by_row(fn, like, *stacks):
     exception instead (its row of the value stays 0), the one its
     one-design fit raises.
     """
-    try:
-        return fn(*stacks), {}
-    except (RiskRatioError, np.linalg.LinAlgError):
-        pass
+    whole = _captured(fn, *stacks)
+    if not isinstance(whole, Exception):
+        return whole, {}
     out, errors = np.zeros_like(like), {}
     for i in range(len(out)):
-        try:
-            out[i] = fn(*(s[i:i + 1] for s in stacks))[0]
-        except (RiskRatioError, np.linalg.LinAlgError) as exc:
-            errors[i] = exc
+        row = _captured(fn, *(s[i:i + 1] for s in stacks))
+        if isinstance(row, Exception):
+            errors[i] = row
+        else:
+            out[i] = row[0]
     return out, errors
 
 
@@ -286,7 +295,8 @@ def _in_stacks(fit_stack, designs, ys) -> list:
     groups: dict[tuple, list] = {}
     for i, (design, y) in enumerate(zip(designs, ys)):
         dm = design if isinstance(design, DesignMatrix) else None
-        X, y = as_matrix(design) if dm is None else dm.X, np.asarray(y, float)
+        X = as_matrix(design) if dm is None else dm.X
+        y = np.asarray(y, float)
         if X.ndim != 2 or y.shape != X.shape[:1]:
             raise ValueError(f"design of shape {X.shape} and outcome of shape "
                              f"{y.shape} do not match: need n x p and n")
@@ -319,15 +329,6 @@ def _alone(fit_stack, design, y):
     if isinstance(fit, Exception):
         raise fit
     return fit
-
-
-def _captured(fn, *args):
-    """``fn(*args)``, or the ``RiskRatioError`` or ``LinAlgError`` it
-    raised, as an entry of a list of fits."""
-    try:
-        return fn(*args)
-    except (RiskRatioError, np.linalg.LinAlgError) as exc:
-        return exc
 
 
 def _fit_stack(members, Xt, y, ranges) -> list:
