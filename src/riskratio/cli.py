@@ -107,8 +107,7 @@ def _row(label, estimand, est) -> dict:
 
 def _fit_estimates(args, data, design, level):
     """One RR row per exposure contrast, for the chosen method/estimand."""
-    fit_method = inference.FIT_METHODS[args.method]
-    fit = fit_method(design, data.y)
+    fit = inference.FIT_METHODS[args.method](design, data.y)
     warnings = []
     if fit.n_mu_gt1:
         warnings.append(f"{fit.n_mu_gt1} fitted means exceed 1")
@@ -136,7 +135,7 @@ def _fit_estimates(args, data, design, level):
                                   "marginal", est))
     if args.boot:
         boot = inference.bootstrap_rr(
-            lambda dm: fit_method(dm, dm.data.y), design,
+            inference.resample_fitter(args.method, fit), design,
             lambda f, dm: inference.coefficient_rr(f, design.exposure_cols[0], level),
             B=args.boot, seed=args.seed, level=level, fit=fit,
         )

@@ -45,7 +45,10 @@ every iteration; the final Jacobian is the negated bread, so the sandwich
 takes it through ``jac=`` instead of forming the bread again.  Data without
 a finite root, such as an outcome that is 0 on every row, are caught before
 iterating, from the column ranges a ``DesignMatrix`` keeps
-(``DesignMatrix.column_ranges``).
+(``DesignMatrix.column_ranges``).  Newton starts from ``_initial_beta``, or
+from a caller's start: ``fit_robust_poisson(start=...)``, which a bootstrap
+resample gets from the full-sample estimate
+(``inference.resample_fitter``).
 
 ``FitResult`` is the result type of every fitter in the package, the
 log-binomial ones in ``logbin`` included.
@@ -54,6 +57,7 @@ log-binomial ones in ``logbin`` included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -180,10 +184,15 @@ def _no_finite_solution(X, y, lo, hi, labels) -> dict:
         return labels[b][j] if labels[b] is not None else f"column {j}"
 
     events = y[:, :, 0] != 0
-    n_events = np.count_nonzero(events, axis=1)
+    indicator = events.astype(float)
+    n_events = indicator.sum(axis=1)[:, None]
     # Exact where it is read: a sum of one-signed terms is 0 only if every
     # term is, and a sum of k ones is k in any order.
-    on_events = (events.astype(float)[:, None, :] @ X)[:, 0]
+    on_events = (_t(X) @ indicator[:, :, None])[:, :, 0]
+    # Each direction below needs a column that is 0, or (below 1) 1, on
+    # every event row; most designs have none, and are done here.
+    if not ((on_events == 0) | ((on_events == n_events) & (lo < 1))).any():
+        return {}
     one_signed = ((lo >= 0) & (hi > 0)) | ((hi <= 0) & (lo < 0))
     zero = one_signed & (on_events == 0)
     failed = {}
@@ -192,7 +201,7 @@ def _no_finite_solution(X, y, lo, hi, labels) -> dict:
         where = "on every row" if lo[b, j] == hi[b, j] else f"wherever {name(b, j)} != 0"
         failed[b] = NoFiniteSolution(f"no finite solution: the outcome is 0 {where}")
     intercept = ((lo == 1) & (hi == 1)).any(axis=1)
-    below_one = (hi <= 1) & (lo < 1) & (on_events == n_events[:, None])
+    below_one = (hi <= 1) & (lo < 1) & (on_events == n_events)
     for b, j in zip(*np.nonzero(below_one & intercept[:, None])):
         if b not in failed and np.all(X[b][events[b], j] == 1):
             failed[b] = NoFiniteSolution(
@@ -241,7 +250,7 @@ def _by_row(fn, like, *stacks):
     return out, errors
 
 
-def fit_robust_poisson(design: DesignMatrix | np.ndarray, y) -> FitResult:
+def fit_robust_poisson(design: DesignMatrix | np.ndarray, y, start=None) -> FitResult:
     """Solve the log-linear estimating equations by damped Newton and
     attach the sandwich.
 
@@ -254,6 +263,15 @@ def fit_robust_poisson(design: DesignMatrix | np.ndarray, y) -> FitResult:
     A fit that does not converge raises ``NonConvergence``, so the result
     always has ``converged`` set.
 
+    Newton starts from ``start``, p finite coefficients, when it is given
+    (a bootstrap resample starts from the full-sample estimate), else from
+    ``_initial_beta``.  A start of another shape or with a non-finite
+    value raises ``ValueError``; one whose linear predictor exceeds
+    ``ETA_MAX`` on some row raises ``Overflow`` before iterating.  The
+    start decides where the iterations begin, not whether a root exists:
+    the converged estimate agrees with a fit from any other start to
+    within the convergence tolerances.
+
     Each accepted iterate keeps its fitted means mu = exp(X beta), computed
     once for the step-halving score and reused by the next Jacobian.  At
     the solution that Jacobian is the final one: ``mu_hat``, the sandwich
@@ -263,7 +281,7 @@ def fit_robust_poisson(design: DesignMatrix | np.ndarray, y) -> FitResult:
     final Jacobian, whose value is ``condition_estimate``; above
     ``COND_MAX`` it raises ``SingularJacobian``.
     """
-    return _alone(_fit_stack, design, y)
+    return _alone(partial(_fit_stack, start=start), design, y)
 
 
 def fit_robust_poisson_stack(designs, ys) -> list:
@@ -331,10 +349,16 @@ def _alone(fit_stack, design, y):
     return fit
 
 
-def _fit_stack(members, Xt, y, ranges) -> list:
+def _fit_stack(members, Xt, y, ranges, start=None) -> list:
     """Robust Poisson on one group of ``_in_stacks``: the designs without
     a finite root fail before iterating, the others share one Newton
-    loop."""
+    loop, each from ``start`` (p coefficients) if given, else from its
+    ``_initial_beta``."""
+    if start is not None:
+        start = np.asarray(start, float)
+        if start.shape != Xt.shape[1:2] or not np.isfinite(start).all():
+            raise ValueError(f"start must be {Xt.shape[1]} finite coefficients, "
+                             f"got shape {start.shape}")
     labels = [None if dm is None else dm.labels for _, dm, _ in members]
     failed = _no_finite_solution(_t(Xt), y, ranges[:, 0], ranges[:, 1], labels)
     fits = [failed.get(i) for i in range(len(members))]
@@ -342,7 +366,10 @@ def _fit_stack(members, Xt, y, ranges) -> list:
     if not rows.size:
         return fits
     Xt, y = _rows(Xt, rows), _rows(y, rows)
-    beta = np.stack([_initial_beta(members[i][0], members[i][2]) for i in rows])
+    if start is None:
+        beta = np.stack([_initial_beta(members[i][0], members[i][2]) for i in rows])
+    else:
+        beta = np.tile(start, (len(rows), 1))
     for k, fit in _newton(Xt, y, beta[:, :, None], [members[i][1] for i in rows]).items():
         fits[rows[k]] = fit
     return fits
@@ -350,7 +377,9 @@ def _fit_stack(members, Xt, y, ranges) -> list:
 
 def _newton(Xt, y, beta, dms) -> dict:
     """Damped Newton on a stack from the starting points ``beta``; ``dms``
-    holds each row's ``DesignMatrix`` or None.
+    holds each row's ``DesignMatrix`` or None.  A row whose start puts its
+    linear predictor above ``ETA_MAX`` (or at NaN) gets ``Overflow``
+    before the first step.
 
     Returns {row: FitResult or exception}; rows are positions in the given
     stack.  The Jacobian computed after each step serves the next step, and
@@ -364,8 +393,17 @@ def _newton(Xt, y, beta, dms) -> dict:
     """
     rows = np.arange(len(Xt))
     out = {}
-    # A start has x_i beta = log(max(ybar, 1/(2n))) <= 0, or 0: no overflow.
-    mu = np.exp(_t(Xt) @ beta)
+    # An ``_initial_beta`` start has x_i beta = log(max(ybar, 1/(2n))) <= 0,
+    # or 0; a caller's start may overflow, and that row fails here.
+    eta = _t(Xt) @ beta
+    below = eta <= ETA_MAX      # False for NaN too
+    if not below.all():
+        over = ~below.all(axis=(1, 2))
+        out = {r: Overflow("linear predictor overflow at the start") for r in rows[over]}
+        Xt, y, beta, eta, rows = (a[~over] for a in (Xt, y, beta, eta, rows))
+        if not len(rows):
+            return out
+    mu = np.exp(eta)
     score = ee_score(_t(Xt), y, beta, mu=mu)
     norm = np.abs(score).max(axis=(1, 2))       # ||score||_inf per row
     tol = SCORE_TOL * Xt.shape[2]

@@ -90,6 +90,33 @@ _FIT_STACKS = {
 }
 
 
+# The methods whose fitter takes a starting point, each entry (design, y,
+# start) -> FitResult.
+_WARM_STARTS = {
+    "robust-poisson": lambda design, y, start: fit_robust_poisson(design, y, start=start),
+}
+
+
+def resample_fitter(method: str, fit: FitResult):
+    """The ``fitter`` of ``bootstrap_rr`` by method name for design
+    resamples of the sample ``fit`` was fitted on: ``FIT_METHODS[method]``
+    on a resample's ``X`` and outcome, started from ``fit.beta`` where the
+    method takes a start (robust Poisson).
+
+    A resample's rows are rows of the sample, so that start's linear
+    predictor is finite and below ``ETA_MAX`` on each of them, and each
+    resample starts near its own root: fewer Newton iterations than from
+    ``_initial_beta``, with the same estimates to within the convergence
+    tolerances.  A resample without a finite root fails from either
+    start.  The log-binomial methods start as they do on any data.
+    """
+    if method in _WARM_STARTS:
+        warm = _WARM_STARTS[method]
+        return lambda dm: warm(dm, dm.data.y, fit.beta)
+    cold = FIT_METHODS[method]
+    return lambda dm: cold(dm, dm.data.y)
+
+
 def fit_each(method: str, designs, ys) -> list:
     """Fit each design with its outcome by method name.
 
@@ -245,10 +272,13 @@ def bootstrap_rr(
     a rebuild from the resampled data.  ``fitter(sample) -> fit`` and
     ``estimand(fit, sample) -> RREstimate`` are re-run on each resample;
     one that raises, a design resample with a constant column included,
-    counts as failed.  ``fit`` is the caller's ``fitter(sample)``: the
-    point estimate is ``estimand(fit, sample)``, without a refit of the
-    full sample.  Deterministic given ``seed``; resamples are aggregated
-    in resample-index order.  More than 20% failed re-fits raises
+    counts as failed.  ``fit`` is the caller's fit of the full sample:
+    the point estimate is ``estimand(fit, sample)``, without a refit.
+    ``fitter`` may start each resample's fit from ``fit``, as
+    ``resample_fitter`` does for robust Poisson; the resample estimates
+    then agree with cold-started ones to within the fitter's convergence
+    tolerances, in practice in the last bits.  Deterministic given
+    ``seed``; resamples are aggregated in resample-index order.  More than 20% failed re-fits raises
     ``TooManyFailures``.
     """
     if B < 100:

@@ -1,11 +1,14 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from riskratio import (
     Dataset,
+    bootstrap_rr,
     build_design_matrix,
+    coefficient_rr,
     ee_jacobian,
     ee_score,
     fit_robust_poisson,
@@ -13,7 +16,7 @@ from riskratio import (
     parse_spec,
     sandwich_covariance,
 )
-from riskratio import eecore
+from riskratio import eecore, inference
 from riskratio.errors import (
     NoFiniteSolution,
     NonConvergence,
@@ -27,6 +30,9 @@ from riskratio.eecore import MAX_HALVINGS
 from riskratio.simlab import get_scenario
 
 from oracles import fit_irls, poisson_loglik, sandwich_covariance_lz
+
+# ee_jacobian calls of TestCallCounts.test_warm_bootstrap_resamples
+WARM_JACOBIANS = 594
 
 # fixed 8-row dataset used by the grid-refinement oracle and the
 # standardization tests
@@ -260,6 +266,93 @@ class TestCallCounts:
         with pytest.raises(NonConvergence):
             fit_robust_poisson(design, data.y)
         assert len(calls["ee_jacobian"]) == eecore.MAX_ITER
+
+    def test_warm_bootstrap_resamples(self, monkeypatch):
+        # The resample fitter of ``fit --boot`` starts each robust-Poisson
+        # resample from the full-sample estimate: fewer Jacobians than the
+        # same bootstrap from ``_initial_beta``, and exactly this many.
+        data = generate(get_scenario("moderate"), 2000, rng=stream(5, 0))
+        design = build_design_matrix(
+            data, parse_spec(get_scenario("moderate").rich_spec), "A")
+        fit = fit_robust_poisson(design, data.y)
+        calls = self.count_calls(monkeypatch)
+
+        def jacobians(fitter):
+            calls["ee_jacobian"].clear()
+            boot = bootstrap_rr(fitter, design, lambda f, dm: coefficient_rr(f, 1),
+                                fit, B=100, seed=0)
+            assert boot.extra == {"failed_resamples": 0}
+            return len(calls["ee_jacobian"])
+
+        cold = jacobians(lambda dm: fit_robust_poisson(dm, dm.data.y))
+        warm = jacobians(inference.resample_fitter("robust-poisson", fit))
+        assert warm < cold
+        assert warm == WARM_JACOBIANS
+
+
+class TestStart:
+    """Newton from a caller's start: p finite coefficients whose linear
+    predictor stays below ETA_MAX, or an error before iterating."""
+
+    @pytest.mark.parametrize("start", [np.zeros(2), np.zeros(4), np.zeros((1, 3)),
+                                       0.0])
+    def test_wrong_shape_raises(self, start):
+        X, _, y = stratum_sample()
+        with pytest.raises(ValueError, match="start must be 3 finite coefficients"):
+            fit_robust_poisson(X, y, start=start)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_raises(self, value):
+        X, _, y = stratum_sample()
+        with pytest.raises(ValueError, match="start must be 3 finite coefficients"):
+            fit_robust_poisson(X, y, start=np.array([0.0, value, 0.0]))
+
+    @pytest.mark.parametrize("start", [[701.0, 0.0, 0.0], [0.0, 800.0, 0.0]])
+    def test_overflowing_start_raises_before_iterating(self, monkeypatch, start):
+        # Above ETA_MAX on every row, or on the rows with A = 1.
+        X, _, y = stratum_sample()
+        calls = TestCallCounts.count_calls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Overflow, match="linear predictor overflow at the start"):
+                fit_robust_poisson(X, y, start=np.array(start))
+        assert calls == {"ee_score": [], "ee_jacobian": []}
+
+    def test_start_is_not_changed(self):
+        X, _, y = stratum_sample()
+        start = np.array([-1.0, 0.2, 0.1])
+        fit = fit_robust_poisson(X, y, start=start)
+        assert start.tolist() == [-1.0, 0.2, 0.1]
+        assert fit.beta is not start
+
+    def test_from_the_estimate(self):
+        X, _, y = stratum_sample()
+        cold = fit_robust_poisson(X, y)
+        warm = fit_robust_poisson(X, y, start=cold.beta)
+        assert warm.iterations < cold.iterations
+        np.testing.assert_allclose(warm.beta, cold.beta, rtol=1e-12)
+        np.testing.assert_allclose(warm.cov_sandwich, cold.cov_sandwich, rtol=1e-10)
+
+    @pytest.mark.parametrize("start_n", [None, 100, 1000])
+    def test_no_finite_root_still_fails_to_converge(self, start_n):
+        # TestCallCounts.test_non_converging_fit's data: no finite root, and
+        # a direction the column checks do not see.  Started as a resample
+        # would be, from the estimate of a larger sample of the process, or
+        # from _initial_beta given as the start, with the cold fit's error.
+        spec = parse_spec("1 + A + L1")
+        data = generate(get_scenario("figure-demo"), 15, rng=stream(99, 1129))
+        design = build_design_matrix(data, spec, "A")
+        if start_n is None:
+            start = eecore._initial_beta(design.X, data.y)
+        else:
+            sample = generate(get_scenario("figure-demo"), start_n, rng=stream(99, 0))
+            start = fit_robust_poisson(build_design_matrix(sample, spec, "A"), sample.y).beta
+        with pytest.raises(NonConvergence) as warm:
+            fit_robust_poisson(design, data.y, start=start)
+        if start_n is None:
+            with pytest.raises(NonConvergence) as cold:
+                fit_robust_poisson(design, data.y)
+            assert str(warm.value) == str(cold.value)
 
 
 class TestScoreJacobian:

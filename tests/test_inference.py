@@ -23,7 +23,7 @@ from riskratio import (
     marginal_rr,
     parse_spec,
 )
-from riskratio import inference, logbin
+from riskratio import eecore, inference, logbin
 from riskratio.design import build_design_stack, realize
 from riskratio.errors import (
     DataError, FitFailed, NonFiniteStandardization, TooManyFailures,
@@ -460,6 +460,80 @@ class TestBootstrapGivenFit:
         assert given.extra == {"failed_resamples": ref.failed_resamples}
         assert (given.log_rr, given.ci_low, given.ci_high, given.se_log_rr) == (
             ref.log_rr, ref.ci_low, ref.ci_high, ref.se_log_rr)
+
+
+def sparse_b_design():
+    """The data of ``test_cli.py``'s ``test_failed_resamples_are_reported``:
+    B is 1 on 15 rows, 3 of them events, so a resample that draws none of
+    those 3 has no finite solution."""
+    rng = stream(83, 0)
+    n = 300
+    y = (rng.random(n) < 0.3).astype(float)
+    b = np.zeros(n)
+    b[np.flatnonzero(y == 1)[:3]] = 1.0
+    b[np.flatnonzero(y == 0)[:12]] = 1.0
+    data = Dataset(y=y, columns={"A": (rng.random(n) < 0.5).astype(float),
+                                 "L": rng.standard_normal(n), "B": b})
+    return build_design_matrix(data, parse_spec("1 + A + L + B"), exposure="A")
+
+
+def moderate_rich_design():
+    data = generate("moderate", 1000, rng=stream(64, 0))
+    return build_design_matrix(data, parse_spec(get_scenario("moderate").rich_spec), "A")
+
+
+class TestWarmStart:
+    """``resample_fitter`` starts each robust-Poisson resample from the
+    full-sample estimate: per resample, the same failures (class and
+    message) as a fit from ``_initial_beta``, and the same log-RR to
+    within 1e-12 relative."""
+
+    @pytest.mark.parametrize("make, B, failures", [
+        (sparse_b_design, 100, True), (moderate_rich_design, 200, False)])
+    def test_start_changes_no_verdict(self, make, B, failures):
+        design = make()
+        fit = fit_robust_poisson(design, design.data.y)
+        warm = inference.resample_fitter("robust-poisson", fit)
+        failed = 0
+        for b in range(B):
+            resample = design.take(stream(0, b).integers(0, design.n, size=design.n))
+            cold_fit = eecore._captured(fit_robust_poisson, resample, resample.data.y)
+            warm_fit = eecore._captured(warm, resample)
+            if isinstance(cold_fit, Exception):
+                failed += 1
+                assert type(warm_fit) is type(cold_fit)
+                assert str(warm_fit) == str(cold_fit)
+            else:
+                np.testing.assert_allclose(warm_fit.beta[1], cold_fit.beta[1],
+                                           rtol=1e-12, atol=0)
+        assert (failed > 0) == failures
+
+    def test_logbin_resamples_start_as_before(self):
+        data = generate("simple", 1000, rng=stream(700, 0))
+        design = build_design_matrix(data, parse_spec("1 + A + L1 + L2"), exposure="A")
+        resample = design.take(stream(0, 0).integers(0, design.n, size=design.n))
+        for method in ("logbin-ml", "logbin-ab"):
+            fit = FIT_METHODS[method](design, design.data.y)
+            given = inference.resample_fitter(method, fit)(resample)
+            alone = FIT_METHODS[method](resample, resample.data.y)
+            assert given.beta.tobytes() == alone.beta.tobytes()
+            assert given.iterations == alone.iterations
+
+    def test_calls_the_module_attribute(self, monkeypatch):
+        # As FIT_METHODS does: a wrapper installed after import runs.
+        design = moderate_rich_design()
+        fit = fit_robust_poisson(design, design.data.y)
+        warm = inference.resample_fitter("robust-poisson", fit)
+        calls = []
+        inner = inference.fit_robust_poisson
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "fit_robust_poisson", counted)
+        warm(design)
+        assert len(calls) == 1 and calls[0]["start"] is fit.beta
 
 
 def _estimate_bits(est):
