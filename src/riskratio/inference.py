@@ -278,8 +278,8 @@ def bootstrap_rr(
     ``resample_fitter`` does for robust Poisson; the resample estimates
     then agree with cold-started ones to within the fitter's convergence
     tolerances, in practice in the last bits.  Deterministic given
-    ``seed``; resamples are aggregated in resample-index order.  More than 20% failed re-fits raises
-    ``TooManyFailures``.
+    ``seed``; resamples are aggregated in resample-index order.  More
+    than 20% failed re-fits raises ``TooManyFailures``.
     """
     if B < 100:
         raise ValueError("B must be at least 100")
