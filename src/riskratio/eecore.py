@@ -13,7 +13,9 @@ One damped-Newton loop fits a stack of equal-shape designs at once
 case.  Every step runs on the whole stack: each ``np.matmul`` and LAPACK
 call serves all its designs, and per-row masks decide convergence, step
 halving and failure.  A study fits its replications as such stacks, so
-the fixed cost of a numpy call is shared by a block of small fits.
+the fixed cost of a numpy call is shared by a block of small fits.  The
+step halving, ``_step_search``, is also the log-barrier loop's
+(``logbin``); each loop gives it its own acceptance test.
 
 Stacks and bit-identity: a stack of B designs of n rows and p columns is
 kept as one C-contiguous B x p x n array of the designs' ``X.T`` and used
@@ -156,15 +158,22 @@ def ee_jacobian(X, y, beta, mu=None) -> np.ndarray:
     return -((_t(X) * _as_row(mu)) @ X)
 
 
+def _intercept(X):
+    """The first all-ones column of X, or None."""
+    # Only a column that is 1 on the first row can be all ones.
+    for j in np.flatnonzero(X[0] == 1.0):
+        if np.all(X[:, j] == 1.0):
+            return j
+    return None
+
+
 def _initial_beta(X, y):
     """Zeros except an intercept at log(max(ybar, 1/(2n)))."""
     n, p = X.shape
     beta = np.zeros(p)
-    # Only a column that is 1 on the first row can be all ones.
-    for j in np.flatnonzero(X[0] == 1.0):
-        if np.all(X[:, j] == 1.0):
-            beta[j] = np.log(max(y.mean(), 1.0 / (2 * n)))
-            break
+    j = _intercept(X)
+    if j is not None:
+        beta[j] = np.log(max(y.mean(), 1.0 / (2 * n)))
     return beta
 
 
@@ -419,12 +428,16 @@ def _newton(Xt, y, beta, dms) -> dict:
             _, bad = _by_row(_check_conditioning, norm[at], jac[at])
             failed.update({at[k]: exc for k, exc in bad.items()})
 
-        step, beta, mu, score, norm, exhausted = _step_halving(
-            Xt, y, beta, delta, norm, tol, failed)
+        step = np.ones((len(Xt), 1, 1))
+        (beta, mu, score, norm), exhausted = _step_search(
+            Xt, (beta, mu, score, norm), delta, step,
+            np.flatnonzero(_without(len(Xt), failed)),
+            partial(_score_falls, Xt, y, norm, tol))
         for k in exhausted:
             failed[k] = Overflow("step halving exhausted without progress")
+        # A failed row gets an infinite norm, so it never counts as converged.
+        norm[list(failed)] = np.inf
 
-        # A failed row's norm is inf, so it never counts as converged.
         converged = norm < tol
         if converged.any():
             converged &= np.abs(step * delta).max(axis=(1, 2)) < STEP_TOL
@@ -488,59 +501,55 @@ def _rows(a, rows):
     return a if len(rows) == len(a) else a[rows]
 
 
-def _step_halving(Xt, y, beta, delta, norm, tol, failed):
-    """Damped Newton steps for the rows of a stack, except the rows in
-    ``failed`` (positions); ``norm`` is each row's ||score||_inf.
+def _step_search(Xt, iterate, delta, step, rows, accept):
+    """The damped steps of the given rows (positions) of a stack: the one
+    step search of robust Poisson's Newton loop and the log-barrier loop.
 
-    Each row accepts the first of the steps 1, 1/2, ..., 2**-MAX_HALVINGS
-    that reduces its ||score||_inf, or, once that is below ``tol``, keeps
-    its linear predictor finite.  An overflowing candidate still goes
-    through ee_score, which raises Overflow for it, so that ee_score sees
-    every candidate.  Returns (step, beta, mu, score, ||score||_inf,
-    exhausted): the accepted iterate of each row and the rows that
-    accepted no step.  A row in ``failed`` or ``exhausted`` has an
-    infinite ||score||_inf and undefined other values.
-
-    The usual case, every row of the stack taking the full step, returns
-    that step's arrays as they are; only other cases collect the accepted
-    rows and assemble them at the end.
+    ``iterate`` is a tuple of per-row arrays, beta first.  A row tries
+    beta + step * delta, halving its ``step`` (B x 1 x 1) in place after
+    each refusal, MAX_HALVINGS times at most.  ``accept(rows, candidate, X,
+    eta)`` judges the candidates of some rows, with X their designs and
+    eta = X @ candidate: it returns the rows it tried, a mask of those it
+    accepts and their iterate, like ``iterate``.  Returns (iterate, the
+    rows that accepted no step).  When every row of the stack takes its
+    first step, the iterate is that step's; otherwise each accepted row is
+    written into ``iterate``, and the other rows keep their values there.
     """
-    step = np.ones((len(Xt), 1, 1))
-    rows = np.arange(len(Xt))
-    if failed:
-        rows = rows[_without(len(Xt), failed)]
-    accepted = []
     for _ in range(MAX_HALVINGS + 1):
         if not rows.size:
             break
-        candidate = _rows(beta, rows) + _rows(step, rows) * _rows(delta, rows)
+        candidate = _rows(iterate[0], rows) + _rows(step, rows) * _rows(delta, rows)
         X = _t(_rows(Xt, rows))
-        eta = X @ candidate
-        fine = rows
-        if (eta > ETA_MAX).any():
-            over = (eta > ETA_MAX).any(axis=(1, 2))
-            try:
-                ee_score(_t(Xt[rows[over]]), y[rows[over]], candidate[over])
-            except Overflow:
-                pass
-            fine, candidate, eta = rows[~over], candidate[~over], eta[~over]
-            X = _t(Xt[fine])
-        if fine.size:
-            mu = np.exp(eta)
-            score = ee_score(X, _rows(y, fine), candidate, mu=mu)
-            max_score = np.abs(score).max(axis=(1, 2))
-            start = _rows(norm, fine)
-            ok = (max_score < start) | (start < tol)
-            if len(fine) == len(Xt) and ok.all():
-                return step, candidate, mu, score, max_score, ()
-            accepted.append((fine[ok], candidate[ok], mu[ok], score[ok], max_score[ok]))
-            rows = np.setdiff1d(rows, fine[ok], assume_unique=True)
+        tried, ok, new = accept(rows, candidate, X, X @ candidate)
+        if len(tried) == len(Xt) and ok.all():
+            return new, rows[:0]
+        took = tried[ok]
+        for old, value in zip(iterate, new):
+            old[took] = value[ok]
+        rows = np.setdiff1d(rows, took, assume_unique=True)
         step[rows] /= 2.0
-    new = [np.empty_like(a) for a in (beta, y, beta)] + [np.full_like(norm, np.inf)]
-    for took, *values in accepted:
-        for out, value in zip(new, values):
-            out[took] = value
-    return (step, *new, rows)
+    return iterate, rows
+
+
+def _score_falls(Xt, y, norm, tol, rows, candidate, X, eta):
+    """Robust Poisson's test for ``_step_search``: a candidate is accepted
+    when its ||score||_inf is below its row's ``norm``, or ``norm`` is below
+    ``tol``.  A candidate whose eta exceeds ETA_MAX is refused; it still
+    goes through ee_score, which raises Overflow for it, so that ee_score
+    sees every candidate.  The iterate is (beta, mu, score, ||score||_inf).
+    """
+    if (eta > ETA_MAX).any():
+        over = (eta > ETA_MAX).any(axis=(1, 2))
+        _captured(ee_score, _t(Xt[rows[over]]), y[rows[over]], candidate[over])
+        rows, candidate, eta = rows[~over], candidate[~over], eta[~over]
+        if not rows.size:
+            return rows, over[:0], ()
+        X = _t(Xt[rows])
+    mu = np.exp(eta)
+    score = ee_score(X, _rows(y, rows), candidate, mu=mu)
+    max_score = np.abs(score).max(axis=(1, 2))
+    start = _rows(norm, rows)
+    return rows, (max_score < start) | (start < tol), (candidate, mu, score, max_score)
 
 
 def sandwich_covariance(X, y, beta, mu=None, jac=None) -> np.ndarray:

@@ -17,8 +17,9 @@ case, a view of its ``X``.  The stack has the layout of ``eecore``'s
 columns), so every ``np.matmul`` and LAPACK call serves all its designs
 and each design's fit equals its one-design fit bit for bit.  Each design
 keeps its own barrier weight, stage and iterate; per-row masks decide
-step truncation, step halving and the end of a stage or of the fit, and a
-design that ends its last stage leaves the stack.  The ML fitter stays one
+step truncation and the end of a stage or of the fit, and a design that
+ends its last stage leaves the stack.  Step halving is robust Poisson's
+(``eecore._step_search``) with the barrier's acceptance test.  The ML fitter stays one
 design at a time: it fails fast, and costs little.  Both fitters take
 their input through ``eecore._in_stacks``, the ML fitter as a stack of
 one, so they accept and reject input exactly as robust Poisson does.
@@ -26,10 +27,13 @@ one, so they accept and reject input exactly as robust Poisson does.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .eecore import (
-    FitResult, _alone, _as_row, _by_row, _captured, _in_stacks, _rows, _t, _without,
+    MAX_HALVINGS, FitResult, _alone, _as_row, _by_row, _captured, _in_stacks,
+    _intercept, _rows, _step_search, _t, _without,
 )
 from .errors import InfeasiblePoint, NoFeasibleStart
 from . import eecore
@@ -38,7 +42,7 @@ ETA_CAP = -1e-10        # accepted iterates keep max_i x_i beta <= this
 BOUNDARY_EPS = 1e-6     # max eta above -BOUNDARY_EPS counts as on-boundary
 GRAD_TOL = 1e-8         # per-observation, like the estimating equations
 MAX_ITER = 100
-MAX_HALVINGS = 30
+# MAX_HALVINGS is eecore's: both loops share its step search.
 
 BARRIER_T_START = 1.0
 BARRIER_T_STOP = 1e-8
@@ -137,16 +141,14 @@ class _BarrierIterate:
         hess = _hessian_q(X, nyq, q) - t * ((Xt * _as_row(1.0 / eta**2)) @ X)
         return grad, hess
 
-    def take(self, rows):
-        """The iterate of the given designs of a stack (an index array or
-        a mask), a copy."""
+    def __getitem__(self, rows):
+        """The iterate of the given designs of a stack, a copy."""
         new = object.__new__(_BarrierIterate)
         for name in self.__slots__:
             setattr(new, name, getattr(self, name)[rows])
         return new
 
-    def put(self, rows, other):
-        """Set the given designs of this stack's iterate to ``other``'s."""
+    def __setitem__(self, rows, other):
         for name in self.__slots__:
             getattr(self, name)[rows] = getattr(other, name)
 
@@ -157,14 +159,14 @@ def _total(v):
 
 
 def _truncate_step(neg_eta, direction_eta):
-    """Per design of a stack, the largest step alpha <= 1 with
+    """Per design of a stack (B x 1 x 1), the largest step alpha <= 1 with
     eta + alpha*direction <= 0 everywhere, times 0.99; ``neg_eta`` is
     -eta, which is 0.0 - eta for every eta < 0."""
     rising = direction_eta > 0
     room = np.where(rising, neg_eta, np.inf) / np.where(rising, direction_eta, 1.0)
     # min(1.0, 0.99 * max(lowest, 0.0)) per row; every room is -eta >= 0
     # over d > 0, so never below 0 nor NaN, and the max is idle.
-    return np.minimum(0.99 * room.min(axis=(1, 2)), 1.0)
+    return np.minimum(0.99 * room.min(axis=(1, 2), keepdims=True), 1.0)
 
 
 def feasible_start(X, y) -> np.ndarray:
@@ -172,14 +174,12 @@ def feasible_start(X, y) -> np.ndarray:
     robust Poisson fit when the design has no plain intercept column."""
     n, p = X.shape
     ybar = float(np.mean(y))
-    intercept = np.flatnonzero(np.all(X == 1.0, axis=0))
-    if intercept.size and 0.0 < ybar < 1.0:
+    j = _intercept(X)
+    if j is not None:
         beta = np.zeros(p)
-        beta[intercept[0]] = np.log(ybar)
-        return beta
-    if intercept.size:
-        beta = np.zeros(p)
-        beta[intercept[0]] = np.log(max(min(ybar, 1 - 1.0 / (2 * n)), 1.0 / (2 * n)))
+        if not 0.0 < ybar < 1.0:
+            ybar = max(min(ybar, 1 - 1.0 / (2 * n)), 1.0 / (2 * n))
+        beta[j] = np.log(ybar)
         return beta
     fit = _captured(eecore.fit_robust_poisson, X, y)
     if not isinstance(fit, Exception):
@@ -408,14 +408,16 @@ def _barrier(Xt, y, beta, state, n):
         alpha = _truncate_step(state.neg, X @ delta)
         if lstsq_failed:
             alpha[list(lstsq_failed)] = 0.0
-        accepted, beta, state, obj = _line_search(
-            Xt, y, beta, state, obj, delta, alpha, t)
-        step = np.abs(alpha[:, None, None] * delta).max(axis=(1, 2))
+        moving = alpha[:, 0, 0] > 1e-16
+        (beta, state, obj), stuck = _step_search(
+            Xt, (beta, state, obj), delta, alpha, np.flatnonzero(moving),
+            partial(_objective_holds, y, state.ny, obj - 1e-12, t))
+        step = np.abs(alpha * delta).max(axis=(1, 2))
         gnorm = np.abs(grad).max(axis=(1, 2))
-        # A NaN step or gradient norm ends no stage.
-        ends = (step < 1e-12) | (gnorm < tol) | (iterations - began == MAX_ITER)
-        if accepted is not None:
-            ends |= ~accepted
+        # A NaN step or gradient norm ends no stage; a design that took no
+        # step ends it.
+        ends = (step < 1e-12) | (gnorm < tol) | (iterations - began == MAX_ITER) | ~moving
+        ends[stuck] = True
         if not ends.any():
             continue
         stage += ends
@@ -425,12 +427,12 @@ def _barrier(Xt, y, beta, state, n):
             kept = _without(len(rows), lstsq_failed)
             out, keep = kept & (stage == len(_STAGE_T)), kept & (stage < len(_STAGE_T))
             if out.any():
-                finished.append((rows[out], iterations, beta[out], state.take(out)))
+                finished.append((rows[out], iterations, beta[out], state[out]))
             if not keep.any():
                 return finished, errors
             rows, Xt, y, beta, stage, began = (
                 a[keep] for a in (rows, Xt, y, beta, stage, began))
-            state = state.take(keep)
+            state = state[keep]
             X = _t(Xt)
         t, t3 = _STAGE_T[stage], _STAGE_T[stage][:, None, None]
         obj = state.objective(t)
@@ -443,48 +445,16 @@ def _solve_definite(neg, grad):
     return np.linalg.solve(neg, grad)
 
 
-def _line_search(Xt, y, beta, state, obj, delta, alpha, t):
-    """Step halving for the designs of a stack whose truncated step alpha
-    is above 1e-16; the others take no step.
-
-    Each takes the first of the steps alpha, alpha/2, ... (MAX_HALVINGS
-    halvings) whose iterate beta + step * delta is strictly feasible and
-    whose barrier objective at ``t`` is at least its current one, ``obj``,
-    less 1e-12; ``alpha`` is halved in place.  Returns (accepted, beta,
-    state, obj): a mask of the designs that took a step, or None when all
-    did, and per design its iterate and objective.  When every design
-    takes its first step, that step's arrays are returned as they are;
-    otherwise the accepted steps are written into ``beta``, ``state`` and
-    ``obj`` in place.
-    """
-    size = len(Xt)
-    floor = obj - 1e-12
-    rows = np.arange(size) if alpha.min() > 1e-16 else np.flatnonzero(alpha > 1e-16)
-    taken = []
-    for _ in range(MAX_HALVINGS + 1):
-        if not rows.size:
-            break
-        candidate = _rows(beta, rows) + _rows(alpha, rows)[:, None, None] * _rows(delta, rows)
-        eta = _t(_rows(Xt, rows)) @ candidate
-        tried = rows
-        if not eta.max() < 0:
-            # Leave out a candidate with some eta >= 0; one with a NaN
-            # eta is tried, and fails on its objective.
-            fine = ~(eta.max(axis=(1, 2)) >= 0)
-            tried, candidate, eta = rows[fine], candidate[fine], eta[fine]
-        if tried.size:
-            new = _BarrierIterate(_rows(y, tried), eta, _rows(state.ny, tried))
-            value = new.objective(_rows(t, tried))
-            ok = value >= _rows(floor, tried)
-            if len(tried) == size and ok.all():
-                return None, candidate, new, value
-            taken.append((tried[ok], candidate[ok], new.take(ok), value[ok]))
-            rows = np.setdiff1d(rows, tried[ok], assume_unique=True)
-        alpha[rows] /= 2.0
-    accepted = np.zeros(size, dtype=bool)
-    for took, candidate, new, value in taken:
-        accepted[took] = True
-        beta[took] = candidate
-        state.put(took, new)
-        obj[took] = value
-    return accepted, beta, state, obj
+def _objective_holds(y, ny, floor, t, rows, candidate, X, eta):
+    """The barrier's test for ``eecore._step_search``: a candidate is
+    accepted when it is strictly feasible and its barrier objective at
+    ``t`` is at least ``floor``, its row's current one less 1e-12.  The
+    iterate is (beta, ``_BarrierIterate``, objective)."""
+    if not eta.max() < 0:
+        # Leave out a candidate with some eta >= 0; one with a NaN eta is
+        # tried, and fails on its objective.
+        fine = ~(eta.max(axis=(1, 2)) >= 0)
+        rows, candidate, eta = rows[fine], candidate[fine], eta[fine]
+    new = _BarrierIterate(_rows(y, rows), eta, _rows(ny, rows))
+    value = new.objective(_rows(t, rows))
+    return rows, value >= _rows(floor, rows), (candidate, new, value)

@@ -217,6 +217,35 @@ class TestFit:
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == "warning: 37 fitted means exceed 1"
 
+    def test_boundary_optimum_is_warned(self, tmp_path, capsys):
+        # A complex-scenario sample whose log-binomial optimum puts a fitted
+        # risk at 1: the barrier fit succeeds and says so.
+        csv = write_scenario_csv(tmp_path, "complex", 1000, (703, 0))
+        assert main(["fit", "--csv", csv, "--outcome", "y", "--exposure", "A",
+                     "--method", "logbin-ab", "--spec", "1 + A + L1 + L2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert ["A", "0.95", "0.76", "1.17", "wald-model"] in [l.split() for l in lines]
+        assert lines[-1] == "warning: on_boundary"
+
+    def test_rank_deficient_design_is_warned(self, tmp_path, capsys):
+        # L3 = 3 L1 + 1e-12 noise is numerically collinear with L1: the
+        # barrier fit warns, and robust Poisson refuses its singular Jacobian.
+        data = generate("moderate", 500, rng=stream(704, 0))
+        L1 = data.column("L1")
+        L3 = 3 * L1 + 1e-12 * stream(705, 0).standard_normal(data.n)
+        path = tmp_path / "collinear.csv"
+        path.write_text("y,A,L1,L3\n" + "".join(
+            f"{int(yi)},{int(ai)},{l1:.17g},{l3:.17g}\n"
+            for yi, ai, l1, l3 in zip(data.y, data.column("A"), L1, L3)))
+        args = ["fit", "--csv", str(path), "--outcome", "y", "--exposure", "A",
+                "--spec", "1 + A + L1 + L3", "--method"]
+        assert main([*args, "logbin-ab"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "warning: design matrix is numerically rank deficient"
+        assert main([*args, "robust-poisson"]) == 4
+        assert capsys.readouterr().err.startswith(
+            "error: estimating-equation Jacobian is numerically singular (condition estimate ")
+
 
 class TestStudy:
     SMOKE = (
@@ -433,6 +462,16 @@ class TestExitCodes:
         path.write_text("\n".join(rows) + "\n")
         assert main(["fit", "--csv", str(path), "--outcome", "y", *args]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("args, message", [
+        ([], "validate needs --csv or --config"),
+        (["--csv", "data.csv"], "--outcome is required with --csv"),
+    ])
+    def test_validate_without_its_input_exits_2(self, capsys, args, message):
+        assert main(["validate", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_study_threads_below_1_exits_2(self, tmp_path, capsys, threads):

@@ -77,3 +77,10 @@ class TestTake:
     def test_bad_index_shape_raises(self, idx):
         with pytest.raises(DataError, match="non-empty 1-D"):
             sample().take(idx)
+
+
+@pytest.mark.parametrize("y, row", [([0.0, 1.0, 0.5, 1.0], 2), ([2.0, 0.0], 0), ([1.0, -1.0], 1)])
+def test_outcome_not_0_or_1_raises(y, row):
+    with pytest.raises(DataError) as err:
+        Dataset(y=np.array(y))
+    assert str(err.value) == f"outcome must be 0/1; offending value at row {row}"

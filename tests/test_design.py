@@ -176,6 +176,13 @@ class TestRcsBasis:
         with pytest.raises(NonIncreasingKnots):
             rcs_basis(np.zeros(3), [0.0, 1.0])
 
+    @pytest.mark.parametrize("knots", [(0.0, 0.0, 1.0), (1.0, 0.5, 2.0)])
+    def test_bad_explicit_knots_in_a_design(self, knots):
+        data = small_dataset()
+        with pytest.raises(NonIncreasingKnots) as err:
+            build_design_matrix(data, [Intercept(), Main("A"), Spline("L", 3, knots)], "A")
+        assert str(err.value) == f"spline knots must be strictly increasing, got {list(knots)}"
+
     def test_duplicate_knots_collapse(self):
         # discrete covariate: quantiles tie, duplicates collapse, <3 errors
         x = np.repeat([0.0, 1.0, 2.0, 3.0], 25)
@@ -219,6 +226,15 @@ class TestSpecLanguage:
     def test_parse_errors(self, bad):
         with pytest.raises(SpecParseError):
             parse_spec(bad)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("1 + A + rcs(L,9)", "unsupported knot count 9 (use 3..7)"),
+        ("1 + A + A", "duplicate design columns: ['(Intercept)', 'A', 'A']"),
+    ])
+    def test_specs_that_parse_but_do_not_build(self, spec, message):
+        with pytest.raises(SpecParseError) as err:
+            build_design_matrix(small_dataset(), parse_spec(spec), "A")
+        assert str(err.value) == message
 
 
 def test_affine_encoding_invariance():
@@ -340,6 +356,7 @@ class TestColumnRanges:
         ("1 + L + A:B + A", "A:B"),
         ("1 + A + C + L", "C"),
         ("1 + A + rcs(L,3) + C + A:B", "C"),
+        ("1 + A + cat(C,ref=3)", "C"),
     ])
     def test_first_constant_column_in_column_order(self, spec, label):
         n = 40

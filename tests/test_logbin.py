@@ -1,5 +1,7 @@
 import hashlib
+import warnings
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from riskratio import (
     logbin_loglik,
     parse_spec,
 )
-from riskratio import logbin
+from riskratio import eecore, logbin
 from riskratio.errors import FitFailed, InfeasiblePoint, NoFeasibleStart, RiskRatioError
 from riskratio.inference import FIT_METHODS, _usable, fit_each
 from riskratio.logbin import _BarrierIterate, feasible_start, fit_logbin_barrier_stack
@@ -371,3 +373,65 @@ class TestStack:
         bad[3] = np.nan
         with pytest.raises(ValueError, match="finite"):
             fit_each("logbin-ab", [X, X], [y, bad])
+
+
+class TestStepSearch:
+    """The barrier's acceptance test run through ``eecore._step_search``
+    directly, on a stack of two intercept-and-exposure designs."""
+
+    @staticmethod
+    def search(Xt, y, beta, delta, t):
+        """(beta, state, objective, step, rows without a step, objective
+        before) of one search from a unit step; nothing passed in changes."""
+        beta = beta.copy()
+        state = _BarrierIterate(y, eecore._t(Xt) @ beta, 1 - y)
+        before = state.objective(t)
+        step = np.ones((len(Xt), 1, 1))
+        accept = partial(logbin._objective_holds, y, state.ny, before - 1e-12, t)
+        (beta, state, obj), stuck = eecore._step_search(
+            Xt, (beta, state, before.copy()), delta, step, np.arange(len(Xt)), accept)
+        return beta, state, obj, step, stuck, before
+
+    def test_infeasible_candidate_is_halved_until_feasible(self):
+        datas = [generate("simple", 300, rng=stream(711, r)) for r in range(2)]
+        Xt = np.stack([np.asfortranarray(np.column_stack(
+            [np.ones(d.n), d.column("A")])).T for d in datas])
+        y = np.stack([d.y for d in datas])[:, :, None]
+        # Both start 2 below the intercept-only optimum; row 0's full step
+        # crosses eta = 0, row 1's does not.
+        beta = np.stack([[np.log(d.y.mean()) - 2.0, 0.0] for d in datas])[:, :, None]
+        delta = np.array([[5.0, 0.0], [1.0, 0.0]])[:, :, None]
+        t = np.full(2, 1e-2)
+        full = (eecore._t(Xt) @ (beta + delta)).max(axis=(1, 2))
+        assert full[0] >= 0 > full[1]
+
+        with warnings.catch_warnings():
+            # The infeasible candidate is left out, not taken to log(s < 0).
+            warnings.simplefilter("error")
+            new_beta, state, obj, step, stuck, before = self.search(Xt, y, beta, delta, t)
+        assert step.ravel().tolist() == [0.5, 1.0] and not stuck.size
+        assert (state.eta.max(axis=(1, 2)) < 0).all() and (obj > before).all()
+        np.testing.assert_array_equal(new_beta, beta + step * delta)
+        for k in range(2):
+            alone = self.search(Xt[k:k + 1], y[k:k + 1], beta[k:k + 1],
+                                delta[k:k + 1], t[k:k + 1])
+            assert alone[0].tobytes() == new_beta[k:k + 1].tobytes()
+            for name in _BarrierIterate.__slots__:
+                assert getattr(alone[1], name).tobytes() == \
+                    getattr(state, name)[k:k + 1].tobytes(), name
+            assert alone[2].tobytes() == obj[k:k + 1].tobytes()
+            assert alone[3].tobytes() == step[k:k + 1].tobytes()
+            assert not alone[4].size
+
+
+def test_both_starts_find_the_same_intercept():
+    # Column 0 is 1 on the first row only; columns 1 and 2 are all ones,
+    # and both starts put the intercept in the first of them.
+    rng = stream(712, 0)
+    n = 50
+    first = np.r_[1.0, rng.standard_normal(n - 1)]
+    X = np.column_stack([first, np.ones(n), np.ones(n), rng.standard_normal(n)])
+    y = (rng.random(n) < 0.3).astype(float)
+    for start in (eecore._initial_beta(X, y), feasible_start(X, y)):
+        assert np.flatnonzero(start).tolist() == [1]
+    assert feasible_start(X, y)[1] == np.log(y.mean())

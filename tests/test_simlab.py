@@ -188,6 +188,9 @@ class TestConfig:
         "scenario = simple\nmethods = magic",      # unknown method
         "scenario = simple\nn = 10\nn = 20",       # duplicate key
         "scenario = simple\nbootstrap.B = 0",      # removed key
+        "scenario = simple\njust words",           # no '='
+        "scenario = simple\nn = 0",                # no rows
+        "scenario = simple\nreplications = 0",     # no replications
     ])
     def test_errors(self, text):
         with pytest.raises(ConfigError):
@@ -430,3 +433,8 @@ def test_stream_split_independence():
     b = stream(42, 1).random(5)
     assert not np.allclose(a, b)
     np.testing.assert_array_equal(a, stream(42, 0).random(5))
+
+
+def test_negative_stream_index_rejected():
+    with pytest.raises(ValueError, match="stream index must be non-negative"):
+        stream(42, -1)
