@@ -250,6 +250,8 @@ def cmd_figure(args) -> int:
 def cmd_validate(args) -> int:
     if args.csv is None and args.config is None:
         raise ConfigError("validate needs --csv or --config")
+    if args.csv is None and args.outcome is not None:
+        raise ConfigError("--outcome needs --csv")
     if args.csv is not None:
         if args.outcome is None:
             raise ConfigError("--outcome is required with --csv")

@@ -391,18 +391,6 @@ def _term_labels(term: Term) -> list[str]:
     raise TypeError(f"unknown term {term!r}")
 
 
-def _width(term: Term) -> int:
-    """The number of columns one resolved term contributes, the length of
-    its ``_term_labels`` without formatting them."""
-    if isinstance(term, Spline):
-        return len(term.knots) - 1
-    if isinstance(term, Categorical):
-        return len(term.levels) - 1
-    if isinstance(term, Interaction):
-        return _width(term.left) * _width(term.right)
-    return 1
-
-
 def _term_columns(term: Term) -> tuple[str, ...]:
     """The data columns a term reads, in the order it reads them."""
     if isinstance(term, (Main, Spline, Categorical)):
@@ -438,7 +426,7 @@ def _fill(S, terms, columns, exposure: str | None = None) -> None:
     ``exposure`` named, only the terms that read it are written."""
     col = 0
     for ts in zip(*terms):
-        width = _width(ts[0])
+        width = len(_term_labels(ts[0]))
         if exposure is None or exposure in _term_columns(ts[0]):
             _evaluate(ts, columns, S[:, col:col + width])
         col += width
@@ -446,7 +434,8 @@ def _fill(S, terms, columns, exposure: str | None = None) -> None:
 
 def _evaluate(ts, columns, out) -> None:
     """Write the columns of ``ts``, one resolved term per row, equal in
-    shape, into ``out`` (B x width x n)."""
+    shape, into ``out`` (B x width x n).  An unknown term has no width:
+    ``_term_labels`` raises for it before any column is written."""
     term = ts[0]
     if isinstance(term, Intercept):
         out[:] = 1.0
@@ -466,8 +455,6 @@ def _evaluate(ts, columns, out) -> None:
         for i in range(left.shape[1]):
             np.multiply(left[:, i:i + 1], right,
                         out=out[:, i * width:(i + 1) * width])
-    else:
-        raise TypeError(f"unknown term {term!r}")
 
 
 def _operand(ts, columns) -> np.ndarray:
@@ -476,7 +463,7 @@ def _operand(ts, columns) -> np.ndarray:
     if isinstance(ts[0], Main):
         return columns(ts[0].column)[:, None]
     values = columns(ts[0].column)
-    out = np.empty((len(ts), _width(ts[0]), values.shape[1]))
+    out = np.empty((len(ts), len(_term_labels(ts[0])), values.shape[1]))
     _evaluate(ts, columns, out)
     return out
 

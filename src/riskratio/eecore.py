@@ -15,7 +15,8 @@ call serves all its designs, and per-row masks decide convergence, step
 halving and failure.  A study fits its replications as such stacks, so
 the fixed cost of a numpy call is shared by a block of small fits.  The
 step halving, ``_step_search``, is also the log-barrier loop's
-(``logbin``); each loop gives it its own acceptance test.
+(``logbin``); each loop gives it its own acceptance test, and both loops
+finish a design inside the loop and return {row: FitResult or exception}.
 
 Stacks and bit-identity: a stack of B designs of n rows and p columns is
 kept as one C-contiguous B x p x n array of the designs' ``X.T`` and used
@@ -97,7 +98,10 @@ class FitResult:
     only on a log-binomial fit returned straight from its fitter, which
     then names the cause in ``failure_reason``: ``fit_robust_poisson``
     raises rather than return an unconverged fit, and ``FIT_METHODS``
-    raises ``FitFailed`` for an unconverged log-binomial one.
+    raises ``FitFailed`` for an unconverged log-binomial one.  A
+    log-barrier fit is converged at a boundary point as well as at a
+    stationary interior point; a study counts a boundary fit as failed,
+    and ``riskratio fit`` reports it with the warning ``on_boundary``.
     ``on_boundary`` marks a log-binomial optimum with some fitted risk at 1,
     and ``loglik`` is the log-binomial log-likelihood at ``beta``.  The
     fields from ``max_abs_score`` on are computed by the robust-Poisson

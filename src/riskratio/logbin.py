@@ -17,12 +17,15 @@ case, a view of its ``X``.  The stack has the layout of ``eecore``'s
 columns), so every ``np.matmul`` and LAPACK call serves all its designs
 and each design's fit equals its one-design fit bit for bit.  Each design
 keeps its own barrier weight, stage and iterate; per-row masks decide
-step truncation and the end of a stage or of the fit, and a design that
-ends its last stage leaves the stack.  Step halving is robust Poisson's
-(``eecore._step_search``) with the barrier's acceptance test.  The ML fitter stays one
-design at a time: it fails fast, and costs little.  Both fitters take
-their input through ``eecore._in_stacks``, the ML fitter as a stack of
-one, so they accept and reject input exactly as robust Poisson does.
+step truncation and the end of a stage or of the fit.  The loop hands
+back its fits as robust Poisson's does: a design that ends its last stage
+is finished in the loop and leaves the stack, and the loop returns
+{row: FitResult or exception}.  Step halving is robust Poisson's
+(``eecore._step_search``) with the barrier's acceptance test.  The ML
+fitter stays one design at a time: it fails fast, and costs little.  Both
+fitters take their input through ``eecore._in_stacks``, the ML fitter as
+a stack of one, so they accept and reject input exactly as robust Poisson
+does.
 """
 
 from __future__ import annotations
@@ -47,10 +50,6 @@ MAX_ITER = 100
 BARRIER_T_START = 1.0
 BARRIER_T_STOP = 1e-8
 BARRIER_T_FACTOR = 0.1
-
-
-def _eta(X, beta):
-    return X @ beta
 
 
 def _check_feasible(eta):
@@ -85,19 +84,19 @@ def _hessian_q(X, nyq, q):
 
 def logbin_loglik(X, y, beta) -> float:
     """sum_i [y_i eta_i + (1 - y_i) log(1 - exp(eta_i))], eta = X beta."""
-    eta = _eta(X, beta)
+    eta = X @ beta
     _check_feasible(eta)
     return _loglik_eta(y, eta)
 
 
 def logbin_gradient(X, y, beta) -> np.ndarray:
-    eta = _eta(X, beta)
+    eta = X @ beta
     _check_feasible(eta)
     return _gradient_q(X, y, (1 - y) * _q(eta, -np.expm1(eta)))
 
 
 def logbin_hessian(X, y, beta) -> np.ndarray:
-    eta = _eta(X, beta)
+    eta = X @ beta
     q = _q(eta, -np.expm1(eta))
     return _hessian_q(X, (1 - y) * q, q)
 
@@ -278,7 +277,7 @@ def _ml(X, dm, y) -> FitResult:
             return _finish(X, y, beta, True, np.max(eta) > -BOUNDARY_EPS, it, None, dm)
 
     return _finish(X, y, last_feasible, False,
-                   np.max(_eta(X, last_feasible)) > -BOUNDARY_EPS,
+                   np.max(X @ last_feasible) > -BOUNDARY_EPS,
                    MAX_ITER, "iteration cap", dm)
 
 
@@ -297,8 +296,15 @@ def fit_logbin_barrier(design, y) -> FitResult:
     This is the one-design case of ``fit_logbin_barrier_stack``: the
     design is a stack of one, a view of its ``X``, not a copy.  A
     ``RiskRatioError`` (no feasible start) or a ``LinAlgError`` of the fit
-    is raised; a fit that does not reach stationarity is returned
-    unconverged.
+    is raised.
+
+    ``converged`` is set when the last stage ends at a boundary point
+    (some eta above -10 * BOUNDARY_EPS, ``on_boundary`` set) or at a
+    stationary interior point (log-likelihood gradient below 1e-4 * n);
+    otherwise, or without a finite inverse information, the fit is
+    returned unconverged with its ``failure_reason``.  A converged
+    boundary fit is usable, but a study counts it as failed, and
+    ``riskratio fit`` reports it with the warning ``on_boundary``.
     """
     return _alone(_barrier_stack, design, y)
 
@@ -324,49 +330,26 @@ _STAGE_T = np.array(_STAGE_T)
 
 
 def _barrier_stack(members, Xt, y, ranges) -> list:
-    """The barrier method on one group of ``eecore._in_stacks``.
-
-    Each design starts from its own ``feasible_start``; the stages run on
-    the stack (``_barrier``), and each finished design gets its final
-    gradient and ``_finish`` alone, from the iterate the stack kept.
-    """
-    n = Xt.shape[2]
+    """The barrier method on one group of ``eecore._in_stacks``: each
+    design starts from its own ``feasible_start``, and the designs that
+    have one share one barrier loop (``_barrier``)."""
     starts = [_captured(feasible_start, X, y1) for X, _, y1 in members]
     fits = [s if isinstance(s, Exception) else None for s in starts]
-    rows = np.array([k for k, fit in enumerate(fits) if fit is None], dtype=int)
+    rows = np.flatnonzero([fit is None for fit in fits])
     if not rows.size:
         return fits
-    Xt, y = _rows(Xt, rows), _rows(y, rows)
-    beta = np.stack([starts[k] for k in rows])[..., None]
-    eta = _t(Xt) @ beta
-    if (eta > 0).any():
-        infeasible = (eta > 0).any(axis=(1, 2))
-        for k in np.flatnonzero(infeasible):
-            fits[rows[k]] = InfeasiblePoint("some x_i'beta > 0")
-        keep = ~infeasible
-        rows, Xt, y, beta, eta = (a[keep] for a in (rows, Xt, y, beta, eta))
-        if not rows.size:
-            return fits
-
-    finished, errors = _barrier(Xt, y, beta, _BarrierIterate(y, eta, 1 - y), n)
-    for k, exc in errors.items():
-        fits[rows[k]] = exc
-    for at, iterations, beta, state in finished:
-        for k, r in enumerate(at):
-            i = rows[r]
-            X, dm, y = members[i]
-            eta = state.eta[k, :, 0]
-            on_boundary = eta.max() > -BOUNDARY_EPS * 10
-            grad = _gradient_q(X, y, state.ny[k, :, 0] * _q(eta, state.s[k, :, 0]))
-            converged = bool(np.abs(grad).max() < 1e-4 * n or on_boundary)
-            reason = None if converged else "barrier did not reach stationarity"
-            fits[i] = _finish(X, y, beta[k, :, 0], converged, on_boundary,
-                              iterations, reason, dm)
+    beta = np.stack([starts[i] for i in rows])[..., None]
+    for k, fit in _barrier(_rows(Xt, rows), _rows(y, rows), beta,
+                           [members[i][1] for i in rows]).items():
+        fits[rows[k]] = fit
     return fits
 
 
-def _barrier(Xt, y, beta, state, n):
-    """The barrier stages of a stack from strictly feasible iterates.
+def _barrier(Xt, y, beta, dms) -> dict:
+    """The barrier stages of a stack from the starting points ``beta``;
+    ``dms`` holds each row's ``DesignMatrix`` or None.  A row whose start
+    is not strictly feasible gets ``InfeasiblePoint`` before the first
+    step.
 
     Each design runs its own schedule: it keeps its stage (so its barrier
     weight t), the iteration its stage began after, its beta and its
@@ -374,23 +357,35 @@ def _barrier(Xt, y, beta, state, n):
     iterations as the loop, so that count is its total.  After every
     iteration, one mask test per design ends its stage when its step
     truncates to nothing, when no halved step is accepted, when its step or
-    its gradient is small, or after MAX_ITER iterations in the stage; the
-    fit ends with its last stage.
+    its gradient is small, or after MAX_ITER iterations in the stage.
 
-    Returns (finished, errors): ``finished`` lists (rows, iterations, beta,
-    state) for the designs that ended their last stage at some iteration,
-    and ``errors`` maps a design to the ``LinAlgError`` its lstsq raised.
-    Rows are positions in the given stack.  Finished and failed designs
-    leave the stack, which is then gathered anew from ``Xt``.
+    Returns {row: FitResult or exception}; rows are positions in the given
+    stack.  A design that ends its last stage is finished there, from the
+    iterate the loop kept: it is on the boundary when some eta is above
+    -10 * BOUNDARY_EPS, and converged there or where the gradient of its
+    log-likelihood is below 1e-4 * n.  A design whose lstsq raises keeps
+    that ``LinAlgError``.  Finished and failed designs leave the stack,
+    which is then gathered anew from ``Xt``.
     """
-    X = _t(Xt)
     rows = np.arange(len(Xt))
+    out = {}
+    # A ``feasible_start`` has every x_i beta < 0; another start may not,
+    # and that row fails here.
+    eta = _t(Xt) @ beta
+    if (eta > 0).any():
+        infeasible = (eta > 0).any(axis=(1, 2))
+        out = {r: InfeasiblePoint("some x_i'beta > 0") for r in rows[infeasible]}
+        Xt, y, beta, eta, rows = (a[~infeasible] for a in (Xt, y, beta, eta, rows))
+        if not len(rows):
+            return out
+    state = _BarrierIterate(y, eta, 1 - y)
+    X = _t(Xt)
+    n = Xt.shape[2]
     stage = np.zeros(len(rows), dtype=int)
     began = np.zeros(len(rows), dtype=int)
     t, t3 = _STAGE_T[stage], _STAGE_T[stage][:, None, None]
     obj = state.objective(t)
     tol = GRAD_TOL * n
-    finished, errors = [], {}
     iterations = 0
     while True:
         iterations += 1
@@ -423,13 +418,19 @@ def _barrier(Xt, y, beta, state, n):
         stage += ends
         began[ends] = iterations
         if lstsq_failed or stage.max() == len(_STAGE_T):
-            errors.update({rows[k]: exc for k, exc in lstsq_failed.items()})
+            out.update({rows[k]: exc for k, exc in lstsq_failed.items()})
             kept = _without(len(rows), lstsq_failed)
-            out, keep = kept & (stage == len(_STAGE_T)), kept & (stage < len(_STAGE_T))
-            if out.any():
-                finished.append((rows[out], iterations, beta[out], state[out]))
+            for k in np.flatnonzero(kept & (stage == len(_STAGE_T))):
+                eta, yk = state.eta[k, :, 0], y[k, :, 0]
+                on_boundary = eta.max() > -BOUNDARY_EPS * 10
+                grad = _gradient_q(X[k], yk, state.ny[k, :, 0] * _q(eta, state.s[k, :, 0]))
+                converged = bool(np.abs(grad).max() < 1e-4 * n or on_boundary)
+                reason = None if converged else "barrier did not reach stationarity"
+                out[rows[k]] = _finish(X[k], yk, beta[k, :, 0], converged, on_boundary,
+                                       iterations, reason, dms[rows[k]])
+            keep = kept & (stage < len(_STAGE_T))
             if not keep.any():
-                return finished, errors
+                return out
             rows, Xt, y, beta, stage, began = (
                 a[keep] for a in (rows, Xt, y, beta, stage, began))
             state = state[keep]

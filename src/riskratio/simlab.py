@@ -61,19 +61,12 @@ def expit(x):
 
 @dataclass(frozen=True)
 class Scenario:
-    """One data-generating process: covariates, exposure model, outcome model."""
+    """One data-generating process: covariates, exposure model, outcome
+    model.  Each scenario defines ``gen_covariates(rng, n)`` (a dict of
+    columns), ``p_exposure(cols)`` and ``p_outcome(a, cols)``."""
 
     simple_spec: str
     rich_spec: str
-
-    def gen_covariates(self, rng, n) -> dict[str, np.ndarray]:
-        raise NotImplementedError
-
-    def p_exposure(self, cols) -> np.ndarray:
-        raise NotImplementedError
-
-    def p_outcome(self, a, cols) -> np.ndarray:
-        raise NotImplementedError
 
 
 class _Simple(Scenario):
@@ -171,7 +164,10 @@ SCENARIOS: dict[str, Scenario] = {
 }
 
 
-def get_scenario(name: str) -> Scenario:
+def get_scenario(name: Scenario | str) -> Scenario:
+    """The scenario of that name; a ``Scenario`` is returned as it is."""
+    if isinstance(name, Scenario):
+        return name
     try:
         return SCENARIOS[name]
     except KeyError:
@@ -184,8 +180,7 @@ def get_scenario(name: str) -> Scenario:
 def generate(scenario: Scenario | str, n: int, seed=None, rng=None) -> Dataset:
     """Draw one dataset from a scenario; deterministic given (scenario, n,
     seed), or drawn from ``rng``; both given raise ``TypeError``."""
-    if isinstance(scenario, str):
-        scenario = get_scenario(scenario)
+    scenario = get_scenario(scenario)
     if rng is None:
         rng = stream(0 if seed is None else seed, 0)
     elif seed is not None:
@@ -206,8 +201,7 @@ def monte_carlo_truth(scenario: Scenario | str, n: int = 1_000_000, seed: int = 
     An arm without events, whose ratio or MCSE is not finite, raises
     ``ConfigError`` (key ``truth_n``): n is too small for the scenario.
     """
-    if isinstance(scenario, str):
-        scenario = get_scenario(scenario)
+    scenario = get_scenario(scenario)
     rng = stream(seed, TRUTH_STREAM)
     cols = scenario.gen_covariates(rng, n)
     p1 = scenario.p_outcome(1.0, cols)

@@ -359,6 +359,12 @@ class TestExitCodes:
             assert main(["study", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: config key 'truth_n'")
 
+    def test_truth_unknown_scenario_exits_2(self, capsys):
+        assert main(["truth", "--scenario", "nope", "--n", "100"]) == 2
+        captured = capsys.readouterr()
+        assert "unknown scenario 'nope'" in captured.err
+        assert captured.out == ""
+
     def test_truth_n_below_2_exits_2(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -466,6 +472,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("args, message", [
         ([], "validate needs --csv or --config"),
         (["--csv", "data.csv"], "--outcome is required with --csv"),
+        (["--config", "study.cfg", "--outcome", "y"], "--outcome needs --csv"),
     ])
     def test_validate_without_its_input_exits_2(self, capsys, args, message):
         assert main(["validate", *args]) == 2

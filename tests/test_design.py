@@ -227,6 +227,15 @@ class TestSpecLanguage:
         with pytest.raises(SpecParseError):
             parse_spec(bad)
 
+    def test_unknown_term_raises_before_any_column(self):
+        with pytest.raises(TypeError, match="unknown term 'A'"):
+            build_design_matrix(small_dataset(), [Intercept(), "A"])
+
+    @pytest.mark.parametrize("operand", [Categorical("L"), Intercept()])
+    def test_interaction_operand_must_be_main_or_spline(self, operand):
+        with pytest.raises(SpecParseError, match="must be main or spline terms"):
+            Interaction(Main("A"), operand)
+
     @pytest.mark.parametrize("spec, message", [
         ("1 + A + rcs(L,9)", "unsupported knot count 9 (use 3..7)"),
         ("1 + A + A", "duplicate design columns: ['(Intercept)', 'A', 'A']"),

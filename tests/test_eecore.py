@@ -22,6 +22,7 @@ from riskratio.errors import (
     NonConvergence,
     Overflow,
     RiskRatioError,
+    SingularBread,
     SingularJacobian,
 )
 from riskratio.design import column_ranges
@@ -436,6 +437,12 @@ class TestSandwich:
             direct = sandwich_covariance(X, y, fit.beta)
             lz = sandwich_covariance_lz(X, y, fit.beta)
             np.testing.assert_allclose(direct, lz, atol=1e-10)
+
+    def test_singular_bread_raises(self):
+        # a zero column gives the bread a zero row and column
+        X = np.column_stack([np.ones(4), np.zeros(4)])
+        with pytest.raises(SingularBread, match="bread matrix not invertible"):
+            sandwich_covariance(X, np.array([1.0, 0.0, 1.0, 0.0]), np.array([-0.5, 0.0]))
 
     def test_symmetric_psd(self):
         data = two_by_two()

@@ -26,7 +26,7 @@ from riskratio import (
 from riskratio import eecore, inference, logbin
 from riskratio.design import build_design_stack, realize
 from riskratio.errors import (
-    DataError, FitFailed, NonFiniteStandardization, TooManyFailures,
+    DataError, FitFailed, NonFiniteStandardization, RiskRatioError, TooManyFailures,
 )
 from riskratio.rng import stream
 from riskratio.simlab import get_scenario
@@ -575,6 +575,27 @@ class TestMarginalRRStack:
             g = g1 - g0
             assert est.log_rr == float(np.log(m1) - np.log(m0))
             assert est.se_log_rr == float(np.sqrt(g @ fit.cov_sandwich @ g))
+
+    def test_missing_covariate_fails_alone(self):
+        fits, datas = self._block(45, "simple", size=4)
+        d = datas[2]
+        datas[2] = Dataset(y=d.y, columns={k: v for k, v in d.columns.items() if k != "L2"})
+        stacked = inference.marginal_rr_stack(fits, datas)
+        with pytest.raises(RiskRatioError) as alone:
+            marginal_rr(fits[2], datas[2])
+        assert type(stacked[2]) is type(alone.value)
+        assert str(stacked[2]) == str(alone.value)
+        assert "L2" in str(alone.value)
+        others = [0, 1, 3]
+        assert [_estimate_bits(stacked[k]) for k in others] == [
+            _estimate_bits(marginal_rr(fits[k], datas[k])) for k in others]
+
+    def test_fit_without_a_design_is_refused(self):
+        data = eight_row_dataset()
+        fit = fit_robust_poisson(np.column_stack([np.ones(8), data.column("A")]), data.y)
+        assert fit.design is None
+        with pytest.raises(ValueError, match="no design/exposure"):
+            inference.marginal_rr_stack([fit], [data])
 
     def test_overflowing_row_fails_alone(self):
         fits, datas = self._block(44, "rich")

@@ -254,6 +254,24 @@ class TestBarrierFitter:
             assert np.max(dm.X @ ab.beta) <= 1e-10
 
 
+class TestFinish:
+    """``_finish`` on the points no fitter hands it."""
+
+    def test_non_finite_inverse_is_no_covariance(self):
+        # At eta = -720 the information is 3 q(1 + q) with q about 2e-313,
+        # finite, and its inverse overflows to inf.
+        X, y = np.ones((3, 1)), np.zeros(3)
+        fit = logbin._finish(X, y, np.array([-720.0]), True, False, 5, None, None)
+        assert fit.cov_sandwich is None
+        assert not fit.converged
+        assert fit.failure_reason == "non-finite covariance"
+
+    def test_infeasible_point_has_minus_infinite_loglik(self):
+        fit = logbin._finish(np.ones((3, 1)), np.zeros(3), np.array([0.5]),
+                             False, True, 5, "infeasible iterate", None)
+        assert fit.loglik == -np.inf
+
+
 def test_feasible_start_with_more_columns_than_rows():
     # No intercept column, so the start comes from a robust-Poisson fit,
     # which cannot be made with p > n.
@@ -373,6 +391,31 @@ class TestStack:
         bad[3] = np.nan
         with pytest.raises(ValueError, match="finite"):
             fit_each("logbin-ab", [X, X], [y, bad])
+
+    def test_failed_lstsq_leaves_the_stack_alone(self, monkeypatch):
+        # The "outcome 0 or 2" design's -H is not positive definite, so its
+        # Newton step comes from lstsq; made to raise for the 300 x 4 stack
+        # it shares with four other designs, that design's entry is the
+        # error and every other design fits as it does alone, unpatched.
+        cases = mixed_stack()
+        before = [fit_digest(outcome(fit_logbin_barrier, X, y)) for _, X, y in cases]
+        real = np.linalg.lstsq
+
+        def lstsq(a, b, rcond=None):
+            if a.shape == (4, 4):
+                raise np.linalg.LinAlgError("lstsq did not converge")
+            return real(a, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        stacked = fit_logbin_barrier_stack([X for _, X, _ in cases], [y for *_, y in cases])
+        for (name, X, y), fit, alone in zip(cases, stacked, before):
+            if name == "outcome 0 or 2":
+                assert isinstance(fit, np.linalg.LinAlgError)
+                assert str(fit) == "lstsq did not converge"
+                assert fit_digest(outcome(fit_logbin_barrier, X, y)) == fit_digest(fit)
+            else:
+                assert fit_digest(fit) == alone, name
+        assert sum(X.shape == (300, 4) for _, X, _ in cases) == 5
 
 
 class TestStepSearch:

@@ -160,6 +160,11 @@ class TestTruth:
         exact = simple_scenario_exact()["rr"]
         assert abs(res["rr_true"] - exact) < 3 * res["mcse"]
 
+    def test_takes_a_scenario_or_its_name(self):
+        scenario = get_scenario("simple")
+        assert get_scenario(scenario) is scenario
+        assert monte_carlo_truth(scenario, 1000, seed=4) == monte_carlo_truth("simple", 1000, seed=4)
+
     def test_stability_across_seeds(self):
         a = monte_carlo_truth("simple", 500_000, seed=1)
         b = monte_carlo_truth("simple", 500_000, seed=2)
