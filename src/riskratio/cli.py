@@ -207,10 +207,11 @@ def cmd_truth(args) -> int:
     try:
         result = simlab.monte_carlo_truth(args.scenario, n=args.n, seed=args.seed)
     except ConfigError as exc:
-        if exc.key != "truth_n":
+        option = {"truth_n": "--n", "scenario": "--scenario"}.get(exc.key)
+        if option is None:
             raise
         # name this command's option, not the study config key
-        raise ConfigError(f"--n: {exc.detail}") from None
+        raise ConfigError(f"{option}: {exc.detail}") from None
     sys.stdout.write(
         f"scenario={args.scenario} n={args.n} seed={args.seed}\n"
         f"rr_true = {result['rr_true']:.4f} +/- {result['mcse']:.4f} (MCSE)\n"

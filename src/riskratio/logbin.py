@@ -17,7 +17,11 @@ case, a view of its ``X``.  The stack has the layout of ``eecore``'s
 columns), so every ``np.matmul`` and LAPACK call serves all its designs
 and each design's fit equals its one-design fit bit for bit.  Each design
 keeps its own barrier weight, stage and iterate; per-row masks decide
-step truncation and the end of a stage or of the fit.  The loop hands
+step truncation and the end of a stage or of the fit.  The barrier
+weight falls by a factor of 0.01 per stage, from 1 to 1e-8: five stages
+(``_STAGE_T``).  Each Newton system is one weighted product of the stack,
+(X.T * w) @ X with one weight per observation for the likelihood and the
+barrier together, so an iteration makes one p x n copy.  The loop hands
 back its fits as robust Poisson's does: a design that ends its last stage
 is finished in the loop and leaves the stack, and the loop returns
 {row: FitResult or exception}.  Step halving is robust Poisson's
@@ -49,7 +53,7 @@ MAX_ITER = 100
 
 BARRIER_T_START = 1.0
 BARRIER_T_STOP = 1e-8
-BARRIER_T_FACTOR = 0.1
+BARRIER_T_FACTOR = 0.01
 
 
 def _check_feasible(eta):
@@ -132,12 +136,18 @@ class _BarrierIterate:
 
     def newton_system(self, X, y, t):
         """Gradient and Hessian of the barrier objective, from one q; ``X``
-        is one design or a stack, whose ``t`` is then B x 1 x 1."""
+        is one design or a stack, whose ``t`` is then B x 1 x 1.
+
+        The Hessian is one weighted product, (X.T * w) @ X with
+        w = -(1 - y) q (1 + q) - t / eta**2.  It equals ``logbin_hessian``
+        minus t (X.T / eta**2) @ X up to rounding, not bit for bit: the
+        sum over observations is taken once."""
         eta, Xt = self.eta, _t(X)
         q = _q(eta, self.s)
         nyq = self.ny * q
-        grad = _gradient_q(X, y, nyq) + t * (Xt @ (1.0 / eta))
-        hess = _hessian_q(X, nyq, q) - t * ((Xt * _as_row(1.0 / eta**2)) @ X)
+        inv = 1.0 / eta
+        grad = _gradient_q(X, y, nyq) + t * (Xt @ inv)
+        hess = (Xt * _as_row(nyq * (-1 - q) - t * inv * inv)) @ X
         return grad, hess
 
     def __getitem__(self, rows):
@@ -287,11 +297,15 @@ def fit_logbin_barrier(design, y) -> FitResult:
     Maximizes loglik(beta) + t * sum_i log(-x_i'beta) for a decreasing
     schedule of t, warm-starting each stage; iterates stay strictly
     feasible, so the method handles boundary optima that defeat plain
-    Newton.  Each stage takes damped Newton steps, truncated to 99% of the
-    way to the boundary and halved until the barrier objective does not
-    fall.  Each accepted iterate keeps eta, 1 - e^eta, its log-likelihood
-    and its barrier sum (``_BarrierIterate``), so the Newton system and the
-    objective come from that state and each halving costs one X @ beta.
+    Newton.  The schedule has five stages, t = 1, 1e-2, 1e-4, 1e-6 and
+    1e-8 (``BARRIER_T_FACTOR`` = 0.01).  Each stage takes damped Newton
+    steps, truncated to 99% of the way to the boundary and halved until
+    the barrier objective does not fall.  Each accepted iterate keeps eta,
+    1 - e^eta, its log-likelihood and its barrier sum
+    (``_BarrierIterate``), so the Newton system and the objective come from
+    that state and each halving costs one X @ beta.  The Newton system's
+    Hessian is one weighted product of X, one weight per observation for
+    the likelihood and the barrier together.
 
     This is the one-design case of ``fit_logbin_barrier_stack``: the
     design is a stack of one, a view of its ``X``, not a copy.  A

@@ -134,7 +134,8 @@ def barrier_reference(X, y):
             total += 1
             q = np.exp(eta) / s
             grad = X.T @ (y - ny * q) + t * (X.T @ (1.0 / eta))
-            hess = -(X.T * (ny * q * (1 + q))) @ X - t * ((X.T * (1.0 / eta**2)) @ X)
+            inv = 1.0 / eta
+            hess = (X.T * (ny * q * (-1 - q) - t * inv * inv)) @ X
             try:
                 np.linalg.cholesky(-hess)
                 delta = np.linalg.solve(-hess, grad)

@@ -362,7 +362,7 @@ class TestExitCodes:
     def test_truth_unknown_scenario_exits_2(self, capsys):
         assert main(["truth", "--scenario", "nope", "--n", "100"]) == 2
         captured = capsys.readouterr()
-        assert "unknown scenario 'nope'" in captured.err
+        assert captured.err.startswith("error: --scenario: unknown scenario 'nope'")
         assert captured.out == ""
 
     def test_truth_n_below_2_exits_2(self, capsys):

@@ -92,7 +92,10 @@ def test_row_major_array_fits_like_the_design(fitter):
 
 def test_barrier_iterate_matches_public_functions_bit_for_bit():
     # The barrier loop builds its Newton system and objective from one
-    # stored state; they must be the very numbers of the public functions.
+    # stored state; the gradient and objective must be the very numbers of
+    # the public functions.  The Hessian is one product with one weight per
+    # observation: bit for bit that expression, and the public Hessian less
+    # the barrier's t (X.T / eta**2) @ X up to rounding.
     rng = stream(52, 0)
     terms = parse_spec(get_scenario("moderate").rich_spec)
     for r in range(10):
@@ -107,8 +110,13 @@ def test_barrier_iterate_matches_public_functions_bit_for_bit():
         grad, hess = state.newton_system(X, y, t)
         np.testing.assert_array_equal(
             grad, logbin_gradient(X, y, beta) + t * (X.T @ (1.0 / eta)))
+        q = np.exp(eta) / -np.expm1(eta)
+        inv = 1.0 / eta
         np.testing.assert_array_equal(
-            hess, logbin_hessian(X, y, beta) - t * ((X.T * (1.0 / eta**2)) @ X))
+            hess, (X.T * ((1 - y) * q * (-1 - q) - t * inv * inv)) @ X)
+        np.testing.assert_allclose(
+            hess, logbin_hessian(X, y, beta) - t * ((X.T * (1.0 / eta**2)) @ X),
+            rtol=1e-13)
         assert state.objective(t) == (
             logbin_loglik(X, y, beta) + t * np.sum(np.log(-eta)))
 
@@ -319,10 +327,11 @@ def mixed_stack():
         ("one signed column", X[:, 2:3].copy(), y),
         ("all events", np.ones((40, 1)), np.ones(40)),
     ]
-    data = generate("complex", 1000, rng=stream(703, 0))
-    dm = build_design_matrix(
-        data, parse_spec(get_scenario("complex").simple_spec), exposure="A")
-    cases.append(("boundary optimum", dm.X, data.y))
+    terms = parse_spec(get_scenario("complex").simple_spec)
+    for name, r in (("boundary optimum", 0), ("halved step", 3)):
+        # the second design's loop takes a halving round
+        data = generate("complex", 1000, rng=stream(703, r))
+        cases.append((name, build_design_matrix(data, terms, exposure="A").X, data.y))
     return cases
 
 
@@ -416,6 +425,37 @@ class TestStack:
             else:
                 assert fit_digest(fit) == alone, name
         assert sum(X.shape == (300, 4) for _, X, _ in cases) == 5
+
+    def test_infeasible_start_fails_only_its_row(self):
+        # ``feasible_start`` never hands the loop such a start; another
+        # start with some x_i'beta > 0 fails before the first step, and the
+        # other design of the stack fits as it does alone.
+        (_, X0, y0), (_, X1, y1) = mixed_stack()[:2]
+        beta = np.stack([feasible_start(X0, y0), feasible_start(X1, y1)])
+        beta[0, 0] = 0.5
+        assert (X0 @ beta[0]).max() > 0
+        out = logbin._barrier(np.stack([X0.T, X1.T]), np.stack([y0, y1])[:, :, None],
+                              beta[:, :, None], [None, None])
+        assert sorted(out) == [0, 1]
+        assert isinstance(out[0], InfeasiblePoint)
+        assert str(out[0]) == "some x_i'beta > 0"
+        assert fit_digest(out[1]) == fit_digest(fit_logbin_barrier(X1, y1))
+
+
+class TestSchedule:
+    def test_five_stages_from_1_to_1e_8(self):
+        stages = logbin._STAGE_T
+        assert len(stages) == 5 and stages[0] == 1.0
+        np.testing.assert_allclose(stages, 10.0 ** np.arange(0, -9, -2), rtol=1e-14)
+
+    def test_iteration_count(self):
+        # One moderate n = 1000 simple-spec fit: 37 Newton iterations with
+        # nine stages of factor 0.1, 25 with five of factor 0.01.
+        data = generate("moderate", 1000, rng=stream(11, 0))
+        dm = build_design_matrix(
+            data, parse_spec(get_scenario("moderate").simple_spec), exposure="A")
+        fit = fit_logbin_barrier(dm, data.y)
+        assert (fit.iterations, fit.converged, fit.on_boundary) == (25, True, False)
 
 
 class TestStepSearch:
