@@ -570,17 +570,19 @@ def realize(design: DesignMatrix, data: Dataset) -> np.ndarray:
     return S[0].T
 
 
-def force_exposure(S, designs, values) -> None:
-    """Set the exposure to ``values`` (n) on every design of ``S``, a copy
-    of the designs' stack of ``X.T`` (B x p x n): the columns of the terms
-    that read the exposure are written anew, the others left as they are.
+def force_exposure(S, designs, datas, values) -> None:
+    """Set the exposure to ``values`` (n) on every design of ``S``, the
+    designs' stack of ``X.T`` (B x p x n) on ``datas``, one dataset per
+    row: the columns of the terms that read the exposure are written anew
+    from ``values`` and the datasets' other columns, the others left as
+    they are.  A dataset need not have the exposure column.
 
     The designs must share a ``shape_key``.  Afterwards row b of ``S``
     equals, bit for bit,
-    ``realize(design, design.data.with_column(exposure, values)).T``.
+    ``realize(design, datas[b].with_column(exposure, values)).T``.
     """
     exposure = designs[0].exposure
-    observed = _columns([d.data for d in designs])
+    observed = _columns(datas)
     forced = values[None]
     _fill(S, [d.terms for d in designs],
           lambda name: forced if name == exposure else observed(name), exposure)

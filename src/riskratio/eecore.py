@@ -509,11 +509,13 @@ def _step_search(Xt, iterate, delta, step, rows, accept):
     """The damped steps of the given rows (positions) of a stack: the one
     step search of robust Poisson's Newton loop and the log-barrier loop.
 
-    ``iterate`` is a tuple of per-row arrays, beta first.  A row tries
-    beta + step * delta, halving its ``step`` (B x 1 x 1) in place after
-    each refusal, MAX_HALVINGS times at most.  ``accept(rows, candidate, X,
-    eta)`` judges the candidates of some rows, with X their designs and
-    eta = X @ candidate: it returns the rows it tried, a mask of those it
+    ``iterate`` is a tuple of plain per-row arrays, beta first: robust
+    Poisson's (beta, mu, score, norm) or the barrier's (beta, eta, s,
+    loglik, logbar, objective).  A row tries beta + step * delta, halving
+    its ``step`` (B x 1 x 1) in place after each refusal, MAX_HALVINGS
+    times at most.  ``accept(rows, candidate, X, eta)`` judges the
+    candidates of some rows, with X their designs and eta = X @ candidate:
+    it returns the rows it tried, a mask of those it
     accepts and their iterate, like ``iterate``.  Returns (iterate, the
     rows that accepted no step).  When every row of the stack takes its
     first step, the iterate is that step's; otherwise each accepted row is

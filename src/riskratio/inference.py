@@ -161,7 +161,9 @@ def _wald(estimand: str, log_rr: float, var, method: str, level: float) -> RREst
 def coefficient_rr(fit: FitResult, j: int, level: float = 0.95) -> RREstimate:
     """RR = exp(beta_j) with a Wald interval on the log scale, from the
     fit's covariance; the method reads ``wald-sandwich`` or ``wald-model``
-    after ``fit.variance``."""
+    after ``fit.variance``.  An unconverged fit raises ``FitFailed``
+    naming its ``failure_reason``."""
+    _usable("fit", fit)
     return _wald(f"coefficient[{j}]", float(fit.beta[j]), fit.cov_sandwich[j, j],
                  f"wald-{fit.variance}", level)
 
@@ -172,25 +174,21 @@ def _standardized_stack(designs, betas, datas, levels) -> list:
     level, (means, gradients B x p, overflow flags).
 
     Either the designs share a ``shape_key`` and each is standardized over
-    its own data, from one copy of their stack for every level, or there
-    is one design with any data of its columns.  ``betas`` is B x p x 1.
-    A row whose linear predictor would overflow exp() is flagged, and its
-    numbers mean nothing.
+    its own data, or there is one design with any data of its columns, the
+    exposure's not needed.  The stack is built once, a copy of the designs'
+    or one ``realize`` on the other data; each level then rewrites only its
+    exposure terms.  ``betas`` is B x p x 1.  A row whose linear predictor
+    would overflow exp() is flagged, and its numbers mean nothing.
     """
     design, data = designs[0], datas[0]
-    same = data is design.data
-    if same:
-        S = np.stack([d.X.T for d in designs])
+    # a forced column is checked like any other (finite, of the data's size)
+    forced = [data.with_column(design.exposure, np.full(data.n, a)) for a in levels]
+    S = (np.stack([d.X.T for d in designs]) if data is design.data
+         else realize(design, forced[0]).T[None])
     out = []
-    for a in levels:
-        # a forced column is checked like any other (finite, of the data's size)
-        forced = data.with_column(design.exposure, np.full(data.n, a))
-        if same:
-            # Same sample: only the exposure terms' columns change.  Gives
-            # realize()'s matrix bit for bit.
-            force_exposure(S, designs, forced.column(design.exposure))
-        else:
-            S = realize(design, forced).T[None]
+    for level in forced:
+        # Gives realize()'s matrix at this level bit for bit.
+        force_exposure(S, designs, datas, level.column(design.exposure))
         eta = S.swapaxes(1, 2) @ betas
         over = (eta > ETA_MAX).any(axis=(1, 2))
         if over.any():
@@ -210,7 +208,8 @@ def marginal_rr(
 
     RR = mean_i exp(x_i(a1) beta) / mean_i exp(x_i(a0) beta), forcing the
     exposure to a1 / a0 while covariates keep their observed values.
-    This is the one-fit case of ``marginal_rr_stack``.
+    This is the one-fit case of ``marginal_rr_stack``: an unconverged fit
+    raises ``FitFailed`` naming its ``failure_reason``.
     """
     (est,) = marginal_rr_stack([fit], [data], a1, a0, level)
     if isinstance(est, Exception):
@@ -228,15 +227,18 @@ def marginal_rr_stack(fits, datas, a1: float = 1.0, a0: float = 0.0,
     for the linear predictors and one for the gradients; then one batched
     g' Sigma g.  Any other pair is a stack of its own.  Returns one entry
     per pair, in order: its ``RREstimate``, or the ``RiskRatioError``
-    (``NonFiniteStandardization`` where exp() would overflow) that
-    ``marginal_rr`` raises on it alone; bit for bit the one-fit values
-    either way.  A fit without a design or exposure raises ``ValueError``.
+    (``FitFailed`` for an unconverged fit, ``NonFiniteStandardization``
+    where exp() would overflow) that ``marginal_rr`` raises on it alone;
+    bit for bit the one-fit values either way.  A fit without a design or exposure raises ``ValueError``.
     """
     if any(f.design is None or f.design.exposure is None for f in fits):
         raise ValueError("fit carries no design/exposure; cannot standardize")
     out = [None] * len(fits)
     stacks: dict = {}
     for i, (fit, data) in enumerate(zip(fits, datas)):
+        if not fit.converged:
+            out[i] = _captured(_usable, "fit", fit)
+            continue
         key = shape_key(fit.design) if data is fit.design.data else i
         stacks.setdefault(key, []).append(i)
     for idx in stacks.values():

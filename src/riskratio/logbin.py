@@ -16,8 +16,9 @@ case, a view of its ``X``.  The stack has the layout of ``eecore``'s
 (designs' ``X.T`` in one C-contiguous array, vectors as B x n x 1
 columns), so every ``np.matmul`` and LAPACK call serves all its designs
 and each design's fit equals its one-design fit bit for bit.  Each design
-keeps its own barrier weight, stage and iterate; per-row masks decide
-step truncation and the end of a stage or of the fit.  The barrier
+keeps its own barrier weight, stage and iterate, the iterate as a row of
+plain arrays, as robust Poisson's loop keeps its own; per-row masks
+decide step truncation and the end of a stage or of the fit.  The barrier
 weight falls by a factor of 0.01 per stage, from 1 to 1e-8: five stages
 (``_STAGE_T``).  Each Newton system is one weighted product of the stack,
 (X.T * w) @ X with one weight per observation for the likelihood and the
@@ -79,13 +80,6 @@ def _gradient_q(X, y, nyq):
     return _t(X) @ (y - nyq)
 
 
-def _hessian_q(X, nyq, q):
-    # -(X.T * h) @ X with h = (1 - y) e^eta/(1-e^eta)^2 = nyq (1 + q).
-    # Negation is exact, so X.T * (nyq * (-1 - q)) is -(X.T * h) bit for
-    # bit, without negating a p x n matrix.
-    return (_t(X) * _as_row(nyq * (-1 - q))) @ X
-
-
 def logbin_loglik(X, y, beta) -> float:
     """sum_i [y_i eta_i + (1 - y_i) log(1 - exp(eta_i))], eta = X beta."""
     eta = X @ beta
@@ -100,81 +94,57 @@ def logbin_gradient(X, y, beta) -> np.ndarray:
 
 
 def logbin_hessian(X, y, beta) -> np.ndarray:
+    # -(X.T * h) @ X with h = (1 - y) e^eta/(1-e^eta)^2 = (1 - y) q (1 + q).
+    # Negation is exact, so X.T * ((1 - y) q (-1 - q)) is -(X.T * h) bit
+    # for bit, without negating a p x n matrix.
     eta = X @ beta
     q = _q(eta, -np.expm1(eta))
-    return _hessian_q(X, (1 - y) * q, q)
+    return (X.T * ((1 - y) * q * (-1 - q))) @ X
 
 
-class _BarrierIterate:
-    """What the barrier loop keeps of an accepted, strictly feasible beta:
-    eta = X beta, ``neg`` = -eta, s = 1 - e^eta, the log-likelihood and
-    the barrier sum(log(-eta)), each computed once and reused for every
-    barrier weight t.  ``s`` is -expm1(eta), which the log-likelihood needs
-    and which is the denominator of every q = e^eta / (1 - e^eta) at this
-    iterate; ``neg`` also gives the room to the boundary.
-
-    The iterate of one design holds vectors; that of a stack holds column
-    vectors (B x n x 1) and one loglik and logbar per design (see
-    ``eecore``).  ``ny`` is 1 - y, which the fit computes once.  Since
-    every eta < 0, s is positive and the log-likelihood needs none of the
-    guards of ``_loglik_eta``.
+def _iterate(y, ny, eta):
+    """The arrays the barrier loop keeps of accepted, strictly feasible
+    betas of a stack, from their eta = X beta (B x n x 1): eta,
+    s = 1 - e^eta, and per design the log-likelihood and the barrier
+    sum(log(-eta)), each computed once and reused for every barrier weight
+    t.  ``s`` is -expm1(eta), which the log-likelihood needs and which is
+    the denominator of every q = e^eta / (1 - e^eta) at this iterate.
+    ``ny`` is 1 - y, which the fit computes once.  Since every eta < 0, s
+    is positive and the log-likelihood needs none of the guards of
+    ``_loglik_eta``.
     """
-
-    __slots__ = ("eta", "neg", "s", "ny", "loglik", "logbar")
-
-    def __init__(self, y, eta, ny):
-        self.eta = eta
-        self.neg = -eta
-        self.ny = ny
-        self.s = -np.expm1(eta)
-        self.loglik = _total(y * eta + ny * np.log(self.s))
-        self.logbar = _total(np.log(self.neg))
-
-    def objective(self, t):
-        """loglik + t * sum_i log(-x_i'beta); of a stack, per design."""
-        return self.loglik + t * self.logbar
-
-    def newton_system(self, X, y, t):
-        """Gradient and Hessian of the barrier objective, from one q; ``X``
-        is one design or a stack, whose ``t`` is then B x 1 x 1.
-
-        The Hessian is one weighted product, (X.T * w) @ X with
-        w = -(1 - y) q (1 + q) - t / eta**2.  It equals ``logbin_hessian``
-        minus t (X.T / eta**2) @ X up to rounding, not bit for bit: the
-        sum over observations is taken once."""
-        eta, Xt = self.eta, _t(X)
-        q = _q(eta, self.s)
-        nyq = self.ny * q
-        inv = 1.0 / eta
-        grad = _gradient_q(X, y, nyq) + t * (Xt @ inv)
-        hess = (Xt * _as_row(nyq * (-1 - q) - t * inv * inv)) @ X
-        return grad, hess
-
-    def __getitem__(self, rows):
-        """The iterate of the given designs of a stack, a copy."""
-        new = object.__new__(_BarrierIterate)
-        for name in self.__slots__:
-            setattr(new, name, getattr(self, name)[rows])
-        return new
-
-    def __setitem__(self, rows, other):
-        for name in self.__slots__:
-            getattr(self, name)[rows] = getattr(other, name)
+    s = -np.expm1(eta)
+    return (eta, s, (y * eta + ny * np.log(s)).sum(axis=(1, 2)),
+            np.log(-eta).sum(axis=(1, 2)))
 
 
-def _total(v):
-    """The sum of a vector, or of each column vector of a stack."""
-    return np.sum(v) if v.ndim == 1 else v.sum(axis=(1, 2))
+def _newton_system(X, y, ny, eta, s, t):
+    """Gradient and Hessian of the barrier objective at eta of a stack,
+    from one q; ``s`` is -expm1(eta), ``ny`` is 1 - y and ``t`` is
+    B x 1 x 1.
+
+    The Hessian is one weighted product, (X.T * w) @ X with
+    w = -(1 - y) q (1 + q) - t / eta**2.  It equals ``logbin_hessian``
+    minus t (X.T / eta**2) @ X up to rounding, not bit for bit: the sum
+    over observations is taken once."""
+    Xt = _t(X)
+    q = _q(eta, s)
+    nyq = ny * q
+    inv = 1.0 / eta
+    grad = _gradient_q(X, y, nyq) + t * (Xt @ inv)
+    hess = (Xt * _as_row(nyq * (-1 - q) - t * inv * inv)) @ X
+    return grad, hess
 
 
-def _truncate_step(neg_eta, direction_eta):
+def _truncate_step(eta, fall):
     """Per design of a stack (B x 1 x 1), the largest step alpha <= 1 with
-    eta + alpha*direction <= 0 everywhere, times 0.99; ``neg_eta`` is
-    -eta, which is 0.0 - eta for every eta < 0."""
-    rising = direction_eta > 0
-    room = np.where(rising, neg_eta, np.inf) / np.where(rising, direction_eta, 1.0)
-    # min(1.0, 0.99 * max(lowest, 0.0)) per row; every room is -eta >= 0
-    # over d > 0, so never below 0 nor NaN, and the max is idle.
+    eta - alpha*fall <= 0 everywhere, times 0.99; ``fall`` is X @ -delta,
+    -(X @ delta) bit for bit, so eta / fall is (-eta) / (X @ delta) bit
+    for bit where X @ delta > 0."""
+    rising = fall < 0
+    room = np.where(rising, eta, -np.inf) / np.where(rising, fall, -1.0)
+    # min(1.0, 0.99 * max(lowest, 0.0)) per row; every room is eta <= 0
+    # over fall < 0, so never below 0 nor NaN, and the max is idle.
     return np.minimum(0.99 * room.min(axis=(1, 2), keepdims=True), 1.0)
 
 
@@ -301,11 +271,11 @@ def fit_logbin_barrier(design, y) -> FitResult:
     1e-8 (``BARRIER_T_FACTOR`` = 0.01).  Each stage takes damped Newton
     steps, truncated to 99% of the way to the boundary and halved until
     the barrier objective does not fall.  Each accepted iterate keeps eta,
-    1 - e^eta, its log-likelihood and its barrier sum
-    (``_BarrierIterate``), so the Newton system and the objective come from
-    that state and each halving costs one X @ beta.  The Newton system's
-    Hessian is one weighted product of X, one weight per observation for
-    the likelihood and the barrier together.
+    1 - e^eta, its log-likelihood and its barrier sum (``_iterate``), so
+    the Newton system and the objective come from those arrays and each
+    halving costs one X @ beta.  The Newton system's Hessian is one
+    weighted product of X, one weight per observation for the likelihood
+    and the barrier together.
 
     This is the one-design case of ``fit_logbin_barrier_stack``: the
     design is a stack of one, a view of its ``X``, not a copy.  A
@@ -366,12 +336,15 @@ def _barrier(Xt, y, beta, dms) -> dict:
     step.
 
     Each design runs its own schedule: it keeps its stage (so its barrier
-    weight t), the iteration its stage began after, its beta and its
-    ``_BarrierIterate``.  Every design in the stack has run as many Newton
-    iterations as the loop, so that count is its total.  After every
-    iteration, one mask test per design ends its stage when its step
-    truncates to nothing, when no halved step is accepted, when its step or
-    its gradient is small, or after MAX_ITER iterations in the stage.
+    weight t), the iteration its stage began after, and its iterate: beta,
+    the arrays of ``_iterate`` and its objective, plain arrays with one row
+    per design, as ``eecore._newton`` keeps (beta, mu, score, norm).
+    ``ny`` = 1 - y is a constant of the design, gathered with y.  Every
+    design in the stack has run as many Newton iterations as the loop, so
+    that count is its total.  After every iteration, one mask test per
+    design ends its stage when its step truncates to nothing, when no
+    halved step is accepted, when its step or its gradient is small, or
+    after MAX_ITER iterations in the stage.
 
     Returns {row: FitResult or exception}; rows are positions in the given
     stack.  A design that ends its last stage is finished there, from the
@@ -392,18 +365,19 @@ def _barrier(Xt, y, beta, dms) -> dict:
         Xt, y, beta, eta, rows = (a[~infeasible] for a in (Xt, y, beta, eta, rows))
         if not len(rows):
             return out
-    state = _BarrierIterate(y, eta, 1 - y)
+    ny = 1 - y
+    eta, s, loglik, logbar = _iterate(y, ny, eta)
     X = _t(Xt)
     n = Xt.shape[2]
     stage = np.zeros(len(rows), dtype=int)
     began = np.zeros(len(rows), dtype=int)
     t, t3 = _STAGE_T[stage], _STAGE_T[stage][:, None, None]
-    obj = state.objective(t)
+    obj = loglik + t * logbar
     tol = GRAD_TOL * n
     iterations = 0
     while True:
         iterations += 1
-        grad, hess = state.newton_system(X, y, t3)
+        grad, hess = _newton_system(X, y, ny, eta, s, t3)
         # Only a step that raises the finite barrier objective is taken,
         # so even a direction from a non-finite system is safe to try.
         neg = -hess
@@ -414,13 +388,13 @@ def _barrier(Xt, y, beta, dms) -> dict:
                 delta[k, :, 0] = np.linalg.lstsq(neg[k], grad[k, :, 0], rcond=None)[0]
             except np.linalg.LinAlgError as exc:
                 lstsq_failed[k] = exc
-        alpha = _truncate_step(state.neg, X @ delta)
+        alpha = _truncate_step(eta, X @ -delta)
         if lstsq_failed:
             alpha[list(lstsq_failed)] = 0.0
         moving = alpha[:, 0, 0] > 1e-16
-        (beta, state, obj), stuck = _step_search(
-            Xt, (beta, state, obj), delta, alpha, np.flatnonzero(moving),
-            partial(_objective_holds, y, state.ny, obj - 1e-12, t))
+        (beta, eta, s, loglik, logbar, obj), stuck = _step_search(
+            Xt, (beta, eta, s, loglik, logbar, obj), delta, alpha,
+            np.flatnonzero(moving), partial(_objective_holds, y, ny, obj - 1e-12, t))
         step = np.abs(alpha * delta).max(axis=(1, 2))
         gnorm = np.abs(grad).max(axis=(1, 2))
         # A NaN step or gradient norm ends no stage; a design that took no
@@ -435,9 +409,9 @@ def _barrier(Xt, y, beta, dms) -> dict:
             out.update({rows[k]: exc for k, exc in lstsq_failed.items()})
             kept = _without(len(rows), lstsq_failed)
             for k in np.flatnonzero(kept & (stage == len(_STAGE_T))):
-                eta, yk = state.eta[k, :, 0], y[k, :, 0]
-                on_boundary = eta.max() > -BOUNDARY_EPS * 10
-                grad = _gradient_q(X[k], yk, state.ny[k, :, 0] * _q(eta, state.s[k, :, 0]))
+                yk = y[k, :, 0]
+                on_boundary = eta[k].max() > -BOUNDARY_EPS * 10
+                grad = _gradient_q(X[k], yk, ny[k, :, 0] * _q(eta[k, :, 0], s[k, :, 0]))
                 converged = bool(np.abs(grad).max() < 1e-4 * n or on_boundary)
                 reason = None if converged else "barrier did not reach stationarity"
                 out[rows[k]] = _finish(X[k], yk, beta[k, :, 0], converged, on_boundary,
@@ -445,12 +419,12 @@ def _barrier(Xt, y, beta, dms) -> dict:
             keep = kept & (stage < len(_STAGE_T))
             if not keep.any():
                 return out
-            rows, Xt, y, beta, stage, began = (
-                a[keep] for a in (rows, Xt, y, beta, stage, began))
-            state = state[keep]
+            rows, Xt, y, ny, beta, eta, s, loglik, logbar, stage, began = (
+                a[keep] for a in (rows, Xt, y, ny, beta, eta, s, loglik, logbar,
+                                  stage, began))
             X = _t(Xt)
         t, t3 = _STAGE_T[stage], _STAGE_T[stage][:, None, None]
-        obj = state.objective(t)
+        obj = loglik + t * logbar
 
 
 def _solve_definite(neg, grad):
@@ -464,12 +438,13 @@ def _objective_holds(y, ny, floor, t, rows, candidate, X, eta):
     """The barrier's test for ``eecore._step_search``: a candidate is
     accepted when it is strictly feasible and its barrier objective at
     ``t`` is at least ``floor``, its row's current one less 1e-12.  The
-    iterate is (beta, ``_BarrierIterate``, objective)."""
+    iterate is (beta, eta, s, loglik, logbar, objective): beta, the arrays
+    of ``_iterate`` and the objective."""
     if not eta.max() < 0:
         # Leave out a candidate with some eta >= 0; one with a NaN eta is
         # tried, and fails on its objective.
         fine = ~(eta.max(axis=(1, 2)) >= 0)
         rows, candidate, eta = rows[fine], candidate[fine], eta[fine]
-    new = _BarrierIterate(_rows(y, rows), eta, _rows(ny, rows))
-    value = new.objective(_rows(t, rows))
-    return rows, value >= _rows(floor, rows), (candidate, new, value)
+    eta, s, loglik, logbar = _iterate(_rows(y, rows), _rows(ny, rows), eta)
+    value = loglik + _rows(t, rows) * logbar
+    return rows, value >= _rows(floor, rows), (candidate, eta, s, loglik, logbar, value)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -378,9 +379,11 @@ class _Replicator:
 
     def run(self, keys, threads: int = 1) -> list:
         """Every replication of ``keys``, in order, mapped in blocks of
-        max(1, STACK_ROWS // n) keys; with ``threads`` > 1 the blocks go
-        to a thread pool, and are cut shorter where that gives every
-        thread a block."""
+        max(1, STACK_ROWS // n) keys.  ``threads`` is first capped at the
+        CPU count and at the number of keys; above 1, the blocks go to a
+        thread pool of that many threads, and are cut shorter where that
+        gives every thread a block."""
+        threads = max(1, min(threads, os.cpu_count() or 1, len(keys)))
         size = STACK_ROWS // self.n
         size = max(1, min(size, -(-len(keys) // threads)))
         blocks = [keys[i:i + size] for i in range(0, len(keys), size)]
@@ -445,10 +448,12 @@ def run_study(config: StudyConfig, threads: int = 1) -> dict:
     value bit for bit, and the records (rr, lo, hi) are kept in
     replication order as one R x cells x 3 array, so the output is
     identical for any block length and any ``threads`` value.  A cell's
-    metrics read its R x 3 column (``_cell_metrics``).  ``threads`` > 1
-    maps the blocks on a thread pool; a study with fewer than ``threads``
-    full blocks is cut into ``threads`` shorter ones, so that no thread
-    idles.  ``threads`` < 1 raises ``ConfigError``.
+    metrics read its R x 3 column (``_cell_metrics``).  ``threads`` is
+    capped at the CPU count (``os.cpu_count()``) and at R, before the
+    blocks are cut; above 1 it maps the blocks on a thread pool of that
+    many threads, and a study with fewer full blocks than threads is cut
+    into one shorter block per thread, so that no thread idles.
+    ``threads`` < 1 raises ``ConfigError``.
     """
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")

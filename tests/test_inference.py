@@ -192,12 +192,14 @@ class TestStandardizedMeans:
         total = mu.sum()
         return total / data.n, (Xa.T @ mu) / total
 
-    @pytest.mark.parametrize("spec", [
+    SPECS = [
         "1 + A + L1 + L2",
         "1 + A + L1 + A:L1",
         "1 + A + rcs(L1,4) + L2",
         "1 + cat(A,ref=1) + rcs(L1,4) + L2",
-    ])
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS)
     def test_equals_realize(self, spec, monkeypatch):
         data, other = self._sample(0), self._sample(1)
         design = build_design_matrix(data, parse_spec(spec), exposure="A")
@@ -213,6 +215,17 @@ class TestStandardizedMeans:
             assert m == m_ref and g.tobytes() == g_ref.tobytes()
         # Only the other sample, of the same size, goes through realize().
         assert len(realized) == 3
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_sample_without_the_exposure_column(self, spec):
+        # The exposure is forced on every row, so a sample need not have its
+        # column: without it, the same bits as the same sample with it.
+        data, other = self._sample(0), self._sample(1)
+        design = build_design_matrix(data, parse_spec(spec), exposure="A")
+        fit = fit_robust_poisson(design, data.y)
+        bare = Dataset(y=other.y, columns={k: v for k, v in other.columns.items()
+                                           if k != "A"})
+        assert marginal_rr(fit, bare) == marginal_rr(fit, other)
 
 
 class TestFitMethods:
@@ -589,6 +602,28 @@ class TestMarginalRRStack:
         others = [0, 1, 3]
         assert [_estimate_bits(stacked[k]) for k in others] == [
             _estimate_bits(marginal_rr(fits[k], datas[k])) for k in others]
+
+    def test_unconverged_fit_fails_alone(self):
+        # An unconverged log-binomial fit is refused by every estimand, not
+        # reported at its feasible start (RR 1.0); the other entries of its
+        # stack keep their bits.
+        data = generate("moderate", 1000, seed=0)
+        design = build_design_matrix(data, parse_spec("1 + A + L1 + L2"), exposure="A")
+        failed = fit_logbin_ml(design, data.y)
+        assert (failed.converged, failed.failure_reason) == (False, "infeasible iterate")
+        message = "fit failed: infeasible iterate (iterations=1, on_boundary=True)"
+        for estimand in (lambda: coefficient_rr(failed, design.exposure_cols[0]),
+                         lambda: marginal_rr(failed, data)):
+            with pytest.raises(FitFailed) as alone:
+                estimand()
+            assert str(alone.value) == message
+        fits, datas = self._block(46, "simple", size=4)
+        before = inference.marginal_rr_stack(fits, datas)
+        stacked = inference.marginal_rr_stack(
+            fits[:2] + [failed] + fits[2:], datas[:2] + [data] + datas[2:])
+        assert isinstance(stacked[2], FitFailed) and str(stacked[2]) == message
+        assert [_estimate_bits(e) for e in stacked[:2] + stacked[3:]] == [
+            _estimate_bits(e) for e in before]
 
     def test_fit_without_a_design_is_refused(self):
         data = eight_row_dataset()

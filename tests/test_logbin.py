@@ -20,7 +20,7 @@ from riskratio import (
 from riskratio import eecore, logbin
 from riskratio.errors import FitFailed, InfeasiblePoint, NoFeasibleStart, RiskRatioError
 from riskratio.inference import FIT_METHODS, _usable, fit_each
-from riskratio.logbin import _BarrierIterate, feasible_start, fit_logbin_barrier_stack
+from riskratio.logbin import feasible_start, fit_logbin_barrier_stack
 from riskratio.rng import stream
 from riskratio.simlab import get_scenario
 
@@ -91,11 +91,12 @@ def test_row_major_array_fits_like_the_design(fitter):
 
 
 def test_barrier_iterate_matches_public_functions_bit_for_bit():
-    # The barrier loop builds its Newton system and objective from one
-    # stored state; the gradient and objective must be the very numbers of
-    # the public functions.  The Hessian is one product with one weight per
-    # observation: bit for bit that expression, and the public Hessian less
-    # the barrier's t (X.T / eta**2) @ X up to rounding.
+    # The barrier loop builds its Newton system and objective from the
+    # arrays it keeps of an iterate (``_iterate``); the gradient and
+    # objective must be the very numbers of the public functions.  The
+    # Hessian is one product with one weight per observation: bit for bit
+    # that expression, and the public Hessian less the barrier's
+    # t (X.T / eta**2) @ X up to rounding.
     rng = stream(52, 0)
     terms = parse_spec(get_scenario("moderate").rich_spec)
     for r in range(10):
@@ -106,8 +107,12 @@ def test_barrier_iterate_matches_public_functions_bit_for_bit():
         eta = X @ beta
         assert np.max(eta) < 0
         t = 10.0 ** rng.uniform(-8, 0)
-        state = _BarrierIterate(y, X @ beta, 1 - y)
-        grad, hess = state.newton_system(X, y, t)
+        # The design as a stack of one with column vectors, as in the loop.
+        stack, col = eecore._t(X.T[None]), y[None, :, None]
+        eta1, s, loglik, logbar = logbin._iterate(col, 1 - col, stack @ beta[None, :, None])
+        assert eta1[0, :, 0].tobytes() == eta.tobytes()
+        grad, hess = logbin._newton_system(stack, col, 1 - col, eta1, s, t)
+        grad, hess = grad[0, :, 0], hess[0]
         np.testing.assert_array_equal(
             grad, logbin_gradient(X, y, beta) + t * (X.T @ (1.0 / eta)))
         q = np.exp(eta) / -np.expm1(eta)
@@ -117,7 +122,7 @@ def test_barrier_iterate_matches_public_functions_bit_for_bit():
         np.testing.assert_allclose(
             hess, logbin_hessian(X, y, beta) - t * ((X.T * (1.0 / eta**2)) @ X),
             rtol=1e-13)
-        assert state.objective(t) == (
+        assert (loglik + t * logbar)[0] == (
             logbin_loglik(X, y, beta) + t * np.sum(np.log(-eta)))
 
 
@@ -464,16 +469,17 @@ class TestStepSearch:
 
     @staticmethod
     def search(Xt, y, beta, delta, t):
-        """(beta, state, objective, step, rows without a step, objective
-        before) of one search from a unit step; nothing passed in changes."""
-        beta = beta.copy()
-        state = _BarrierIterate(y, eecore._t(Xt) @ beta, 1 - y)
-        before = state.objective(t)
+        """(iterate, step, rows without a step, objective before) of one
+        search from a unit step, the iterate being (beta, eta, s, loglik,
+        logbar, objective); nothing passed in changes."""
+        eta, s, loglik, logbar = logbin._iterate(y, 1 - y, eecore._t(Xt) @ beta)
+        before = loglik + t * logbar
         step = np.ones((len(Xt), 1, 1))
-        accept = partial(logbin._objective_holds, y, state.ny, before - 1e-12, t)
-        (beta, state, obj), stuck = eecore._step_search(
-            Xt, (beta, state, before.copy()), delta, step, np.arange(len(Xt)), accept)
-        return beta, state, obj, step, stuck, before
+        accept = partial(logbin._objective_holds, y, 1 - y, before - 1e-12, t)
+        iterate, stuck = eecore._step_search(
+            Xt, (beta.copy(), eta, s, loglik, logbar, before.copy()), delta, step,
+            np.arange(len(Xt)), accept)
+        return iterate, step, stuck, before
 
     def test_infeasible_candidate_is_halved_until_feasible(self):
         datas = [generate("simple", 300, rng=stream(711, r)) for r in range(2)]
@@ -491,20 +497,19 @@ class TestStepSearch:
         with warnings.catch_warnings():
             # The infeasible candidate is left out, not taken to log(s < 0).
             warnings.simplefilter("error")
-            new_beta, state, obj, step, stuck, before = self.search(Xt, y, beta, delta, t)
+            iterate, step, stuck, before = self.search(Xt, y, beta, delta, t)
+        new_beta, eta, *_, obj = iterate
         assert step.ravel().tolist() == [0.5, 1.0] and not stuck.size
-        assert (state.eta.max(axis=(1, 2)) < 0).all() and (obj > before).all()
+        assert (eta.max(axis=(1, 2)) < 0).all() and (obj > before).all()
         np.testing.assert_array_equal(new_beta, beta + step * delta)
         for k in range(2):
-            alone = self.search(Xt[k:k + 1], y[k:k + 1], beta[k:k + 1],
-                                delta[k:k + 1], t[k:k + 1])
-            assert alone[0].tobytes() == new_beta[k:k + 1].tobytes()
-            for name in _BarrierIterate.__slots__:
-                assert getattr(alone[1], name).tobytes() == \
-                    getattr(state, name)[k:k + 1].tobytes(), name
-            assert alone[2].tobytes() == obj[k:k + 1].tobytes()
-            assert alone[3].tobytes() == step[k:k + 1].tobytes()
-            assert not alone[4].size
+            alone, alone_step, alone_stuck, _ = self.search(
+                Xt[k:k + 1], y[k:k + 1], beta[k:k + 1], delta[k:k + 1], t[k:k + 1])
+            assert len(alone) == len(iterate) == 6
+            for a, b in zip(alone, iterate):
+                assert a.tobytes() == b[k:k + 1].tobytes()
+            assert alone_step.tobytes() == step[k:k + 1].tobytes()
+            assert not alone_stuck.size
 
 
 def test_both_starts_find_the_same_intercept():

@@ -307,23 +307,63 @@ class TestStudy:
             monkeypatch.setattr(simlab, "STACK_ROWS", block * cfg.n)
         assert to_machine_json(run_study(cfg, threads=threads)) == to_machine_json(report)
 
-    @pytest.mark.parametrize("replications, threads, lengths", [
-        (10, 1, [10]), (10, 4, [1, 3, 3, 3]), (200, 2, [5, 65, 65, 65])])
-    def test_every_thread_gets_a_block(self, monkeypatch, replications,
-                                       threads, lengths):
-        seen = []
+    @staticmethod
+    def blocks_and_pools(monkeypatch, cpus, replications, threads):
+        """(block lengths, the ``max_workers`` of each pool) of one run on
+        ``cpus`` CPUs, with blocks that return their keys and a pool that
+        maps them in the calling thread: no thread is started."""
+        seen, pools = [], []
 
         def block(self, keys):
             seen.append(len(keys))
             return list(keys)
 
+        class Pool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
         monkeypatch.setattr(simlab._Replicator, "block", block)
+        monkeypatch.setattr(simlab, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(simlab.os, "cpu_count", lambda: cpus)
         replicator = simlab._Replicator(
             scenario=None, n=1000, seed=0, terms={}, methods=(),
             estimands=(), level=0.95)
         keys = list(range(replications))
         assert replicator.run(keys, threads=threads) == keys
-        assert sorted(seen) == lengths
+        return sorted(seen), pools
+
+    @pytest.mark.parametrize("replications, threads, lengths", [
+        (10, 1, [10]), (10, 4, [1, 3, 3, 3]), (200, 2, [5, 65, 65, 65])])
+    def test_every_thread_gets_a_block(self, monkeypatch, replications,
+                                       threads, lengths):
+        seen, pools = self.blocks_and_pools(monkeypatch, 4, replications, threads)
+        assert seen == lengths
+        assert pools == ([] if threads == 1 else [threads])
+
+    @pytest.mark.parametrize("cpus, replications, threads, lengths, workers", [
+        # Far more threads than CPUs: blocks stay full length.
+        (2, 1000, 10_000, [25] + [65] * 15, 2),
+        # The ml_failure.cfg shape (R = 200, n = 1000) at 8 threads.
+        (2, 200, 8, [5, 65, 65, 65], 2),
+        # More threads and CPUs than replications: one block per key.
+        (16, 3, 8, [1, 1, 1], 3),
+        # A CPU count that is unknown counts as one CPU: no pool.
+        (None, 200, 8, [5, 65, 65, 65], None),
+    ])
+    def test_threads_capped_at_cpus_and_keys(self, monkeypatch, cpus, replications,
+                                             threads, lengths, workers):
+        seen, pools = self.blocks_and_pools(monkeypatch, cpus, replications, threads)
+        assert seen == lengths
+        assert pools == ([] if workers is None else [workers])
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_1_rejected(self, threads):
