@@ -57,6 +57,10 @@ class Dataset:
         cols[name] = _checked_column(name, values, self.y.shape)
         return Dataset._derived(self.y, cols)
 
+    def rows(self, rows: slice) -> "Dataset":
+        """The rows of a slice, as views of this dataset's arrays."""
+        return Dataset._derived(self.y[rows], {k: v[rows] for k, v in self.columns.items()})
+
     def take(self, idx) -> "Dataset":
         """Row subset / resample by integer index array.
 

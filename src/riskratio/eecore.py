@@ -30,6 +30,14 @@ a stack are columns: beta is B x p x 1, y and mu are B x n x 1.
 design with plain vectors or such a stack.  One design is a stack of one
 by a view (``X.T[None]``), without a copy of ``X``.
 
+Row blocks: every weighted product sum_i w_i x_i x_i' -- the Jacobian, the
+sandwich's bread and meat, and ``logbin``'s Hessians and weighted least
+squares -- is ``_gram``, a sum over the row blocks of ``design.row_blocks``,
+so no fit forms an n x p temporary.  For n <= one block each product is
+the unblocked (X.T * w) @ X bit for bit, as before; above it, the blocks'
+products are summed in row order, which moves a fit's numbers in their
+last bits only.
+
 One front end, ``_in_stacks``, takes the input of all three fitters (this
 module's and ``logbin``'s two): it checks each input rule once per group
 of equal-shape designs and gathers each group into one stack, so every
@@ -64,7 +72,7 @@ from functools import partial
 
 import numpy as np
 
-from .design import DesignMatrix, as_matrix, column_ranges, stacked
+from .design import DesignMatrix, as_matrix, column_ranges, row_blocks, stacked
 from .errors import (
     DataError,
     NoFiniteSolution,
@@ -142,6 +150,31 @@ def _as_row(v):
     return v if v.ndim == 1 else _t(v)
 
 
+def _gram(X, w, *rhs):
+    """The weighted product sum_i w_i x_i x_i' = (X.T * w) @ X of one
+    design (``w`` a vector) or of each design of a stack (``w`` B x n x 1),
+    summed over the row blocks of ``design.row_blocks``, so that no n x p
+    temporary is formed; with vectors ``rhs`` of one design, the tuple of
+    that product and each (X.T * w) @ v, from the same blocks.
+
+    For n <= one block this is the unblocked expression bit for bit; above
+    it, the blocks' products are summed in row order, starting from the
+    first block's.
+    """
+    w = _as_row(w)
+    out = None
+    for rows in row_blocks(X.shape[-2]):
+        Xb = X[..., rows, :]
+        xtw = _t(Xb) * w[..., rows]
+        parts = [xtw @ Xb, *(xtw @ v[rows] for v in rhs)]
+        if out is None:
+            out = parts
+        else:
+            for total, part in zip(out, parts):
+                total += part
+    return tuple(out) if rhs else out[0]
+
+
 def ee_score(X, y, beta, mu=None) -> np.ndarray:
     """Estimating function sum_i x_i (y_i - exp(x_i beta)).
 
@@ -153,13 +186,14 @@ def ee_score(X, y, beta, mu=None) -> np.ndarray:
 
 
 def ee_jacobian(X, y, beta, mu=None) -> np.ndarray:
-    """Derivative of the score w.r.t. beta: -sum_i x_i x_i' exp(x_i beta).
+    """Derivative of the score w.r.t. beta: -sum_i x_i x_i' exp(x_i beta),
+    by row blocks (``_gram``).
 
     ``X`` is one design or a stack (see the module docstring).  ``mu`` is
     exp(X beta) when the caller has it already.
     """
     mu = _mu(X, beta) if mu is None else mu
-    return -((_t(X) * _as_row(mu)) @ X)
+    return -_gram(X, mu)
 
 
 def _intercept(X):
@@ -562,17 +596,17 @@ def sandwich_covariance(X, y, beta, mu=None, jac=None) -> np.ndarray:
     """Robust covariance B^{-1} W B^{-T} of the coefficient estimates.
 
     B = sum_i x_i x_i' mu_i (bread), W = sum_i x_i r_i^2 x_i' (meat) with
-    residual r_i = y_i - mu_i.  Symmetrized after assembly.  ``X`` is one
-    design or a stack (see the module docstring).  ``mu`` is exp(X beta)
-    and ``jac`` is ``ee_jacobian`` at beta when the caller has them
-    already; the bread is then -jac, the same matrix bit for bit, since
-    negation is exact.
+    residual r_i = y_i - mu_i, each by row blocks (``_gram``).
+    Symmetrized after assembly.  ``X`` is one design or a stack (see the
+    module docstring).  ``mu`` is exp(X beta) and ``jac`` is
+    ``ee_jacobian`` at beta when the caller has them already; the bread is
+    then -jac, the same matrix bit for bit, since negation is exact.
     """
     X = X.X if isinstance(X, DesignMatrix) else np.asarray(X, float)
     mu = _mu(X, beta) if mu is None else mu
     r = y - mu
-    bread = (_t(X) * _as_row(mu)) @ X if jac is None else -jac
-    meat = (_t(X) * _as_row(r**2)) @ X
+    bread = _gram(X, mu) if jac is None else -jac
+    meat = _gram(X, r**2)
     try:
         binv = np.linalg.inv(bread)
     except np.linalg.LinAlgError:

@@ -16,12 +16,14 @@ bootstrap cross-check.
 
 ``marginal_rr_stack`` standardizes many fits at once, as a study does for
 a block of replications: fits whose designs share a shape are one
-B x p x n stack, copied once, with the exposure terms rewritten per level,
-then one batched ``matmul`` each for the linear predictors, the gradients
-and g' Sigma g.  Each batch runs the BLAS call one design makes, so every
-estimate equals its one-fit value bit for bit; ``marginal_rr`` is the
-stack-of-one case.  A row whose linear predictor would overflow exp() gets
-``NonFiniteStandardization`` alone.
+B x p x n stack, copied a row block at a time (``design.row_blocks``),
+with the exposure terms rewritten per level, then one batched ``matmul``
+each for the linear predictors and the gradients, and one for g' Sigma g.
+Each batch runs the BLAS call one design makes, so every estimate equals
+its one-fit value bit for bit; ``marginal_rr`` is the stack-of-one case.
+For n <= one block the numbers are as before; above it, the blocks' sums
+are added in row order.  A row whose linear predictor would overflow
+exp() gets ``NonFiniteStandardization`` alone.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import Dataset
-from .design import DesignMatrix, force_exposure, realize, shape_key, stacked
+from .design import (
+    DesignMatrix, force_exposure, realize, row_blocks, shape_key, stacked,
+)
 from .eecore import (
     ETA_MAX, FitResult, _captured, fit_robust_poisson, fit_robust_poisson_stack,
 )
@@ -175,28 +179,41 @@ def _standardized_stack(designs, betas, datas, levels) -> list:
 
     Either the designs share a ``shape_key`` and each is standardized over
     its own data, or there is one design with any data of its columns, the
-    exposure's not needed.  The stack is built once, a copy of the designs'
-    or one ``realize`` on the other data; each level then rewrites only its
-    exposure terms.  ``betas`` is B x p x 1.  A row whose linear predictor
-    would overflow exp() is flagged, and its numbers mean nothing.
+    exposure's not needed.  The work runs a row block at a time
+    (``design.row_blocks``): the block's stack is built once, a copy of the
+    designs' rows or a ``realize`` on the other data's, and each level then
+    rewrites only its exposure terms and adds the block's sum of exp(eta)
+    and of S * exp(eta) to its totals.  ``betas`` is B x p x 1.  A row
+    whose linear predictor would overflow exp() is flagged, and its numbers
+    mean nothing.  For n <= one block the numbers are those of the whole
+    stack bit for bit; above it, the blocks are summed in row order.
     """
     design, data = designs[0], datas[0]
     # a forced column is checked like any other (finite, of the data's size)
     forced = [data.with_column(design.exposure, np.full(data.n, a)) for a in levels]
-    S = (np.stack([d.X.T for d in designs]) if data is design.data
-         else realize(design, forced[0]).T[None])
-    out = []
-    for level in forced:
-        # Gives realize()'s matrix at this level bit for bit.
-        force_exposure(S, designs, datas, level.column(design.exposure))
-        eta = S.swapaxes(1, 2) @ betas
-        over = (eta > ETA_MAX).any(axis=(1, 2))
-        if over.any():
-            eta[over] = 0.0
-        mu = np.exp(eta)
-        total = mu[:, :, 0].sum(axis=1)
-        out.append((total / data.n, (S @ mu)[:, :, 0] / total[:, None], over))
-    return out
+    sums = [None] * len(levels)
+    for rows in row_blocks(data.n):
+        block = [d.rows(rows) for d in datas]
+        S = (np.stack([d.X.T[:, rows] for d in designs]) if data is design.data
+             else realize(design, forced[0].rows(rows)).T[None])
+        for k, level in enumerate(forced):
+            # Gives realize()'s matrix at this level bit for bit.
+            force_exposure(S, designs, block, level.column(design.exposure)[rows])
+            eta = S.swapaxes(1, 2) @ betas
+            over = (eta > ETA_MAX).any(axis=(1, 2))
+            if over.any():
+                eta[over] = 0.0
+            mu = np.exp(eta)
+            part = (mu[:, :, 0].sum(axis=1), (S @ mu)[:, :, 0], over)
+            if sums[k] is None:
+                sums[k] = part
+            else:
+                total, weighted, flagged = sums[k]
+                total += part[0]
+                weighted += part[1]
+                flagged |= part[2]
+    return [(total / data.n, weighted / total[:, None], over)
+            for total, weighted, over in sums]
 
 
 def marginal_rr(
@@ -222,14 +239,15 @@ def marginal_rr_stack(fits, datas, a1: float = 1.0, a0: float = 0.0,
     """``marginal_rr`` of each (fit, data) pair, standardized as stacks.
 
     Fits whose designs share a ``shape_key`` and are standardized over the
-    data they were built on form one stack: one copy of the designs, and
-    per exposure level a rewrite of its exposure terms, one batched product
-    for the linear predictors and one for the gradients; then one batched
-    g' Sigma g.  Any other pair is a stack of its own.  Returns one entry
-    per pair, in order: its ``RREstimate``, or the ``RiskRatioError``
-    (``FitFailed`` for an unconverged fit, ``NonFiniteStandardization``
-    where exp() would overflow) that ``marginal_rr`` raises on it alone;
-    bit for bit the one-fit values either way.  A fit without a design or exposure raises ``ValueError``.
+    data they were built on form one stack: per row block, one copy of the
+    designs' rows, and per exposure level a rewrite of its exposure terms,
+    one batched product for the linear predictors and one for the
+    gradients; then one batched g' Sigma g.  Any other pair is a stack of
+    its own.  Returns one entry per pair, in order: its ``RREstimate``, or
+    the ``RiskRatioError`` (``FitFailed`` for an unconverged fit,
+    ``NonFiniteStandardization`` where exp() would overflow) that
+    ``marginal_rr`` raises on it alone; bit for bit the one-fit values
+    either way.  A fit without a design or exposure raises ``ValueError``.
     """
     if any(f.design is None or f.design.exposure is None for f in fits):
         raise ValueError("fit carries no design/exposure; cannot standardize")

@@ -22,10 +22,12 @@ decide step truncation and the end of a stage or of the fit.  The barrier
 weight falls by a factor of 0.01 per stage, from 1 to 1e-8: five stages
 (``_STAGE_T``).  Each Newton system is one weighted product of the stack,
 (X.T * w) @ X with one weight per observation for the likelihood and the
-barrier together, so an iteration makes one p x n copy.  The loop hands
-back its fits as robust Poisson's does: a design that ends its last stage
-is finished in the loop and leaves the stack, and the loop returns
-{row: FitResult or exception}.  Step halving is robust Poisson's
+barrier together.  That product, the Hessian of ``logbin_hessian`` and the
+ML fitter's weighted least squares run over row blocks (``eecore._gram``):
+as before for n <= one block; above it, blocks summed in row order.  The
+loop hands back its fits as robust Poisson's does: a design that ends its
+last stage is finished in the loop and leaves the stack, and the loop
+returns {row: FitResult or exception}.  Step halving is robust Poisson's
 (``eecore._step_search``) with the barrier's acceptance test.  The ML
 fitter stays one design at a time: it fails fast, and costs little.  Both
 fitters take their input through ``eecore._in_stacks``, the ML fitter as
@@ -40,7 +42,7 @@ from functools import partial
 import numpy as np
 
 from .eecore import (
-    MAX_HALVINGS, FitResult, _alone, _as_row, _by_row, _captured, _in_stacks,
+    MAX_HALVINGS, FitResult, _alone, _by_row, _captured, _gram, _in_stacks,
     _intercept, _rows, _step_search, _t, _without,
 )
 from .errors import InfeasiblePoint, NoFeasibleStart
@@ -99,7 +101,7 @@ def logbin_hessian(X, y, beta) -> np.ndarray:
     # for bit, without negating a p x n matrix.
     eta = X @ beta
     q = _q(eta, -np.expm1(eta))
-    return (X.T * ((1 - y) * q * (-1 - q))) @ X
+    return _gram(X, (1 - y) * q * (-1 - q))
 
 
 def _iterate(y, ny, eta):
@@ -127,12 +129,11 @@ def _newton_system(X, y, ny, eta, s, t):
     w = -(1 - y) q (1 + q) - t / eta**2.  It equals ``logbin_hessian``
     minus t (X.T / eta**2) @ X up to rounding, not bit for bit: the sum
     over observations is taken once."""
-    Xt = _t(X)
     q = _q(eta, s)
     nyq = ny * q
     inv = 1.0 / eta
-    grad = _gradient_q(X, y, nyq) + t * (Xt @ inv)
-    hess = (Xt * _as_row(nyq * (-1 - q) - t * inv * inv)) @ X
+    grad = _gradient_q(X, y, nyq) + t * (_t(X) @ inv)
+    hess = _gram(X, nyq * (-1 - q) - t * inv * inv)
     return grad, hess
 
 
@@ -237,11 +238,10 @@ def _ml(X, dm, y) -> FitResult:
     for it in range(1, MAX_ITER + 1):
         w = mu / (1.0 - mu)          # (dmu/deta)^2 / var for the log link
         z = eta + (y - mu) / mu
-        xtw = X.T * w
-        xtwx = xtw @ X
+        xtwx, xtwz = _gram(X, w, z)
         try:
             np.linalg.cholesky(xtwx)    # raises unless positive definite
-            beta = np.linalg.solve(xtwx, xtw @ z)
+            beta = np.linalg.solve(xtwx, xtwz)
         except np.linalg.LinAlgError:
             return _finish(X, y, last_feasible, False, True, it,
                            "singular weighted least squares", dm)

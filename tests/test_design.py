@@ -30,6 +30,7 @@ from riskratio.design import (
     column_ranges,
     realize,
 )
+from riskratio import design as design_module
 from riskratio.rng import stream
 from riskratio.simlab import SCENARIOS, generate as draw
 
@@ -112,6 +113,27 @@ class TestBuildDesignMatrix:
         )
         dm = build_design_matrix(data, [Intercept(), Main("X1"), Main("X2")])
         assert dm.rank_deficient
+
+    @pytest.mark.parametrize("collinear", [True, False])
+    def test_rank_over_several_row_blocks(self, collinear, monkeypatch):
+        # 1000 rows in blocks of 64: the R factors of 16 blocks are
+        # factored again.  X2 = 1 - 2 X1 on every row is found; on the
+        # first 100 rows only (the first block is then deficient alone),
+        # the design has full rank.
+        rng = stream(5, 3)
+        x = rng.standard_normal(1000)
+        x2 = 1.0 - 2.0 * x
+        if not collinear:
+            x2[100:] = rng.standard_normal(900)
+        data = Dataset(
+            y=(rng.random(1000) < 0.3).astype(float),
+            columns={"X1": x, "X2": x2, "X3": rng.standard_normal(1000)},
+        )
+        terms = [Intercept(), Main("X1"), Main("X2"), Main("X3")]
+        monkeypatch.setattr(design_module, "BLOCK_ROWS", 64)
+        dm = build_design_matrix(data, terms)
+        assert dm.rank_deficient is collinear
+        assert bool(np.linalg.matrix_rank(dm.X) < dm.p) is collinear
 
     def test_interaction_product(self):
         data = small_dataset()
@@ -320,19 +342,20 @@ class TestTake:
         assert taken.value.name == ("B[1]" if rows == "B zero" else "A")
 
     def test_rank_is_computed_only_when_read(self, monkeypatch):
+        # The rank check ends in one SVD, of the p x p R factor of X.
         calls = []
-        matrix_rank = np.linalg.matrix_rank
+        svd = np.linalg.svd
 
-        def counted(X):
-            calls.append(X.shape)
-            return matrix_rank(X)
+        def counted(R, **kwargs):
+            calls.append(R.shape)
+            return svd(R, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+        monkeypatch.setattr(np.linalg, "svd", counted)
         _, design = take_sample()
         resample = design.take(stream(7, 3).integers(0, design.n, size=design.n))
         assert calls == []
         assert not design.rank_deficient and not design.rank_deficient
-        assert calls == [design.X.shape]
+        assert calls == [(design.p, design.p)]
         assert not resample.rank_deficient
         assert len(calls) == 2
 

@@ -16,7 +16,7 @@ from riskratio import (
     parse_spec,
     sandwich_covariance,
 )
-from riskratio import eecore, inference
+from riskratio import design, eecore, inference, logbin
 from riskratio.errors import (
     NoFiniteSolution,
     NonConvergence,
@@ -28,6 +28,7 @@ from riskratio.errors import (
 from riskratio.design import column_ranges
 from riskratio.rng import stream
 from riskratio.eecore import MAX_HALVINGS
+from riskratio.logbin import feasible_start, logbin_hessian
 from riskratio.simlab import get_scenario
 
 from oracles import fit_irls, poisson_loglik, sandwich_covariance_lz
@@ -672,7 +673,110 @@ class TestStack:
                                    rtol=0, atol=1e-10)
 
 
+def unblocked_gram(X, w, *rhs):
+    """Oracle: the weighted products (X.T * w) @ X and (X.T * w) @ v as
+    formed before row blocks, from one n x p temporary X.T * w."""
+    xtw = eecore._t(X) * eecore._as_row(w)
+    return (xtw @ X, *(xtw @ v for v in rhs)) if rhs else xtw @ X
+
+
+def gram_kernels():
+    """Every use of ``eecore._gram``, each as a function returning the
+    arrays it decides: robust Poisson's on `moderate` designs and the
+    log-binomial ones on `simple` designs, all n=1000.  The sandwich
+    passes the rounding of its bread through the bread's inverse, so it
+    runs on the simple spec, whose bread has a condition number of about
+    8 (the rich spec's is about 7e3)."""
+    scenario = get_scenario("moderate")
+    data = generate(scenario, 1000, rng=stream(39, 0))
+    y = data.y
+    X, Xsimple = (build_design_matrix(data, parse_spec(spec), "A").X
+                  for spec in (scenario.rich_spec, scenario.simple_spec))
+    beta, beta_simple = (fit_robust_poisson(x, y).beta for x in (X, Xsimple))
+    simple = [generate("simple", 1000, rng=stream(39, r)) for r in (1, 2)]
+    Xs = [build_design_matrix(d, parse_spec(get_scenario("simple").rich_spec), "A").X
+          for d in simple]
+    ys = [d.y for d in simple]
+    start = feasible_start(Xs[0], ys[0])
+    stack = eecore._t(np.stack([x.T for x in Xs]))
+    col = np.stack(ys)[:, :, None]
+    eta = stack @ np.stack([feasible_start(x, y1) for x, y1 in zip(Xs, ys)])[:, :, None]
+
+    def ml():
+        fit = logbin._ml(Xs[0], None, ys[0])
+        return fit.beta, fit.cov_sandwich, np.array([fit.iterations, fit.converged])
+
+    return {
+        "ee_jacobian": lambda: (ee_jacobian(X, y, beta),),
+        "sandwich_covariance": lambda: (sandwich_covariance(Xsimple, y, beta_simple),),
+        "logbin_hessian": lambda: (logbin_hessian(Xs[0], ys[0], start),),
+        "_newton_system": lambda: logbin._newton_system(
+            stack, col, 1 - col, eta, -np.expm1(eta), np.array([1e-2, 1e-6])[:, None, None]),
+        "_ml": ml,
+    }
+
+
+class TestRowBlocks:
+    """Every product sum_i w_i x_i x_i' runs over row blocks of the design:
+    as the unblocked expression bit for bit for n <= one block, and to
+    rounding over several blocks."""
+
+    @pytest.mark.parametrize("name", ["ee_jacobian", "sandwich_covariance",
+                                      "logbin_hessian", "_newton_system", "_ml"])
+    def test_kernel_equals_unblocked_expression(self, monkeypatch, name):
+        kernel = gram_kernels()[name]
+        monkeypatch.setattr(eecore, "_gram", unblocked_gram)
+        monkeypatch.setattr(logbin, "_gram", unblocked_gram)
+        reference = kernel()
+        monkeypatch.undo()
+        assert [a.tobytes() for a in kernel()] == [a.tobytes() for a in reference]
+        monkeypatch.setattr(design, "BLOCK_ROWS", 128)
+        blocked = kernel()
+        assert [a.tobytes() for a in blocked] != [a.tobytes() for a in reference]
+        for got, expected in zip(blocked, reference):
+            # normwise: an entry near 0 carries the rounding of the largest
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_gram_over_blocks_and_right_hand_sides(self, monkeypatch):
+        # 1000 rows in blocks of 128: seven full blocks and one of 104.
+        monkeypatch.setattr(design, "BLOCK_ROWS", 128)
+        rng = stream(39, 3)
+        X = np.asfortranarray(rng.standard_normal((1000, 6)))
+        w, z = rng.random(1000), rng.standard_normal(1000)
+        got, expected = eecore._gram(X, w, z), unblocked_gram(X, w, z)
+        for a, b in zip(got, expected):
+            np.testing.assert_allclose(a, b, rtol=1e-13)
+        np.testing.assert_allclose(eecore._gram(X, w), expected[0], rtol=1e-13)
+
+    def test_stack_equals_solo_fits_in_row_blocks(self, monkeypatch):
+        # 256-row blocks: the n=1000 designs are fitted in four blocks, the
+        # figure-demo ones in one.
+        monkeypatch.setattr(design, "BLOCK_ROWS", 256)
+        cases = stack_cases()
+        fits = eecore.fit_robust_poisson_stack([d for d, _ in cases],
+                                               [y for _, y in cases])
+        assert [fit_outcome(f) for f in fits] == [solo_outcome(d, y) for d, y in cases]
+
+
 class TestMemory:
+    def test_fit_and_standardization_form_no_n_by_p_temporary(self):
+        # Robust Poisson's products and the standardization run a row block
+        # at a time, so neither allocates as much as X itself.
+        scenario = get_scenario("moderate")
+        data = generate(scenario, 100_000, rng=stream(36, 1))
+        dm = build_design_matrix(data, parse_spec(scenario.rich_spec), "A")
+        peaks = []
+        tracemalloc.start()
+        try:
+            fit = fit_robust_poisson(dm, data.y)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            inference.marginal_rr(fit, data)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < dm.X.nbytes
+
     def test_one_design_is_not_copied(self):
         # The fit's own temporaries (one p x n product at a time) stay
         # below half of X; a copy of X into a stack would not.

@@ -23,7 +23,7 @@ from riskratio import (
     marginal_rr,
     parse_spec,
 )
-from riskratio import eecore, inference, logbin
+from riskratio import design as design_module, eecore, inference, logbin
 from riskratio.design import build_design_stack, realize
 from riskratio.errors import (
     DataError, FitFailed, NonFiniteStandardization, RiskRatioError, TooManyFailures,
@@ -226,6 +226,26 @@ class TestStandardizedMeans:
         bare = Dataset(y=other.y, columns={k: v for k, v in other.columns.items()
                                            if k != "A"})
         assert marginal_rr(fit, bare) == marginal_rr(fit, other)
+
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("sample", ["own", "other", "without the exposure column"])
+    def test_row_blocks_match_one_block(self, spec, sample, monkeypatch):
+        # 400 rows in blocks of 64: six full blocks and one of 16.
+        data, other = self._sample(0), self._sample(1)
+        design = build_design_matrix(data, parse_spec(spec), exposure="A")
+        fit = fit_robust_poisson(design, data.y)
+        target = {"own": data, "other": other,
+                  "without the exposure column": Dataset(
+                      y=other.y, columns={k: v for k, v in other.columns.items()
+                                          if k != "A"})}[sample]
+        whole = marginal_rr(fit, target)
+        monkeypatch.setattr(design_module, "BLOCK_ROWS", 64)
+        assert len(design_module.row_blocks(target.n)) == 7
+        blocked = marginal_rr(fit, target)
+        for field in ("rr", "se_log_rr", "ci_low", "ci_high"):
+            np.testing.assert_allclose(getattr(blocked, field), getattr(whole, field),
+                                       rtol=1e-13, err_msg=field)
 
 
 class TestFitMethods:

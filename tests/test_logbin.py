@@ -17,7 +17,7 @@ from riskratio import (
     logbin_loglik,
     parse_spec,
 )
-from riskratio import eecore, logbin
+from riskratio import design, eecore, logbin
 from riskratio.errors import FitFailed, InfeasiblePoint, NoFeasibleStart, RiskRatioError
 from riskratio.inference import FIT_METHODS, _usable, fit_each
 from riskratio.logbin import feasible_start, fit_logbin_barrier_stack
@@ -369,6 +369,16 @@ class TestStack:
         else:
             assert events["lstsq"] and events["no_step_accepted"] and events["halving"]
             assert not events["stage_capped"]
+
+    def test_stack_equals_solo_in_row_blocks(self, monkeypatch):
+        # 128-row blocks: every design of 300 rows or more is fitted in
+        # three blocks or more, alone and in its stack alike.
+        monkeypatch.setattr(design, "BLOCK_ROWS", 128)
+        cases = mixed_stack()
+        stacked = fit_logbin_barrier_stack([X for _, X, _ in cases], [y for *_, y in cases])
+        for (name, X, y), fit in zip(cases, stacked):
+            assert fit_digest(fit) == fit_digest(outcome(fit_logbin_barrier, X, y)), name
+        assert sum(X.shape[0] > 2 * 128 for _, X, _ in cases) >= 5
 
     def test_one_design_leaves_its_outcome_alone(self):
         # A stack of one reads the caller's y in place, not a copy of it.
