@@ -20,7 +20,11 @@ keeps its own barrier weight, stage and iterate, the iterate as a row of
 plain arrays, as robust Poisson's loop keeps its own; per-row masks
 decide step truncation and the end of a stage or of the fit.  The barrier
 weight falls by a factor of 0.01 per stage, from 1 to 1e-8: five stages
-(``_STAGE_T``).  Each Newton system is one weighted product of the stack,
+(``_STAGE_T``).  The last stage runs until the gradient or the step is
+small; each stage before it ends sooner, after the first step taken where
+half the Newton decrement g'(-H)^-1 g is at most ``CENTER_TOL``, since the
+next stage moves the center at once (Boyd & Vandenberghe 2004, 11.3.3).
+Each Newton system is one weighted product of the stack,
 (X.T * w) @ X with one weight per observation for the likelihood and the
 barrier together.  That product, the Hessian of ``logbin_hessian`` and the
 ML fitter's weighted least squares run over row blocks (``eecore._gram``):
@@ -52,6 +56,9 @@ ETA_CAP = -1e-10        # accepted iterates keep max_i x_i beta <= this
 BOUNDARY_EPS = 1e-6     # max eta above -BOUNDARY_EPS counts as on-boundary
 GRAD_TOL = 1e-8         # per-observation, like the estimating equations
 MAX_ITER = 100
+# A barrier stage before the last ends after a step taken where half the
+# Newton decrement, lambda^2 / 2 = g'(-H)^-1 g / 2, is at most this.
+CENTER_TOL = 1e-2
 # MAX_HALVINGS is eecore's: both loops share its step search.
 
 BARRIER_T_START = 1.0
@@ -270,7 +277,10 @@ def fit_logbin_barrier(design, y) -> FitResult:
     Newton.  The schedule has five stages, t = 1, 1e-2, 1e-4, 1e-6 and
     1e-8 (``BARRIER_T_FACTOR`` = 0.01).  Each stage takes damped Newton
     steps, truncated to 99% of the way to the boundary and halved until
-    the barrier objective does not fall.  Each accepted iterate keeps eta,
+    the barrier objective does not fall.  The last stage ends when the
+    gradient falls below 1e-8 * n or the step below 1e-12; a stage before
+    it also ends after a step taken where half the Newton decrement
+    g'(-H)^-1 g is at most ``CENTER_TOL``.  Each accepted iterate keeps eta,
     1 - e^eta, its log-likelihood and its barrier sum (``_iterate``), so
     the Newton system and the objective come from those arrays and each
     halving costs one X @ beta.  The Newton system's Hessian is one
@@ -344,7 +354,10 @@ def _barrier(Xt, y, beta, dms) -> dict:
     that count is its total.  After every iteration, one mask test per
     design ends its stage when its step truncates to nothing, when no
     halved step is accepted, when its step or its gradient is small, or
-    after MAX_ITER iterations in the stage.
+    after MAX_ITER iterations in the stage; a stage before the last also
+    ends when the step was taken where half the Newton decrement grad'delta
+    is at most ``CENTER_TOL`` (not for a step from lstsq, whose -H is not
+    positive definite).
 
     Returns {row: FitResult or exception}; rows are positions in the given
     stack.  A design that ends its last stage is finished there, from the
@@ -388,6 +401,10 @@ def _barrier(Xt, y, beta, dms) -> dict:
                 delta[k, :, 0] = np.linalg.lstsq(neg[k], grad[k, :, 0], rcond=None)[0]
             except np.linalg.LinAlgError as exc:
                 lstsq_failed[k] = exc
+        # Half the Newton decrement, g'delta / 2: a decrement only where -H
+        # is positive definite, so a step from lstsq ends no stage by it.
+        centered = 0.5 * (grad * delta).sum(axis=(1, 2)) <= CENTER_TOL
+        centered[list(failed)] = False
         alpha = _truncate_step(eta, X @ -delta)
         if lstsq_failed:
             alpha[list(lstsq_failed)] = 0.0
@@ -397,9 +414,10 @@ def _barrier(Xt, y, beta, dms) -> dict:
             np.flatnonzero(moving), partial(_objective_holds, y, ny, obj - 1e-12, t))
         step = np.abs(alpha * delta).max(axis=(1, 2))
         gnorm = np.abs(grad).max(axis=(1, 2))
-        # A NaN step or gradient norm ends no stage; a design that took no
-        # step ends it.
-        ends = (step < 1e-12) | (gnorm < tol) | (iterations - began == MAX_ITER) | ~moving
+        # A NaN step, gradient norm or decrement ends no stage; a design that
+        # took no step ends it, and so does a centered one before the last.
+        ends = ((step < 1e-12) | (gnorm < tol) | (iterations - began == MAX_ITER)
+                | ~moving | (centered & (stage < len(_STAGE_T) - 1)))
         ends[stuck] = True
         if not ends.any():
             continue

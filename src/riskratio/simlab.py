@@ -48,6 +48,9 @@ from .rng import stream
 
 # Stream indices reserved for non-replication draws.
 TRUTH_STREAM = 1 << 48
+# Draws per ``p_outcome`` call of the truth: the call's temporaries stay in
+# cache.  The probabilities are elementwise, so they are the same bits.
+TRUTH_CHUNK = 16_384
 
 
 def expit(x):
@@ -199,14 +202,19 @@ def monte_carlo_truth(scenario: Scenario | str, n: int = 1_000_000, seed: int = 
     Draws n covariate vectors, generates counterfactual outcomes under
     exposure and no exposure (independent Bernoulli draws given their
     probabilities), and returns mean(Y1)/mean(Y0) with a delta-method MCSE.
-    An arm without events, whose ratio or MCSE is not finite, raises
-    ``ConfigError`` (key ``truth_n``): n is too small for the scenario.
+    The probabilities are computed ``TRUTH_CHUNK`` draws at a time; the
+    draws and the means are taken whole.  An arm without events, whose
+    ratio or MCSE is not finite, raises ``ConfigError`` (key ``truth_n``):
+    n is too small for the scenario.
     """
     scenario = get_scenario(scenario)
     rng = stream(seed, TRUTH_STREAM)
     cols = scenario.gen_covariates(rng, n)
-    p1 = scenario.p_outcome(1.0, cols)
-    p0 = scenario.p_outcome(0.0, cols)
+    p1, p0 = np.empty(n), np.empty(n)
+    for i in range(0, n, TRUTH_CHUNK):
+        part = {k: v[i:i + TRUTH_CHUNK] for k, v in cols.items()}
+        p1[i:i + TRUTH_CHUNK] = scenario.p_outcome(1.0, part)
+        p0[i:i + TRUTH_CHUNK] = scenario.p_outcome(0.0, part)
     y1 = (rng.random(n) < p1).astype(float)
     y0 = (rng.random(n) < p0).astype(float)
     m1, m0 = y1.mean(), y0.mean()

@@ -104,13 +104,17 @@ def bootstrap_rebuild(fitter, design, estimand, B, seed, level=0.95):
     )
 
 
-def barrier_reference(X, y):
+def barrier_reference(X, y, tight=False):
     """The log-barrier fit of one design as a plain loop, one Newton
     iteration at a time, with the formulas of ``logbin`` written out:
     (fit, events), where ``events`` counts the branches the loop took
     (``lstsq``, ``halving``, ``no_step_accepted``, ``tiny_step``,
-    ``stage_capped``).  The start and the result are ``logbin``'s own
-    (``feasible_start``, ``_finish``); the constants are read when called.
+    ``stage_capped``, ``centered``).  The start and the result are
+    ``logbin``'s own (``feasible_start``, ``_finish``); the constants are
+    read when called.  A stage before the last ends after a step taken
+    where half the Newton decrement g'delta is at most ``CENTER_TOL``
+    (``centered``), unless ``tight``: then every stage runs to the last
+    stage's tests, the schedule of centering each stage fully.
     """
     X = np.asfortranarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -130,6 +134,7 @@ def barrier_reference(X, y):
     total = 0
     t = logbin.BARRIER_T_START
     while t >= logbin.BARRIER_T_STOP * 0.999:
+        last = t * logbin.BARRIER_T_FACTOR < logbin.BARRIER_T_STOP * 0.999
         for it in range(logbin.MAX_ITER):
             total += 1
             q = np.exp(eta) / s
@@ -139,9 +144,11 @@ def barrier_reference(X, y):
             try:
                 np.linalg.cholesky(-hess)
                 delta = np.linalg.solve(-hess, grad)
+                decrement = float(grad @ delta)
             except np.linalg.LinAlgError:
                 events["lstsq"] += 1
                 delta = np.linalg.lstsq(-hess, grad, rcond=None)[0]
+                decrement = np.inf
             d = X @ delta
             room = np.divide(0.0 - eta, d, out=np.full_like(eta, np.inf), where=d > 0)
             alpha = min(1.0, 0.99 * max(room.min(), 0.0))
@@ -166,6 +173,9 @@ def barrier_reference(X, y):
             beta = candidate
             eta, s, loglik, logbar = new
             if step < 1e-12 or np.max(np.abs(grad)) < logbin.GRAD_TOL * n:
+                break
+            if decrement / 2 <= logbin.CENTER_TOL and not (tight or last):
+                events["centered"] += 1
                 break
         else:
             events["stage_capped"] += 1

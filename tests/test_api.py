@@ -1,6 +1,7 @@
 """The public surface and the package-wide error-handling rule."""
 
 import importlib.util
+import json
 import pathlib
 import re
 import sys
@@ -59,3 +60,19 @@ def test_tracer_names_resolve(monkeypatch):
         if not callable(owner):
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_benchmark_records_name_their_machine():
+    # A timing means something only beside the machine it was taken on:
+    # every committed BENCH_*.json parses and records its CPU count and
+    # its BLAS build.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    records = sorted(root.glob("BENCH_*.json"))
+    assert records
+    unnamed = []
+    for path in records:
+        machine = json.loads(path.read_text(encoding="utf-8")).get("machine")
+        if not (isinstance(machine, dict) and machine.get("blas")
+                and (machine.get("nproc") or machine.get("cpus_usable"))):
+            unnamed.append(path.name)
+    assert unnamed == []
