@@ -21,14 +21,19 @@ standardization and the rank check) runs over ``row_blocks``, slices of
 ``BLOCK_ROWS`` rows, so that its temporaries are a block's and stay in the
 CPU's caches.  A design of n <= ``BLOCK_ROWS`` rows is one block, the
 whole design, and its numbers are those of the unblocked expression bit
-for bit; above that, the blocks' results are summed in row order.
+for bit; above that, the blocks' results are summed in row order.  The
+fitters' weighted products over a stack follow the same rule,
+``stack_blocks``: a block is at most ``BLOCK_ROWS`` design rows, so a
+stack of small designs is taken in groups of whole designs, each design's
+numbers unchanged.
 
 Stacks: ``build_design_stack`` builds the designs of many datasets with one
 term list at once, as a study does for a block of replications.  Knots come
 from one ``np.sort`` along the rows of the B x n column stack and NumPy's
 own linear-interpolation rule, equal to NumPy's ``quantile`` bit for bit.
 Designs equal in shape are one C-contiguous B x p x n array of ``X.T``
-slices, the layout ``eecore`` fits; each term fills its B x n rows in place,
+slices, the layout ``eecore`` fits, through a view (``stacked``) when the
+designs are given in order; each term fills its B x n rows in place,
 elementwise with each design's knots broadcast along its row, so every
 design equals its one-dataset build bit for bit.  ``build_design_matrix``,
 ``realize``, ``default_knots`` and ``rcs_basis`` are the stack-of-one case
@@ -141,11 +146,13 @@ def rcs_basis(x, knots) -> np.ndarray:
 FILL_CHUNK = 1 << 14
 
 
-# Rows per block of the large-n kernels (``row_blocks``): a block of a
-# 9-column design is 590 KB, which stays in a 2 MB per-core L2 cache.  A
-# robust-Poisson fit and its standardization at 500,000 x 9 took 123-145 ms
-# at 8192 rows, 122-125 ms at 4096, 163-169 ms at 2048 (call overhead),
-# 188-205 ms at 16384 and 249-322 ms unblocked (Xeon, one BLAS thread).
+# Design rows per block of the blocked kernels (``row_blocks`` for one
+# design, ``stack_blocks`` for a stack): a block of a 9-column design is
+# 590 KB, which stays in a 2 MB per-core L2 cache.  A robust-Poisson fit
+# and its standardization at 500,000 x 9 took 123-145 ms at 8192 rows,
+# 122-125 ms at 4096, 163-169 ms at 2048 (call overhead), 188-205 ms at
+# 16384 and 249-322 ms unblocked (Xeon, one BLAS thread).  Read at call
+# time, as ``design.BLOCK_ROWS``.
 BLOCK_ROWS = 8192
 
 
@@ -153,6 +160,18 @@ def row_blocks(n: int) -> list[slice]:
     """The slices of ``BLOCK_ROWS`` rows that cover n rows, in row order;
     one slice of every row when n <= ``BLOCK_ROWS`` (or n = 0)."""
     return [slice(c, c + BLOCK_ROWS) for c in range(0, max(n, 1), BLOCK_ROWS)]
+
+
+def stack_blocks(B: int, n: int) -> list[tuple[slice, slice]]:
+    """The blocks of a stack of B designs of n rows each, as (designs,
+    rows) slices in order, each of at most ``BLOCK_ROWS`` design rows: for
+    n <= ``BLOCK_ROWS``, groups of BLOCK_ROWS // n whole designs, the last
+    group shorter; above it, the ``row_blocks`` of one design after the
+    other."""
+    if n > BLOCK_ROWS:
+        return [(slice(b, b + 1), rows) for b in range(B) for rows in row_blocks(n)]
+    size = BLOCK_ROWS // max(n, 1)
+    return [(slice(b, b + size), slice(None)) for b in range(0, B, size)]
 
 
 def _rcs_rows(X, T, out) -> None:
@@ -436,8 +455,25 @@ def _term_columns(term: Term) -> tuple[str, ...]:
 
 def stacked(arrays) -> np.ndarray:
     """Arrays of one shape as one array along a new first axis: a view of
-    a single array, one copy of several."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+    a single array, and of several when they are consecutive slices, in
+    order, of one C-contiguous base (the ``X.T`` of designs built as one
+    stack, say); one copy otherwise."""
+    first = arrays[0]
+    if len(arrays) == 1:
+        return first[None]
+    base = first.base
+    if isinstance(base, np.ndarray) and base.flags.c_contiguous and first.size:
+        start = (_layout(first)[0] - _layout(base)[0]) // base.strides[0]
+        view = base[start:start + len(arrays)]
+        if len(view) == len(arrays) and all(
+                a.base is base and _layout(a) == _layout(v) for a, v in zip(arrays, view)):
+            return view
+    return np.stack(arrays)
+
+
+def _layout(a):
+    """Where an array's elements lie: its address, shape, strides and type."""
+    return a.__array_interface__["data"][0], a.shape, a.strides, a.dtype
 
 
 def _columns(datas):

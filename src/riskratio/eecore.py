@@ -30,18 +30,25 @@ a stack are columns: beta is B x p x 1, y and mu are B x n x 1.
 design with plain vectors or such a stack.  One design is a stack of one
 by a view (``X.T[None]``), without a copy of ``X``.
 
-Row blocks: every weighted product sum_i w_i x_i x_i' -- the Jacobian, the
+Blocks: every weighted product sum_i w_i x_i x_i' -- the Jacobian, the
 sandwich's bread and meat, and ``logbin``'s Hessians and weighted least
-squares -- is ``_gram``, a sum over the row blocks of ``design.row_blocks``,
-so no fit forms an n x p temporary.  For n <= one block each product is
-the unblocked (X.T * w) @ X bit for bit, as before; above it, the blocks'
+squares -- is ``_gram``, taken over the blocks of ``design.stack_blocks``,
+each at most ``design.BLOCK_ROWS`` design rows: groups of whole designs
+when n <= ``BLOCK_ROWS`` (8 designs at n = 1000), a design's row blocks
+above it.  So neither a large design nor a study's stack forms its whole
+weighted temporary at once; a block's stays in the CPU's caches.  For
+n <= ``BLOCK_ROWS`` each design's product is the unblocked
+(X.T * w) @ X bit for bit, in whatever group; above it, its row blocks'
 products are summed in row order, which moves a fit's numbers in their
 last bits only.
 
 One front end, ``_in_stacks``, takes the input of all three fitters (this
 module's and ``logbin``'s two): it checks each input rule once per group
 of equal-shape designs and gathers each group into one stack, so every
-method accepts and rejects the same input in the same way.
+method accepts and rejects the same input in the same way.  Designs built
+as one stack (``design.build_design_stack``) and given in order are
+fitted in place, through a view of that stack (``design.stacked``); other
+groups are copied once.
 
 Failures are per design: a stacked LAPACK call that raises is repeated
 design by design (``_by_row``), so each design gets what it gets alone.
@@ -56,8 +63,9 @@ every iteration; the final Jacobian is the negated bread, so the sandwich
 takes it through ``jac=`` instead of forming the bread again.  Data without
 a finite root, such as an outcome that is 0 on every row, are caught before
 iterating, from the column ranges a ``DesignMatrix`` keeps
-(``DesignMatrix.column_ranges``).  Newton starts from ``_initial_beta``, or
-from a caller's start: ``fit_robust_poisson(start=...)``, which a bootstrap
+(``DesignMatrix.column_ranges``).  Newton starts from ``_initial_beta``,
+computed for the whole stack from those ranges and the outcomes, or from a
+caller's start: ``fit_robust_poisson(start=...)``, which a bootstrap
 resample gets from the full-sample estimate
 (``inference.resample_fitter``).
 
@@ -72,7 +80,7 @@ from functools import partial
 
 import numpy as np
 
-from .design import DesignMatrix, as_matrix, column_ranges, row_blocks, stacked
+from .design import DesignMatrix, as_matrix, column_ranges, stack_blocks, stacked
 from .errors import (
     DataError,
     NoFiniteSolution,
@@ -143,35 +151,33 @@ def _t(a):
     return a.swapaxes(-1, -2)
 
 
-def _as_row(v):
-    """A stack's column vectors (B x k x 1) as rows (B x 1 x k), so that
-    ``_t(X) * _as_row(w)`` scales the columns of each ``X.T``; a plain
-    vector as it is."""
-    return v if v.ndim == 1 else _t(v)
-
-
 def _gram(X, w, *rhs):
     """The weighted product sum_i w_i x_i x_i' = (X.T * w) @ X of one
     design (``w`` a vector) or of each design of a stack (``w`` B x n x 1),
-    summed over the row blocks of ``design.row_blocks``, so that no n x p
-    temporary is formed; with vectors ``rhs`` of one design, the tuple of
-    that product and each (X.T * w) @ v, from the same blocks.
+    over the blocks of ``design.stack_blocks`` (one design is a stack of
+    one), so that no temporary holds more than ``BLOCK_ROWS`` rows; with
+    vectors ``rhs`` of one design, the tuple of that product and each
+    (X.T * w) @ v, from the same blocks.
 
-    For n <= one block this is the unblocked expression bit for bit; above
-    it, the blocks' products are summed in row order, starting from the
-    first block's.
+    For n <= ``BLOCK_ROWS`` each design's product is the unblocked
+    expression bit for bit, whatever group of designs it is formed in;
+    above it, its row blocks' products are summed in row order, starting
+    from the first block's.
     """
-    w = _as_row(w)
-    out = None
-    for rows in row_blocks(X.shape[-2]):
-        Xb = X[..., rows, :]
-        xtw = _t(Xb) * w[..., rows]
-        parts = [xtw @ Xb, *(xtw @ v[rows] for v in rhs)]
-        if out is None:
-            out = parts
-        else:
-            for total, part in zip(out, parts):
-                total += part
+    if X.ndim == 2:
+        out = _gram(X[None], w[None, :, None], *rhs)
+        return tuple(a[0] for a in out) if rhs else out[0]
+    w = _t(w)       # B x 1 x n: scales the columns of each X.T
+    B, n, p = X.shape
+    out = [np.empty((B, p, p)), *(np.empty((B, p)) for _ in rhs)]
+    for designs, rows in stack_blocks(B, n):
+        Xb = X[designs, rows]
+        xtw = _t(Xb) * w[designs, :, rows]
+        for total, part in zip(out, [xtw @ Xb, *(xtw @ v[rows] for v in rhs)]):
+            if rows.start:      # a later row block of the same designs
+                total[designs] += part
+            else:
+                total[designs] = part
     return tuple(out) if rhs else out[0]
 
 
@@ -205,13 +211,15 @@ def _intercept(X):
     return None
 
 
-def _initial_beta(X, y):
-    """Zeros except an intercept at log(max(ybar, 1/(2n)))."""
-    n, p = X.shape
-    beta = np.zeros(p)
-    j = _intercept(X)
-    if j is not None:
-        beta[j] = np.log(max(y.mean(), 1.0 / (2 * n)))
+def _initial_beta(ranges, y):
+    """Each design's start, from its column ranges (B x 2 x p, see
+    ``_in_stacks``) and its outcome (B x n x 1): zeros except an intercept,
+    its first column with min = max = 1, at log(max(ybar, 1/(2n)))."""
+    ones = (ranges[:, 0] == 1) & (ranges[:, 1] == 1)
+    has = ones.any(axis=1)
+    ybar = np.maximum(y[:, :, 0].mean(axis=1), 1.0 / (2 * y.shape[1]))
+    beta = np.zeros(ones.shape)
+    beta[has, ones.argmax(axis=1)[has]] = np.log(ybar[has])
     return beta
 
 
@@ -355,7 +363,10 @@ def _in_stacks(fit_stack, designs, ys) -> list:
     ``fit_stack`` gets the group's (X, DesignMatrix or None, y) triples,
     the C-contiguous stack of their ``X.T`` (B x p x n), their outcomes as
     B x n x 1 columns and their column ranges (B x 2 x p, kept by a built
-    design), off which X's finiteness is read.
+    design), off which X's finiteness is read.  The stack of ``X.T`` is
+    ``design.stacked``'s: a view of the stack the designs were built in
+    when they are its consecutive slices, as a study's block is, else one
+    copy; a fitter only reads it.
     """
     groups: dict[tuple, list] = {}
     for i, (design, y) in enumerate(zip(designs, ys)):
@@ -413,11 +424,10 @@ def _fit_stack(members, Xt, y, ranges, start=None) -> list:
     if not rows.size:
         return fits
     Xt, y = _rows(Xt, rows), _rows(y, rows)
-    if start is None:
-        beta = np.stack([_initial_beta(members[i][0], members[i][2]) for i in rows])
-    else:
-        beta = np.tile(start, (len(rows), 1))
-    for k, fit in _newton(Xt, y, beta[:, :, None], [members[i][1] for i in rows]).items():
+    beta = (_initial_beta(_rows(ranges, rows), y) if start is None
+            else np.tile(start, (len(rows), 1)))
+    beta = beta.reshape(len(rows), -1, 1)
+    for k, fit in _newton(Xt, y, beta, [members[i][1] for i in rows]).items():
         fits[rows[k]] = fit
     return fits
 

@@ -27,16 +27,17 @@ next stage moves the center at once (Boyd & Vandenberghe 2004, 11.3.3).
 Each Newton system is one weighted product of the stack,
 (X.T * w) @ X with one weight per observation for the likelihood and the
 barrier together.  That product, the Hessian of ``logbin_hessian`` and the
-ML fitter's weighted least squares run over row blocks (``eecore._gram``):
-as before for n <= one block; above it, blocks summed in row order.  The
-loop hands back its fits as robust Poisson's does: a design that ends its
-last stage is finished in the loop and leaves the stack, and the loop
-returns {row: FitResult or exception}.  Step halving is robust Poisson's
-(``eecore._step_search``) with the barrier's acceptance test.  The ML
-fitter stays one design at a time: it fails fast, and costs little.  Both
-fitters take their input through ``eecore._in_stacks``, the ML fitter as
-a stack of one, so they accept and reject input exactly as robust Poisson
-does.
+ML fitter's weighted least squares run over blocks of at most
+``design.BLOCK_ROWS`` rows (``eecore._gram``): groups of whole designs,
+each as before, for n <= one block; above it, row blocks summed in row
+order.  The loop hands back its fits as robust Poisson's does: a design
+that ends its last stage is finished in the loop and leaves the stack,
+and the loop returns {row: FitResult or exception}.  Step halving is
+robust Poisson's (``eecore._step_search``) with the barrier's acceptance
+test.  The ML fitter stays one design at a time: it fails fast, and costs
+little.  Both fitters take their input through ``eecore._in_stacks``, the
+ML fitter as a stack of one, so they accept and reject input exactly as
+robust Poisson does.
 """
 
 from __future__ import annotations

@@ -16,9 +16,15 @@ its robust-Poisson designs as one stack and its log-barrier designs as
 another, and standardizes each fit set as one stack
 (``inference.marginal_rr_stack``); every design, fit and estimate equals
 its one-replication value bit for bit.  Reports are therefore identical
-regardless of block length, thread count or execution order.  A study's
-results are one R x cells x 3 array of records (rr, lo, hi), NaN where a
-replication failed; a record counts when all three are finite.
+regardless of block length, thread count or execution order.  The fits
+read the block's design stack in place, and take their weighted products
+over groups of whole designs (``design.stack_blocks``), so that the
+temporaries stay in cache whatever the block length.  A replication's
+scenario columns are checked as a ``Dataset``'s; its outcome and
+exposure, 0/1 draws of length n by construction, are not checked again
+(see ``generate``).  A study's results are one R x cells x 3 array of
+records (rr, lo, hi), NaN where a replication failed; a record counts
+when all three are finite.
 
 Cheap arithmetic, same draws: the scenario probabilities are written for
 speed (cubes as products, ``expit`` through ``tanh``).  Against ``x**3``
@@ -41,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, inference
-from .data import Dataset
+from .data import Dataset, _check_outcome_shape, _checked_column
 from .design import build_design_stack, parse_spec
 from .errors import AllReplicationsFailed, ConfigError, RiskRatioError
 from .rng import stream
@@ -183,17 +189,26 @@ def get_scenario(name: Scenario | str) -> Scenario:
 
 def generate(scenario: Scenario | str, n: int, seed=None, rng=None) -> Dataset:
     """Draw one dataset from a scenario; deterministic given (scenario, n,
-    seed), or drawn from ``rng``; both given raise ``TypeError``."""
+    seed), or drawn from ``rng``; both given raise ``TypeError``.
+
+    The scenario's covariate columns are checked as ``Dataset`` checks a
+    column (finite, n values; ``DataError`` otherwise) before they are
+    used.  The outcome and the exposure ``A`` are 0/1 draws ``u < p`` of
+    length n by construction, and are not checked again; n < 1 raises
+    ``DataError``, as an empty outcome does.
+    """
     scenario = get_scenario(scenario)
     if rng is None:
         rng = stream(0 if seed is None else seed, 0)
     elif seed is not None:
         raise TypeError("generate takes seed or rng, not both")
-    cols = scenario.gen_covariates(rng, n)
+    cols = {name: _checked_column(name, values, (n,))
+            for name, values in scenario.gen_covariates(rng, n).items()}
     a = (rng.random(n) < scenario.p_exposure(cols)).astype(float)
     y = (rng.random(n) < scenario.p_outcome(a, cols)).astype(float)
+    _check_outcome_shape(y)
     cols["A"] = a
-    return Dataset(y=y, columns=cols)
+    return Dataset._derived(y, cols)
 
 
 def monte_carlo_truth(scenario: Scenario | str, n: int = 1_000_000, seed: int = 0) -> dict:

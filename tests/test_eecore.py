@@ -18,6 +18,7 @@ from riskratio import (
 )
 from riskratio import design, eecore, inference, logbin
 from riskratio.errors import (
+    DegenerateColumn,
     NoFiniteSolution,
     NonConvergence,
     Overflow,
@@ -345,7 +346,8 @@ class TestStart:
         data = generate(get_scenario("figure-demo"), 15, rng=stream(99, 1129))
         design = build_design_matrix(data, spec, "A")
         if start_n is None:
-            start = eecore._initial_beta(design.X, data.y)
+            start = eecore._initial_beta(np.array([design.column_ranges]),
+                                         data.y[None, :, None])[0]
         else:
             sample = generate(get_scenario("figure-demo"), start_n, rng=stream(99, 0))
             start = fit_robust_poisson(build_design_matrix(sample, spec, "A"), sample.y).beta
@@ -642,12 +644,13 @@ class TestStack:
             data = generate(scenario, 1000, rng=stream(38, r))
             cases.append((build_design_matrix(
                 data, parse_spec(scenario.rich_spec), "A"), data.y))
-        starts = {id(cases[1][0].X): -8.0, id(cases[2][0].X): -600.0}
+        starts = {cases[1][1].tobytes(): -8.0, cases[2][1].tobytes(): -600.0}
         default = eecore._initial_beta
 
-        def start(X, y):
-            beta = default(X, y)
-            beta[0] = starts.get(id(X), beta[0])
+        def start(ranges, y):
+            beta = default(ranges, y)
+            for b, outcome in enumerate(y):
+                beta[b, 0] = starts.get(outcome.tobytes(), beta[b, 0])
             return beta
 
         monkeypatch.setattr(eecore, "_initial_beta", start)
@@ -676,7 +679,7 @@ class TestStack:
 def unblocked_gram(X, w, *rhs):
     """Oracle: the weighted products (X.T * w) @ X and (X.T * w) @ v as
     formed before row blocks, from one n x p temporary X.T * w."""
-    xtw = eecore._t(X) * eecore._as_row(w)
+    xtw = eecore._t(X) * (w if w.ndim == 1 else eecore._t(w))
     return (xtw @ X, *(xtw @ v for v in rhs)) if rhs else xtw @ X
 
 
@@ -756,6 +759,89 @@ class TestRowBlocks:
         fits = eecore.fit_robust_poisson_stack([d for d, _ in cases],
                                                [y for _, y in cases])
         assert [fit_outcome(f) for f in fits] == [solo_outcome(d, y) for d, y in cases]
+
+    @pytest.mark.parametrize("n, groups", [(100, [2, 2, 2, 1]), (300, [1] * 14)])
+    def test_stack_gram_equals_each_designs_own(self, monkeypatch, n, groups):
+        # 256-row blocks: seven 100-row designs in groups of 2, 2, 2 and 1;
+        # seven 300-row designs one at a time, in blocks of 256 and 44 rows.
+        monkeypatch.setattr(design, "BLOCK_ROWS", 256)
+        assert [d.stop - d.start if d.stop <= 7 else 7 - d.start
+                for d, _ in design.stack_blocks(7, n)] == groups
+        rng = stream(39, 4)
+        X = eecore._t(rng.standard_normal((7, 5, n)))
+        w = rng.random((7, n, 1))
+        stack = eecore._gram(X, w)
+        for b in range(7):
+            assert stack[b].tobytes() == eecore._gram(X[b], w[b, :, 0]).tobytes()
+
+
+def built_block(B=6, n=200, flat=()):
+    """B `moderate` rich-spec designs built as one stack, with their
+    outcomes; the datasets in ``flat`` are all unexposed, so their designs
+    fill their slices of the stack and fail with ``DegenerateColumn``."""
+    scenario = get_scenario("moderate")
+    datas = [generate(scenario, n, rng=stream(41, r)) for r in range(B)]
+    datas = [d.with_column("A", np.zeros(n)) if r in flat else d
+             for r, d in enumerate(datas)]
+    designs = design.build_design_stack(datas, parse_spec(scenario.rich_spec), "A")
+    return designs, [d.y for d in datas]
+
+
+class TestBuiltStack:
+    """A block built as one stack is fitted in place: ``_in_stacks`` hands
+    the fitter a view of the block's stack, not a copy."""
+
+    @staticmethod
+    def stacks_seen(monkeypatch, designs, ys):
+        seen = []
+        inner = eecore._fit_stack
+
+        def spy(members, Xt, *args, **kwargs):
+            seen.append(Xt)
+            return inner(members, Xt, *args, **kwargs)
+
+        monkeypatch.setattr(eecore, "_fit_stack", spy)
+        fits = eecore.fit_robust_poisson_stack(designs, ys)
+        monkeypatch.undo()
+        assert [fit_outcome(f) for f in fits] == [
+            solo_outcome(d, y) for d, y in zip(designs, ys)]
+        return seen
+
+    def test_consecutive_designs_are_a_view(self, monkeypatch):
+        designs, ys = built_block()
+        for part in (slice(0, 6), slice(2, 5)):
+            (Xt,) = self.stacks_seen(monkeypatch, designs[part], ys[part])
+            base = designs[0].X.base
+            assert Xt.base is base and np.shares_memory(Xt, designs[part.start].X)
+            assert Xt.tobytes() == np.stack([d.X.T for d in designs[part]]).tobytes()
+
+    def test_a_degenerate_design_breaks_the_run(self, monkeypatch):
+        designs, ys = built_block(flat=(2,))
+        assert isinstance(designs[2], DegenerateColumn)
+        kept = [k for k in range(6) if k != 2]
+        (Xt,) = self.stacks_seen(monkeypatch, [designs[k] for k in kept],
+                                 [ys[k] for k in kept])
+        assert not np.shares_memory(Xt, designs[0].X)
+        (Xt,) = self.stacks_seen(monkeypatch, designs[3:], ys[3:])
+        assert np.shares_memory(Xt, designs[3].X)
+
+    @pytest.mark.parametrize("method", sorted(inference.FIT_METHODS))
+    def test_read_only_block(self, method):
+        designs, ys = built_block()
+        writable = inference.fit_each(method, designs, ys)
+        designs[0].X.base.flags.writeable = False
+        for d in designs:
+            d.X.flags.writeable = False
+        read_only = inference.fit_each(method, designs, ys)
+        assert [fit_bits(f) for f in read_only] == [fit_bits(f) for f in writable]
+
+
+def fit_bits(fit):
+    """A fit of any method, or its exception, as comparable values."""
+    if isinstance(fit, Exception):
+        return type(fit).__name__, str(fit)
+    return (fit.beta.tobytes(), fit.cov_sandwich.tobytes(), fit.iterations,
+            fit.converged, fit.on_boundary, fit.failure_reason)
 
 
 class TestMemory:

@@ -557,6 +557,7 @@ def test_both_starts_find_the_same_intercept():
     first = np.r_[1.0, rng.standard_normal(n - 1)]
     X = np.column_stack([first, np.ones(n), np.ones(n), rng.standard_normal(n)])
     y = (rng.random(n) < 0.3).astype(float)
-    for start in (eecore._initial_beta(X, y), feasible_start(X, y)):
+    initial = eecore._initial_beta(np.array([design.column_ranges(X)]), y[None, :, None])[0]
+    for start in (initial, feasible_start(X, y)):
         assert np.flatnonzero(start).tolist() == [1]
     assert feasible_start(X, y)[1] == np.log(y.mean())

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from riskratio import (
     run_study,
 )
 from riskratio import simlab
-from riskratio.errors import AllReplicationsFailed, ConfigError
+from riskratio.errors import AllReplicationsFailed, ConfigError, DataError
 from riskratio.report import to_machine_json
 from riskratio.rng import stream
 from riskratio.simlab import get_scenario
@@ -145,6 +146,20 @@ class TestGenerate:
         b = generate("moderate", 100, seed=3)
         np.testing.assert_array_equal(a.y, b.y)
         np.testing.assert_array_equal(a.column("L1"), b.column("L1"))
+
+    @pytest.mark.parametrize("column, message", [
+        (np.r_[0.5, np.nan, np.zeros(48)], "column 'L2' has a non-finite value at row 1"),
+        (np.zeros(49), "column 'L2' has length 49, expected 50")])
+    def test_scenario_covariates_are_checked(self, column, message):
+        # The outcome and the exposure are 0/1 draws by construction; the
+        # columns a scenario returns are still checked.
+        class Broken(simlab._Simple):
+            def gen_covariates(self, rng, n):
+                return dict(super().gen_covariates(rng, n), L2=column)
+
+        broken = Broken(simple_spec="1 + A + L1 + L2", rich_spec="1 + A + L1 + L2")
+        with pytest.raises(DataError, match=re.escape(message)):
+            generate(broken, 50, seed=1)
 
     def test_seed_and_rng_together_rejected(self):
         # Either one names the draw; given both, neither may be dropped.
