@@ -107,7 +107,8 @@ def _row(label, estimand, est) -> dict:
 
 def _fit_estimates(args, data, design, level):
     """One RR row per exposure contrast, for the chosen method/estimand."""
-    fit = inference.FIT_METHODS[args.method](design, data.y)
+    method = inference.FIT_METHODS[args.method]
+    fit = method.fit(design, data.y)
     warnings = []
     if fit.n_mu_gt1:
         warnings.append(f"{fit.n_mu_gt1} fitted means exceed 1")
@@ -134,8 +135,9 @@ def _fit_estimates(args, data, design, level):
             estimates.append(_row(f"{args.exposure}={a1:g} vs {a0:g}",
                                   "marginal", est))
     if args.boot:
+        start = {"start": fit.beta} if method.warm else {}
         boot = inference.bootstrap_rr(
-            inference.resample_fitter(args.method, fit), design,
+            lambda dm: method.fit(dm, dm.data.y, **start), design,
             lambda f, dm: inference.coefficient_rr(f, design.exposure_cols[0], level),
             B=args.boot, seed=args.seed, level=level, fit=fit,
         )

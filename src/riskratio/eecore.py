@@ -9,7 +9,8 @@ misspecification of the outcome distribution as long as the log-linear
 mean model holds.
 
 One damped-Newton loop fits a stack of equal-shape designs at once
-(``fit_robust_poisson_stack``); ``fit_robust_poisson`` is its one-design
+(``_fit_stack``, through ``_in_stacks``; robust Poisson's ``fit_stack``
+in ``inference.FIT_METHODS``); ``fit_robust_poisson`` is its one-design
 case.  Every step runs on the whole stack: each ``np.matmul`` and LAPACK
 call serves all its designs, and per-row masks decide convergence, step
 halving and failure.  A study fits its replications as such stacks, so
@@ -66,8 +67,8 @@ iterating, from the column ranges a ``DesignMatrix`` keeps
 (``DesignMatrix.column_ranges``).  Newton starts from ``_initial_beta``,
 computed for the whole stack from those ranges and the outcomes, or from a
 caller's start: ``fit_robust_poisson(start=...)``, which a bootstrap
-resample gets from the full-sample estimate
-(``inference.resample_fitter``).
+resample gets from the full-sample estimate (robust Poisson's
+``inference.FitMethod`` is ``warm``).
 
 ``FitResult`` is the result type of every fitter in the package, the
 log-binomial ones in ``logbin`` included.
@@ -113,10 +114,10 @@ class FitResult:
     None when that covariance could not be formed.  ``converged`` is False
     only on a log-binomial fit returned straight from its fitter, which
     then names the cause in ``failure_reason``: ``fit_robust_poisson``
-    raises rather than return an unconverged fit, and ``FIT_METHODS``
-    raises ``FitFailed`` for an unconverged log-binomial one.  A
-    log-barrier fit is converged at a boundary point as well as at a
-    stationary interior point; a study counts a boundary fit as failed,
+    raises rather than return an unconverged fit, and a ``FIT_METHODS``
+    record's ``fit`` raises ``FitFailed`` for an unconverged log-binomial
+    one.  A log-barrier fit is converged at a boundary point as well as at
+    a stationary interior point; a study counts a boundary fit as failed,
     and ``riskratio fit`` reports it with the warning ``on_boundary``.
     ``on_boundary`` marks a log-binomial optimum with some fitted risk at 1,
     and ``loglik`` is the log-binomial log-likelihood at ``beta``.  The
@@ -202,20 +203,17 @@ def ee_jacobian(X, y, beta, mu=None) -> np.ndarray:
     return -_gram(X, mu)
 
 
-def _intercept(X):
-    """The first all-ones column of X, or None."""
-    # Only a column that is 1 on the first row can be all ones.
-    for j in np.flatnonzero(X[0] == 1.0):
-        if np.all(X[:, j] == 1.0):
-            return j
-    return None
+def _ones(lo, hi):
+    """The intercepts: the columns that are 1 on every row, from their
+    minima ``lo`` and maxima ``hi``."""
+    return (lo == 1) & (hi == 1)
 
 
 def _initial_beta(ranges, y):
     """Each design's start, from its column ranges (B x 2 x p, see
     ``_in_stacks``) and its outcome (B x n x 1): zeros except an intercept,
-    its first column with min = max = 1, at log(max(ybar, 1/(2n)))."""
-    ones = (ranges[:, 0] == 1) & (ranges[:, 1] == 1)
+    its first column of ``_ones``, at log(max(ybar, 1/(2n)))."""
+    ones = _ones(ranges[:, 0], ranges[:, 1])
     has = ones.any(axis=1)
     ybar = np.maximum(y[:, :, 0].mean(axis=1), 1.0 / (2 * y.shape[1]))
     beta = np.zeros(ones.shape)
@@ -255,7 +253,7 @@ def _no_finite_solution(X, y, lo, hi, labels) -> dict:
         j = np.argmax(zero[b])
         where = "on every row" if lo[b, j] == hi[b, j] else f"wherever {name(b, j)} != 0"
         failed[b] = NoFiniteSolution(f"no finite solution: the outcome is 0 {where}")
-    intercept = ((lo == 1) & (hi == 1)).any(axis=1)
+    intercept = _ones(lo, hi).any(axis=1)
     below_one = (hi <= 1) & (lo < 1) & (on_events == n_events)
     for b, j in zip(*np.nonzero(below_one & intercept[:, None])):
         if b not in failed and np.all(X[b][events[b], j] == 1):
@@ -309,9 +307,9 @@ def fit_robust_poisson(design: DesignMatrix | np.ndarray, y, start=None) -> FitR
     """Solve the log-linear estimating equations by damped Newton and
     attach the sandwich.
 
-    This is the one-design case of ``fit_robust_poisson_stack``: a stack
-    of one, a view of its ``X``.  ``design`` is a ``DesignMatrix`` or a
-    bare n x p array, taken under the input rules every fitter shares
+    This is the one-design case of the stacked loop (``_fit_stack``): a
+    stack of one, a view of its ``X``.  ``design`` is a ``DesignMatrix`` or
+    a bare n x p array, taken under the input rules every fitter shares
     (``_in_stacks``); p > n raises ``DataError``.  Data for which no
     finite root exists (see ``_no_finite_solution``), an outcome that is 0
     on every row among them, raise ``NoFiniteSolution`` before iterating.
@@ -337,17 +335,6 @@ def fit_robust_poisson(design: DesignMatrix | np.ndarray, y, start=None) -> FitR
     ``COND_MAX`` it raises ``SingularJacobian``.
     """
     return _alone(partial(_fit_stack, start=start), design, y)
-
-
-def fit_robust_poisson_stack(designs, ys) -> list:
-    """``fit_robust_poisson`` of each (design, y) pair, fitted as stacks.
-
-    Designs of equal shape are fitted together in one Newton loop.  Returns
-    one entry per design, in order: its ``FitResult`` or the
-    ``RiskRatioError``/``LinAlgError`` that ``fit_robust_poisson`` raises
-    on it alone; bit for bit the one-design fit either way.
-    """
-    return _in_stacks(_fit_stack, designs, ys)
 
 
 def _in_stacks(fit_stack, designs, ys) -> list:

@@ -1,11 +1,12 @@
 """Fitting by method name, and risk-ratio estimands and intervals.
 
-``FIT_METHODS`` maps each method name to a fitter (design, y) ->
-``FitResult``; the CLI fits through it, and the study runner through
-``fit_each``, which fits many designs at once where the method has a
-stacked fitter (``_FIT_STACKS``) and turns each fit's raised error into an
-entry of its list (``eecore._captured``).  Every method shares the input
-rules of ``eecore._in_stacks``.
+``FIT_METHODS`` holds one record per method name (``FitMethod``): its
+one-design fitter, its stacked fitter and whether it takes a start.  The
+CLI and the bootstrap fit through the record's ``fit``; the study runner
+through ``fit_each``, which fits many designs at once through its
+``fit_stack`` and turns each fit's raised error into an entry of its list
+(``eecore._captured``).  Every method shares the input rules of
+``eecore._in_stacks``.
 
 Two estimands: the exponentiated coefficient (conditional RR from the
 log-linear model) and the standardized marginal RR obtained by averaging
@@ -29,7 +30,9 @@ exp() gets ``NonFiniteStandardization`` alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from statistics import NormalDist
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,16 +40,14 @@ from .data import Dataset
 from .design import (
     DesignMatrix, force_exposure, realize, row_blocks, shape_key, stacked,
 )
-from .eecore import (
-    ETA_MAX, FitResult, _captured, fit_robust_poisson, fit_robust_poisson_stack,
-)
+from .eecore import ETA_MAX, FitResult, _captured, _fit_stack, _in_stacks, fit_robust_poisson
 from .errors import (
     FitFailed,
     NonFiniteStandardization,
     RiskRatioError,
     TooManyFailures,
 )
-from .logbin import fit_logbin_barrier, fit_logbin_barrier_stack, fit_logbin_ml
+from .logbin import _barrier_stack, fit_logbin_barrier, fit_logbin_ml
 from .rng import stream
 
 
@@ -77,48 +78,46 @@ def _usable(method: str, fit: FitResult) -> FitResult:
     return fit
 
 
-# Each entry looks its fitter up when called, so a module attribute replaced
-# after import (as bench/tracer.py does) is the one that runs.
+class FitMethod(NamedTuple):
+    """What the package knows of one fit method.
+
+    ``fit(design, y)`` fits one design: a converged ``FitResult``, or it
+    raises (``FitFailed`` for an unconverged log-binomial fit).
+    ``fit_stack(designs, ys)`` fits many: one raw ``FitResult`` or
+    exception per design, each what the method's one-design fitter returns
+    or raises on it alone.  ``warm`` is True where ``fit`` takes
+    ``start=``, p coefficients to start from (robust Poisson).  A design
+    resample's rows are rows of the sample, so the sample's estimate is
+    finite and below ``ETA_MAX`` on each of them, and each resample starts
+    near its own root: fewer Newton iterations than from
+    ``_initial_beta``, with the same estimates to within the convergence
+    tolerances.  A resample without a finite root fails from either start.
+
+    ``fit`` calls the method's one-design fitter rather than ``fit_stack``
+    on a stack of one, and ``logbin-ml``'s ``fit_stack`` calls it per
+    design.  Each looks the fitter up when called, so a module attribute
+    replaced after import is the one that runs: bench/tracer.py counts
+    one-design fits and their Newton iterations that way.
+    """
+
+    fit: Callable
+    fit_stack: Callable
+    warm: bool = False
+
+
 FIT_METHODS = {
-    "robust-poisson": lambda design, y: fit_robust_poisson(design, y),
-    "logbin-ml": lambda design, y: _usable("logbin-ml", fit_logbin_ml(design, y)),
-    "logbin-ab": lambda design, y: _usable("logbin-ab", fit_logbin_barrier(design, y)),
+    "robust-poisson": FitMethod(
+        lambda design, y, **start: fit_robust_poisson(design, y, **start),
+        partial(_in_stacks, _fit_stack), warm=True),
+    "logbin-ml": FitMethod(
+        lambda design, y: _usable("logbin-ml", fit_logbin_ml(design, y)),
+        lambda designs, ys: [_captured(fit_logbin_ml, design, y)
+                             for design, y in zip(designs, ys)]),
+    "logbin-ab": FitMethod(
+        lambda design, y: _usable("logbin-ab", fit_logbin_barrier(design, y)),
+        partial(_in_stacks, _barrier_stack)),
 }
 DEFAULT_METHOD = "robust-poisson"
-
-# The methods that fit a list of designs as stacks, each entry (designs,
-# ys) -> one fit or exception per design; the others fit design by design.
-_FIT_STACKS = {
-    "robust-poisson": lambda designs, ys: fit_robust_poisson_stack(designs, ys),
-    "logbin-ab": lambda designs, ys: fit_logbin_barrier_stack(designs, ys),
-}
-
-
-# The methods whose fitter takes a starting point, each entry (design, y,
-# start) -> FitResult.
-_WARM_STARTS = {
-    "robust-poisson": lambda design, y, start: fit_robust_poisson(design, y, start=start),
-}
-
-
-def resample_fitter(method: str, fit: FitResult):
-    """The ``fitter`` of ``bootstrap_rr`` by method name for design
-    resamples of the sample ``fit`` was fitted on: ``FIT_METHODS[method]``
-    on a resample's ``X`` and outcome, started from ``fit.beta`` where the
-    method takes a start (robust Poisson).
-
-    A resample's rows are rows of the sample, so that start's linear
-    predictor is finite and below ``ETA_MAX`` on each of them, and each
-    resample starts near its own root: fewer Newton iterations than from
-    ``_initial_beta``, with the same estimates to within the convergence
-    tolerances.  A resample without a finite root fails from either
-    start.  The log-binomial methods start as they do on any data.
-    """
-    if method in _WARM_STARTS:
-        warm = _WARM_STARTS[method]
-        return lambda dm: warm(dm, dm.data.y, fit.beta)
-    cold = FIT_METHODS[method]
-    return lambda dm: cold(dm, dm.data.y)
 
 
 def fit_each(method: str, designs, ys) -> list:
@@ -126,16 +125,12 @@ def fit_each(method: str, designs, ys) -> list:
 
     Returns, per design, its ``FitResult`` or the ``RiskRatioError`` or
     ``LinAlgError`` its fit raised; each entry is what
-    ``FIT_METHODS[method](design, y)`` returns or raises, ``FitFailed``
-    for an unconverged log-binomial fit included.  A method in
-    ``_FIT_STACKS`` fits the designs as stacks; another fits them one by
-    one.  Input that breaks the fitters' input rules raises ``ValueError``,
-    as the fitters do (``eecore._in_stacks``).
+    ``FIT_METHODS[method].fit(design, y)`` returns or raises, ``FitFailed``
+    for an unconverged log-binomial fit included, fitted through the
+    method's ``fit_stack``.  Input that breaks the fitters' input rules
+    raises ``ValueError``, as the fitters do (``eecore._in_stacks``).
     """
-    if method not in _FIT_STACKS:
-        return [_captured(FIT_METHODS[method], design, y)
-                for design, y in zip(designs, ys)]
-    return [_captured(_usable, method, fit) for fit in _FIT_STACKS[method](designs, ys)]
+    return [_captured(_usable, method, f) for f in FIT_METHODS[method].fit_stack(designs, ys)]
 
 
 def _z(level: float) -> float:
@@ -294,8 +289,8 @@ def bootstrap_rr(
     one that raises, a design resample with a constant column included,
     counts as failed.  ``fit`` is the caller's fit of the full sample:
     the point estimate is ``estimand(fit, sample)``, without a refit.
-    ``fitter`` may start each resample's fit from ``fit``, as
-    ``resample_fitter`` does for robust Poisson; the resample estimates
+    ``fitter`` may start each resample's fit from ``fit``, as the CLI does
+    where the method is ``warm`` (``FitMethod``); the resample estimates
     then agree with cold-started ones to within the fitter's convergence
     tolerances, in practice in the last bits.  Deterministic given
     ``seed``; resamples are aggregated in resample-index order.  More

@@ -11,13 +11,14 @@ Non-convergence is an expected outcome for this model, reported via the
 ``converged`` flag and ``failure_reason`` rather than an exception.
 
 One barrier loop fits a stack of equal-shape designs at once
-(``fit_logbin_barrier_stack``); ``fit_logbin_barrier`` is its one-design
-case, a view of its ``X``.  The stack has the layout of ``eecore``'s
-(designs' ``X.T`` in one C-contiguous array, vectors as B x n x 1
-columns), so every ``np.matmul`` and LAPACK call serves all its designs
-and each design's fit equals its one-design fit bit for bit.  Each design
-keeps its own barrier weight, stage and iterate, the iterate as a row of
-plain arrays, as robust Poisson's loop keeps its own; per-row masks
+(``_barrier_stack``, through ``eecore._in_stacks``; the barrier's
+``fit_stack`` in ``inference.FIT_METHODS``); ``fit_logbin_barrier`` is
+its one-design case, a view of its ``X``.  The stack has the layout of
+``eecore``'s (designs' ``X.T`` in one C-contiguous array, vectors as
+B x n x 1 columns), so every ``np.matmul`` and LAPACK call serves all its
+designs and each design's fit equals its one-design fit bit for bit.  Each
+design keeps its own barrier weight, stage and iterate, the iterate as a
+row of plain arrays, as robust Poisson's loop keeps its own; per-row masks
 decide step truncation and the end of a stage or of the fit.  The barrier
 weight falls by a factor of 0.01 per stage, from 1 to 1e-8: five stages
 (``_STAGE_T``).  The last stage runs until the gradient or the step is
@@ -47,9 +48,10 @@ from functools import partial
 import numpy as np
 
 from .eecore import (
-    MAX_HALVINGS, FitResult, _alone, _by_row, _captured, _gram, _in_stacks,
-    _intercept, _rows, _step_search, _t, _without,
+    MAX_HALVINGS, FitResult, _alone, _by_row, _captured, _gram, _ones, _rows,
+    _step_search, _t, _without,
 )
+from .design import column_ranges
 from .errors import InfeasiblePoint, NoFeasibleStart
 from . import eecore
 
@@ -62,9 +64,9 @@ MAX_ITER = 100
 CENTER_TOL = 1e-2
 # MAX_HALVINGS is eecore's: both loops share its step search.
 
-BARRIER_T_START = 1.0
-BARRIER_T_STOP = 1e-8
 BARRIER_T_FACTOR = 0.01
+# The barrier weight of each stage: 1, times BARRIER_T_FACTOR per stage.
+_STAGE_T = np.cumprod([1.0] + [BARRIER_T_FACTOR] * 4)
 
 
 def _check_feasible(eta):
@@ -162,12 +164,12 @@ def feasible_start(X, y) -> np.ndarray:
     robust Poisson fit when the design has no plain intercept column."""
     n, p = X.shape
     ybar = float(np.mean(y))
-    j = _intercept(X)
-    if j is not None:
+    ones = _ones(*column_ranges(X))
+    if ones.any():
         beta = np.zeros(p)
         if not 0.0 < ybar < 1.0:
             ybar = max(min(ybar, 1 - 1.0 / (2 * n)), 1.0 / (2 * n))
-        beta[j] = np.log(ybar)
+        beta[ones.argmax()] = np.log(ybar)
         return beta
     fit = _captured(eecore.fit_robust_poisson, X, y)
     if not isinstance(fit, Exception):
@@ -288,8 +290,8 @@ def fit_logbin_barrier(design, y) -> FitResult:
     weighted product of X, one weight per observation for the likelihood
     and the barrier together.
 
-    This is the one-design case of ``fit_logbin_barrier_stack``: the
-    design is a stack of one, a view of its ``X``, not a copy.  A
+    This is the one-design case of the stacked loop (``_barrier_stack``):
+    the design is a stack of one, a view of its ``X``, not a copy.  A
     ``RiskRatioError`` (no feasible start) or a ``LinAlgError`` of the fit
     is raised.
 
@@ -302,26 +304,6 @@ def fit_logbin_barrier(design, y) -> FitResult:
     ``riskratio fit`` reports it with the warning ``on_boundary``.
     """
     return _alone(_barrier_stack, design, y)
-
-
-def fit_logbin_barrier_stack(designs, ys) -> list:
-    """``fit_logbin_barrier`` of each (design, y) pair, fitted as stacks.
-
-    Designs of equal shape run in one barrier loop.  Returns one entry per
-    design, in order: its ``FitResult`` or the ``RiskRatioError``/
-    ``LinAlgError`` that ``fit_logbin_barrier`` raises on it alone; bit for
-    bit the one-design fit either way.  Input is taken by
-    ``eecore._in_stacks``: p > n gives ``DataError``, with no start sought.
-    """
-    return _in_stacks(_barrier_stack, designs, ys)
-
-
-# The barrier weight of each stage: BARRIER_T_START, times BARRIER_T_FACTOR
-# per stage, while t >= BARRIER_T_STOP * 0.999.
-_STAGE_T = [BARRIER_T_START]
-while _STAGE_T[-1] * BARRIER_T_FACTOR >= BARRIER_T_STOP * 0.999:
-    _STAGE_T.append(_STAGE_T[-1] * BARRIER_T_FACTOR)
-_STAGE_T = np.array(_STAGE_T)
 
 
 def _barrier_stack(members, Xt, y, ranges) -> list:

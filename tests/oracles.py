@@ -132,9 +132,9 @@ def barrier_reference(X, y, tight=False):
         raise InfeasiblePoint("some x_i'beta > 0")
     eta, s, loglik, logbar = iterate(eta)
     total = 0
-    t = logbin.BARRIER_T_START
-    while t >= logbin.BARRIER_T_STOP * 0.999:
-        last = t * logbin.BARRIER_T_FACTOR < logbin.BARRIER_T_STOP * 0.999
+    stages = logbin._STAGE_T
+    for k, t in enumerate(stages):
+        last = k == len(stages) - 1
         for it in range(logbin.MAX_ITER):
             total += 1
             q = np.exp(eta) / s
@@ -179,7 +179,6 @@ def barrier_reference(X, y, tight=False):
                 break
         else:
             events["stage_capped"] += 1
-        t *= logbin.BARRIER_T_FACTOR
     on_boundary = np.max(eta) > -logbin.BOUNDARY_EPS * 10
     grad = X.T @ (y - ny * (np.exp(eta) / s))
     converged = bool(np.max(np.abs(grad)) < 1e-4 * n or on_boundary)

@@ -272,6 +272,24 @@ class TestStudy:
                      "--out", str(b), "--threads", "4"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_machine_output_independent_of_blas_threads(self, tmp_path):
+        # Designs of at most design.BLOCK_ROWS rows keep their bits whatever
+        # the BLAS thread count, which must be set before numpy loads.
+        cfg = tmp_path / "blas.cfg"
+        cfg.write_text("scenario = moderate\nn = 1000\nreplications = 50\n"
+                       "base_seed = 2024\nmethods = robust-poisson, logbin-ml, logbin-ab\n"
+                       "specifications = simple, rich\nestimands = coefficient, marginal\n"
+                       "truth_n = 50000\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(riskratio.__file__)))
+        runs = [subprocess.Popen(
+            [sys.executable, "-m", "riskratio.cli", "study", str(cfg),
+             "--format", "machine", "--threads", "2"],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+            stdout=subprocess.PIPE) for threads in ("1", "2")]
+        reports = [run.communicate(timeout=120)[0] for run in runs]
+        assert [run.returncode for run in runs] == [0, 0]
+        assert reports[0] == reports[1] and b'"cells"' in reports[0]
+
 
 class TestVersion:
     def test_one_version(self, tmp_path, capsys):

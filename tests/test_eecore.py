@@ -34,6 +34,9 @@ from riskratio.simlab import get_scenario
 
 from oracles import fit_irls, poisson_loglik, sandwich_covariance_lz
 
+# Raw stacked robust-Poisson fits: one FitResult or exception per design.
+poisson_stack = inference.FIT_METHODS["robust-poisson"].fit_stack
+
 # ee_jacobian calls of TestCallCounts.test_warm_bootstrap_resamples
 WARM_JACOBIANS = 594
 
@@ -271,9 +274,9 @@ class TestCallCounts:
         assert len(calls["ee_jacobian"]) == eecore.MAX_ITER
 
     def test_warm_bootstrap_resamples(self, monkeypatch):
-        # The resample fitter of ``fit --boot`` starts each robust-Poisson
-        # resample from the full-sample estimate: fewer Jacobians than the
-        # same bootstrap from ``_initial_beta``, and exactly this many.
+        # ``fit --boot`` starts each robust-Poisson resample from the
+        # full-sample estimate: fewer Jacobians than the same bootstrap from
+        # ``_initial_beta``, and exactly this many.
         data = generate(get_scenario("moderate"), 2000, rng=stream(5, 0))
         design = build_design_matrix(
             data, parse_spec(get_scenario("moderate").rich_spec), "A")
@@ -288,7 +291,8 @@ class TestCallCounts:
             return len(calls["ee_jacobian"])
 
         cold = jacobians(lambda dm: fit_robust_poisson(dm, dm.data.y))
-        warm = jacobians(inference.resample_fitter("robust-poisson", fit))
+        warm = jacobians(lambda dm: inference.FIT_METHODS["robust-poisson"].fit(
+            dm, dm.data.y, start=fit.beta))
         assert warm < cold
         assert warm == WARM_JACOBIANS
 
@@ -581,8 +585,7 @@ class TestStack:
 
     def test_mixed_stack_equals_solo_fits(self, monkeypatch):
         cases = stack_cases()
-        fits = eecore.fit_robust_poisson_stack([d for d, _ in cases],
-                                               [y for _, y in cases])
+        fits = poisson_stack([d for d, _ in cases], [y for _, y in cases])
         solo = [solo_outcome(d, y) for d, y in cases]
         assert [fit_outcome(f) for f in fits] == solo
         kinds = {o[0] if o[0] == "fit" else o[1] for o in solo}
@@ -609,7 +612,7 @@ class TestStack:
             return out
 
         monkeypatch.setattr(eecore, "_converged", recorded)
-        fits = eecore.fit_robust_poisson_stack(*zip(*cases))
+        fits = poisson_stack(*zip(*cases))
         assert ["FitResult", "SingularJacobian", "FitResult"] in finished
         monkeypatch.undo()
         solo = [solo_outcome(d, y) for d, y in cases]
@@ -626,7 +629,7 @@ class TestStack:
             X, _, y = stratum_sample(seed=seed)
             extra = np.zeros(len(y)) if seed == 1 else stratum_sample(seed=seed + 10)[0][:, 2]
             cases.append((np.column_stack([X, extra]), y))
-        fits = eecore.fit_robust_poisson_stack(*zip(*cases))
+        fits = poisson_stack(*zip(*cases))
         solo = [solo_outcome(d, y) for d, y in cases]
         assert [fit_outcome(f) for f in fits] == solo
         assert [o[0] for o in solo] == ["fit", "raised", "fit"]
@@ -665,7 +668,7 @@ class TestStack:
                 raise
 
         monkeypatch.setattr(eecore, "ee_score", counted)
-        fits = eecore.fit_robust_poisson_stack(*zip(*cases))
+        fits = poisson_stack(*zip(*cases))
         assert overflows[0] == 2 and len(overflows) == MAX_HALVINGS + 1
         solo = [solo_outcome(d, y) for d, y in cases]
         assert [fit_outcome(f) for f in fits] == solo
@@ -756,8 +759,7 @@ class TestRowBlocks:
         # figure-demo ones in one.
         monkeypatch.setattr(design, "BLOCK_ROWS", 256)
         cases = stack_cases()
-        fits = eecore.fit_robust_poisson_stack([d for d, _ in cases],
-                                               [y for _, y in cases])
+        fits = poisson_stack([d for d, _ in cases], [y for _, y in cases])
         assert [fit_outcome(f) for f in fits] == [solo_outcome(d, y) for d, y in cases]
 
     @pytest.mark.parametrize("n, groups", [(100, [2, 2, 2, 1]), (300, [1] * 14)])
@@ -801,7 +803,7 @@ class TestBuiltStack:
             return inner(members, Xt, *args, **kwargs)
 
         monkeypatch.setattr(eecore, "_fit_stack", spy)
-        fits = eecore.fit_robust_poisson_stack(designs, ys)
+        fits = eecore._in_stacks(eecore._fit_stack, designs, ys)
         monkeypatch.undo()
         assert [fit_outcome(f) for f in fits] == [
             solo_outcome(d, y) for d, y in zip(designs, ys)]

@@ -258,7 +258,7 @@ class TestFitMethods:
     def test_unusable_logbin_fit_raises(self):
         dm, y = self.complex_design((81, 0))
         with pytest.raises(FitFailed) as info:
-            FIT_METHODS["logbin-ml"](dm, y)
+            FIT_METHODS["logbin-ml"].fit(dm, y)
         assert str(info.value) == (
             "logbin-ml failed: infeasible iterate (iterations=1, on_boundary=True)"
         )
@@ -267,12 +267,12 @@ class TestFitMethods:
         dm, y = self.complex_design((703, 0))
         lb = fit_logbin_barrier(dm, y)
         assert lb.converged and lb.on_boundary
-        fit = FIT_METHODS["logbin-ab"](dm, y)
+        fit = FIT_METHODS["logbin-ab"].fit(dm, y)
         assert fit.on_boundary and fit.design is dm
         np.testing.assert_array_equal(fit.beta, lb.beta)
         np.testing.assert_array_equal(fit.cov_sandwich, lb.cov_sandwich)
         assert fit.mu_hat is None and fit.n_mu_gt1 is None
-        assert not FIT_METHODS["robust-poisson"](dm, y).on_boundary
+        assert not FIT_METHODS["robust-poisson"].fit(dm, y).on_boundary
 
     @pytest.mark.parametrize("method, attr", [
         ("robust-poisson", "fit_robust_poisson"),
@@ -292,10 +292,15 @@ class TestFitMethods:
 
         monkeypatch.setattr(inference, attr, counted)
         try:
-            FIT_METHODS[method](dm, y)
+            FIT_METHODS[method].fit(dm, y)
         except FitFailed:
             pass
         assert len(calls) == 1
+        # logbin-ml fits a stack design by design through the same attribute;
+        # the stacked loops of the others do not call the one-design fitter.
+        calls.clear()
+        FIT_METHODS[method].fit_stack([dm, dm, dm], [y, y, y])
+        assert len(calls) == (3 if method == "logbin-ml" else 0)
 
     @pytest.mark.parametrize("method, attr", [
         ("robust-poisson", "fit_robust_poisson"),
@@ -313,7 +318,7 @@ class TestFitMethods:
             return returned[-1]
 
         monkeypatch.setattr(inference, attr, recorded)
-        fit = FIT_METHODS[method](dm, data.y)
+        fit = FIT_METHODS[method].fit(dm, data.y)
         assert isinstance(fit, FitResult) and fit is returned[0]
         assert fit.converged and fit.design is dm
         assert fit.variance == ("sandwich" if method == "robust-poisson" else "model")
@@ -322,8 +327,8 @@ class TestFitMethods:
 class TestInputContract:
     """The three methods take their input through one front end
     (``eecore._in_stacks``): the same input is accepted or refused in the
-    same way by the one-design fitter, its ``FIT_METHODS`` entry and
-    ``fit_each``."""
+    same way by the one-design fitter, its ``FIT_METHODS`` record's ``fit``
+    and ``fit_each``."""
 
     METHODS = [("robust-poisson", fit_robust_poisson), ("logbin-ml", fit_logbin_ml),
                ("logbin-ab", fit_logbin_barrier)]
@@ -344,7 +349,7 @@ class TestInputContract:
                              "do not match: need n x p and n")]
         for bad_x, bad_y, text in cases:
             for call in (lambda: fitter(bad_x, bad_y),
-                         lambda: FIT_METHODS[method](bad_x, bad_y),
+                         lambda: FIT_METHODS[method].fit(bad_x, bad_y),
                          lambda: inference.fit_each(method, [X, bad_x], [y, bad_y])):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
@@ -361,7 +366,7 @@ class TestInputContract:
         assert good.converged and isinstance(wide, DataError) and str(wide) == text
         starts = []
         monkeypatch.setattr(logbin, "feasible_start", lambda *a: starts.append(a))
-        for call in (fitter, FIT_METHODS[method]):
+        for call in (fitter, FIT_METHODS[method].fit):
             with pytest.raises(DataError) as info:
                 call(X[:3], y[:3])
             assert str(info.value) == text
@@ -516,22 +521,23 @@ def moderate_rich_design():
 
 
 class TestWarmStart:
-    """``resample_fitter`` starts each robust-Poisson resample from the
-    full-sample estimate: per resample, the same failures (class and
-    message) as a fit from ``_initial_beta``, and the same log-RR to
-    within 1e-12 relative."""
+    """Robust Poisson's record is ``warm``: its ``fit`` takes ``start=``,
+    and ``fit --boot`` starts each resample from the full-sample estimate.
+    Per resample, that gives the same failures (class and message) as a fit
+    from ``_initial_beta``, and the same log-RR to within 1e-12 relative."""
 
     @pytest.mark.parametrize("make, B, failures", [
         (sparse_b_design, 100, True), (moderate_rich_design, 200, False)])
     def test_start_changes_no_verdict(self, make, B, failures):
         design = make()
         fit = fit_robust_poisson(design, design.data.y)
-        warm = inference.resample_fitter("robust-poisson", fit)
+        warm = FIT_METHODS["robust-poisson"].fit
         failed = 0
         for b in range(B):
             resample = design.take(stream(0, b).integers(0, design.n, size=design.n))
             cold_fit = eecore._captured(fit_robust_poisson, resample, resample.data.y)
-            warm_fit = eecore._captured(warm, resample)
+            warm_fit = eecore._captured(lambda: warm(resample, resample.data.y,
+                                                     start=fit.beta))
             if isinstance(cold_fit, Exception):
                 failed += 1
                 assert type(warm_fit) is type(cold_fit)
@@ -542,21 +548,25 @@ class TestWarmStart:
         assert (failed > 0) == failures
 
     def test_logbin_resamples_start_as_before(self):
+        # Only robust Poisson takes a start; a log-binomial resample is fitted
+        # as any data are, from the fitter's own start.
+        assert [m for m, record in FIT_METHODS.items() if record.warm] == ["robust-poisson"]
         data = generate("simple", 1000, rng=stream(700, 0))
         design = build_design_matrix(data, parse_spec("1 + A + L1 + L2"), exposure="A")
         resample = design.take(stream(0, 0).integers(0, design.n, size=design.n))
-        for method in ("logbin-ml", "logbin-ab"):
-            fit = FIT_METHODS[method](design, design.data.y)
-            given = inference.resample_fitter(method, fit)(resample)
-            alone = FIT_METHODS[method](resample, resample.data.y)
+        for method, fitter in (("logbin-ml", fit_logbin_ml), ("logbin-ab", fit_logbin_barrier)):
+            fit = FIT_METHODS[method].fit(design, design.data.y)
+            with pytest.raises(TypeError):
+                FIT_METHODS[method].fit(resample, resample.data.y, start=fit.beta)
+            given = FIT_METHODS[method].fit(resample, resample.data.y)
+            alone = fitter(resample, resample.data.y)
             assert given.beta.tobytes() == alone.beta.tobytes()
             assert given.iterations == alone.iterations
 
     def test_calls_the_module_attribute(self, monkeypatch):
-        # As FIT_METHODS does: a wrapper installed after import runs.
+        # As every entry does: a wrapper installed after import runs.
         design = moderate_rich_design()
         fit = fit_robust_poisson(design, design.data.y)
-        warm = inference.resample_fitter("robust-poisson", fit)
         calls = []
         inner = inference.fit_robust_poisson
 
@@ -565,7 +575,7 @@ class TestWarmStart:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(inference, "fit_robust_poisson", counted)
-        warm(design)
+        FIT_METHODS["robust-poisson"].fit(design, design.data.y, start=fit.beta)
         assert len(calls) == 1 and calls[0]["start"] is fit.beta
 
 

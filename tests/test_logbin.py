@@ -20,12 +20,15 @@ from riskratio import (
 from riskratio import design, eecore, logbin
 from riskratio.errors import FitFailed, InfeasiblePoint, NoFeasibleStart, RiskRatioError
 from riskratio.inference import FIT_METHODS, _usable, fit_each
-from riskratio.logbin import feasible_start, fit_logbin_barrier_stack
+from riskratio.logbin import feasible_start
 from riskratio.rng import stream
 from riskratio.simlab import STACK_ROWS, get_scenario
 
 from oracles import barrier_reference
 from test_eecore import two_by_two
+
+# Raw stacked barrier fits: one FitResult or exception per design.
+barrier_stack = FIT_METHODS["logbin-ab"].fit_stack
 
 
 def simple_sample(r, n=1000):
@@ -166,7 +169,7 @@ class TestMlFitter:
             False, "singular weighted least squares", 1)
         assert fit.beta.tobytes() == feasible_start(X, y).tobytes()
         with pytest.raises(FitFailed, match="logbin-ml failed: singular weighted"):
-            FIT_METHODS["logbin-ml"](X, y)
+            FIT_METHODS["logbin-ml"].fit(X, y)
 
     def test_iteration_cap(self, monkeypatch):
         data = simple_sample(0)
@@ -350,7 +353,7 @@ class TestStack:
             # stages of 3 Newton iterations: most stages reach the cap
             monkeypatch.setattr(logbin, "MAX_ITER", 3)
         cases = mixed_stack()
-        stacked = fit_logbin_barrier_stack([X for _, X, _ in cases], [y for *_, y in cases])
+        stacked = barrier_stack([X for _, X, _ in cases], [y for *_, y in cases])
         events, seen = Counter(), {}
         for (name, X, y), fit in zip(cases, stacked):
             solo = outcome(fit_logbin_barrier, X, y)
@@ -375,7 +378,7 @@ class TestStack:
         # three blocks or more, alone and in its stack alike.
         monkeypatch.setattr(design, "BLOCK_ROWS", 128)
         cases = mixed_stack()
-        stacked = fit_logbin_barrier_stack([X for _, X, _ in cases], [y for *_, y in cases])
+        stacked = barrier_stack([X for _, X, _ in cases], [y for *_, y in cases])
         for (name, X, y), fit in zip(cases, stacked):
             assert fit_digest(fit) == fit_digest(outcome(fit_logbin_barrier, X, y)), name
         assert sum(X.shape[0] > 2 * 128 for _, X, _ in cases) >= 5
@@ -393,7 +396,7 @@ class TestStack:
         fits = fit_each("logbin-ab", [X for _, X, _ in cases], [y for *_, y in cases])
         failed = 0
         for (name, X, y), fit in zip(cases, fits):
-            alone = outcome(FIT_METHODS["logbin-ab"], X, y)
+            alone = outcome(FIT_METHODS["logbin-ab"].fit, X, y)
             assert type(fit) is type(alone), name
             assert fit_digest(fit) == fit_digest(alone), name
             failed += isinstance(fit, FitFailed)
@@ -431,7 +434,7 @@ class TestStack:
             return real(a, b, rcond=rcond)
 
         monkeypatch.setattr(np.linalg, "lstsq", lstsq)
-        stacked = fit_logbin_barrier_stack([X for _, X, _ in cases], [y for *_, y in cases])
+        stacked = barrier_stack([X for _, X, _ in cases], [y for *_, y in cases])
         for (name, X, y), fit, alone in zip(cases, stacked, before):
             if name == "outcome 0 or 2":
                 assert isinstance(fit, np.linalg.LinAlgError)
@@ -487,7 +490,7 @@ class TestSchedule:
         datas = [generate(scenario, 1000, rng=stream(720, r))
                  for r in range(STACK_ROWS // 1000)]
         Xs = [build_design_matrix(d, terms, exposure="A").X for d in datas]
-        fits = fit_logbin_barrier_stack(Xs, [d.y for d in datas])
+        fits = barrier_stack(Xs, [d.y for d in datas])
         taken = centered = 0
         for X, d, fit in zip(Xs, datas, fits):
             tight, _ = barrier_reference(X, d.y, tight=True)
