@@ -206,14 +206,7 @@ def cmd_study(args) -> int:
 def cmd_truth(args) -> int:
     if args.n < 2:
         raise ConfigError(f"--n must be at least 2, got {args.n}")
-    try:
-        result = simlab.monte_carlo_truth(args.scenario, n=args.n, seed=args.seed)
-    except ConfigError as exc:
-        option = {"truth_n": "--n", "scenario": "--scenario"}.get(exc.key)
-        if option is None:
-            raise
-        # name this command's option, not the study config key
-        raise ConfigError(f"{option}: {exc.detail}") from None
+    result = simlab.monte_carlo_truth(args.scenario, n=args.n, seed=args.seed)
     sys.stdout.write(
         f"scenario={args.scenario} n={args.n} seed={args.seed}\n"
         f"rr_true = {result['rr_true']:.4f} +/- {result['mcse']:.4f} (MCSE)\n"
@@ -227,15 +220,9 @@ def cmd_figure(args) -> int:
     except ValueError:
         raise ConfigError(
             f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
-    try:
-        demo = simlab.consistency_demo(
-            sizes=sizes, replications=args.replications, seed=args.seed
-        )
-    except ConfigError as exc:
-        if exc.key not in ("sizes", "replications"):
-            raise
-        # name this command's option, not the function's argument
-        raise ConfigError(f"--{exc.key}: {exc.detail}") from None
+    demo = simlab.consistency_demo(
+        sizes=sizes, replications=args.replications, seed=args.seed
+    )
     lines = ["n,rr_hat,ci_low,ci_high"]
     for row in demo["rows"]:
         lines.append(
@@ -270,22 +257,27 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+# Each command, with the options it passes on under another name: a
+# ConfigError whose ``key`` is that name (a config key or a function
+# argument) is reported under the option.
 _COMMANDS = {
-    "fit": cmd_fit,
-    "study": cmd_study,
-    "truth": cmd_truth,
-    "figure": cmd_figure,
-    "validate": cmd_validate,
+    "fit": (cmd_fit, {}),
+    "study": (cmd_study, {}),
+    "truth": (cmd_truth, {"truth_n": "--n", "scenario": "--scenario"}),
+    "figure": (cmd_figure, {"sizes": "--sizes", "replications": "--replications"}),
+    "validate": (cmd_validate, {}),
 }
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    command, options = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        return command(args)
     except (ConfigError, SpecParseError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        option = options.get(getattr(exc, "key", None))
+        sys.stderr.write(f"error: {option}: {exc.detail}\n" if option else f"error: {exc}\n")
         return EXIT_USAGE
     except (DataError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")

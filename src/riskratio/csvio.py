@@ -14,7 +14,9 @@ fast path runs only when all of these hold:
 Anything else (quotes, spaces, ``\\r\\n``, blank lines, ``nan``, a bad cell)
 goes to the per-cell scanner, which reports the first offending row and
 column.  On the bytes above ``loadtxt`` accepts exactly the tokens that
-Python ``float`` accepts and gives the same bits.
+Python ``float`` accepts and gives the same bits.  Both paths drop a UTF-8
+byte-order mark before the header, and the scanner refuses a header that
+names a column twice.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ def _parse_numeric(raw: bytes, outcome: str) -> dict[str, np.ndarray] | None:
     if raw[cut + 1:].translate(None, _NUMERIC_BYTES):
         return None
     try:
-        line = raw[:cut].decode("utf-8")
+        # "utf-8-sig" drops a leading byte-order mark, as Excel writes one.
+        line = raw[:cut].decode("utf-8-sig")
         # Strict parsing rejects an unclosed quote, which would carry the
         # header record over into the following lines; so would a "\r",
         # which also ends a line for the scanner.
@@ -82,13 +85,16 @@ def _parse_numeric(raw: bytes, outcome: str) -> dict[str, np.ndarray] | None:
 
 def _scan_csv(path: str, outcome: str) -> Dataset:
     """Cell-by-cell reader for any file the numeric fast path declines."""
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file, header row required") from None
         header = [h.strip() for h in header]
+        repeated = [h for i, h in enumerate(header) if h in header[:i]]
+        if repeated:
+            raise DataError(f"{path}: column {repeated[0]!r} is repeated in the header")
         if outcome not in header:
             raise DataError(f"{path}: outcome column {outcome!r} not in header {header}")
         columns: dict[str, list[float]] = {name: [] for name in header}

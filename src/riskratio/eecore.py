@@ -18,6 +18,11 @@ the fixed cost of a numpy call is shared by a block of small fits.  The
 step halving, ``_step_search``, is also the log-barrier loop's
 (``logbin``); each loop gives it its own acceptance test, and both loops
 finish a design inside the loop and return {row: FitResult or exception}.
+Both loops also share the frame around them, ``_from_starts``: a group's
+fitter gives it each design's start, or the error that design met before
+iterating (``NoFiniteSolution`` here, ``NoFeasibleStart`` in ``logbin``),
+and it runs the loop on the designs that have a start and returns one
+entry per design, in order.
 
 Stacks and bit-identity: a stack of B designs of n rows and p columns is
 kept as one C-contiguous B x p x n array of the designs' ``X.T`` and used
@@ -397,8 +402,8 @@ def _alone(fit_stack, design, y):
 def _fit_stack(members, Xt, y, ranges, start=None) -> list:
     """Robust Poisson on one group of ``_in_stacks``: the designs without
     a finite root fail before iterating, the others share one Newton
-    loop, each from ``start`` (p coefficients) if given, else from its
-    ``_initial_beta``."""
+    loop (``_from_starts``), each from ``start`` (p coefficients) if
+    given, else from its ``_initial_beta``."""
     if start is not None:
         start = np.asarray(start, float)
         if start.shape != Xt.shape[1:2] or not np.isfinite(start).all():
@@ -406,16 +411,25 @@ def _fit_stack(members, Xt, y, ranges, start=None) -> list:
                              f"got shape {start.shape}")
     labels = [None if dm is None else dm.labels for _, dm, _ in members]
     failed = _no_finite_solution(_t(Xt), y, ranges[:, 0], ranges[:, 1], labels)
-    fits = [failed.get(i) for i in range(len(members))]
-    rows = np.flatnonzero(_without(len(members), failed))
-    if not rows.size:
-        return fits
-    Xt, y = _rows(Xt, rows), _rows(y, rows)
-    beta = (_initial_beta(_rows(ranges, rows), y) if start is None
-            else np.tile(start, (len(rows), 1)))
-    beta = beta.reshape(len(rows), -1, 1)
-    for k, fit in _newton(Xt, y, beta, [members[i][1] for i in rows]).items():
-        fits[rows[k]] = fit
+    beta = (_initial_beta(ranges, y) if start is None
+            else np.tile(start, (len(members), 1))).reshape(len(members), -1)
+    return _from_starts(_newton, members, Xt, y,
+                        [failed.get(i, b) for i, b in enumerate(beta)])
+
+
+def _from_starts(loop, members, Xt, y, starts) -> list:
+    """The fits of one group of ``_in_stacks``, one entry per member in
+    member order: ``starts`` holds each member's start (p coefficients) or
+    the error found before iterating, which is its entry.  The members
+    with a start share one ``loop(Xt, y, beta, dms)``, which returns
+    {row: FitResult or exception} over their stack."""
+    fits = [s if isinstance(s, Exception) else None for s in starts]
+    rows = np.flatnonzero([fit is None for fit in fits])
+    if rows.size:
+        beta = np.stack([starts[i] for i in rows])[..., None]
+        out = loop(_rows(Xt, rows), _rows(y, rows), beta, [members[i][1] for i in rows])
+        for k, fit in out.items():
+            fits[rows[k]] = fit
     return fits
 
 
@@ -542,7 +556,7 @@ def _step_search(Xt, iterate, delta, step, rows, accept):
 
     ``iterate`` is a tuple of plain per-row arrays, beta first: robust
     Poisson's (beta, mu, score, norm) or the barrier's (beta, eta, s,
-    loglik, logbar, objective).  A row tries beta + step * delta, halving
+    loglik, logbar).  A row tries beta + step * delta, halving
     its ``step`` (B x 1 x 1) in place after each refusal, MAX_HALVINGS
     times at most.  ``accept(rows, candidate, X, eta)`` judges the
     candidates of some rows, with X their designs and eta = X @ candidate:
@@ -599,7 +613,6 @@ def sandwich_covariance(X, y, beta, mu=None, jac=None) -> np.ndarray:
     ``ee_jacobian`` at beta when the caller has them already; the bread is
     then -jac, the same matrix bit for bit, since negation is exact.
     """
-    X = X.X if isinstance(X, DesignMatrix) else np.asarray(X, float)
     mu = _mu(X, beta) if mu is None else mu
     r = y - mu
     bread = _gram(X, mu) if jac is None else -jac

@@ -33,12 +33,17 @@ ML fitter's weighted least squares run over blocks of at most
 each as before, for n <= one block; above it, row blocks summed in row
 order.  The loop hands back its fits as robust Poisson's does: a design
 that ends its last stage is finished in the loop and leaves the stack,
-and the loop returns {row: FitResult or exception}.  Step halving is
-robust Poisson's (``eecore._step_search``) with the barrier's acceptance
-test.  The ML fitter stays one design at a time: it fails fast, and costs
-little.  Both fitters take their input through ``eecore._in_stacks``, the
-ML fitter as a stack of one, so they accept and reject input exactly as
-robust Poisson does.
+and the loop returns {row: FitResult or exception}.  The frame around
+the loop is robust Poisson's too (``eecore._from_starts``): a design whose
+``feasible_start`` raises ``NoFeasibleStart`` has that error as its
+entry, and the others share one loop.  Step halving is robust Poisson's
+(``eecore._step_search``) with the barrier's acceptance test, which
+judges a candidate by its barrier objective; the loop forms the current
+objective from its iterate at the top of each iteration.  The ML fitter
+stays one design at a time: it fails fast, and costs little.  Both
+fitters take their input through ``eecore._in_stacks``, the ML fitter as
+a stack of one, so they accept and reject input exactly as robust
+Poisson does.
 """
 
 from __future__ import annotations
@@ -48,8 +53,8 @@ from functools import partial
 import numpy as np
 
 from .eecore import (
-    MAX_HALVINGS, FitResult, _alone, _by_row, _captured, _gram, _ones, _rows,
-    _step_search, _t, _without,
+    MAX_HALVINGS, FitResult, _alone, _by_row, _captured, _from_starts, _gram, _ones,
+    _rows, _step_search, _t, _without,
 )
 from .design import column_ranges
 from .errors import InfeasiblePoint, NoFeasibleStart
@@ -309,17 +314,10 @@ def fit_logbin_barrier(design, y) -> FitResult:
 def _barrier_stack(members, Xt, y, ranges) -> list:
     """The barrier method on one group of ``eecore._in_stacks``: each
     design starts from its own ``feasible_start``, and the designs that
-    have one share one barrier loop (``_barrier``)."""
-    starts = [_captured(feasible_start, X, y1) for X, _, y1 in members]
-    fits = [s if isinstance(s, Exception) else None for s in starts]
-    rows = np.flatnonzero([fit is None for fit in fits])
-    if not rows.size:
-        return fits
-    beta = np.stack([starts[i] for i in rows])[..., None]
-    for k, fit in _barrier(_rows(Xt, rows), _rows(y, rows), beta,
-                           [members[i][1] for i in rows]).items():
-        fits[rows[k]] = fit
-    return fits
+    have one share one barrier loop (``_barrier``, through
+    ``eecore._from_starts``)."""
+    return _from_starts(_barrier, members, Xt, y,
+                        [_captured(feasible_start, X, y1) for X, _, y1 in members])
 
 
 def _barrier(Xt, y, beta, dms) -> dict:
@@ -329,9 +327,10 @@ def _barrier(Xt, y, beta, dms) -> dict:
     step.
 
     Each design runs its own schedule: it keeps its stage (so its barrier
-    weight t), the iteration its stage began after, and its iterate: beta,
-    the arrays of ``_iterate`` and its objective, plain arrays with one row
-    per design, as ``eecore._newton`` keeps (beta, mu, score, norm).
+    weight t), the iteration its stage began after, and its iterate: beta
+    and the arrays of ``_iterate``, plain arrays with one row per design,
+    as ``eecore._newton`` keeps (beta, mu, score, norm).  Its objective,
+    loglik + t * logbar, is formed from them at the top of each iteration.
     ``ny`` = 1 - y is a constant of the design, gathered with y.  Every
     design in the stack has run as many Newton iterations as the loop, so
     that count is its total.  After every iteration, one mask test per
@@ -367,13 +366,13 @@ def _barrier(Xt, y, beta, dms) -> dict:
     n = Xt.shape[2]
     stage = np.zeros(len(rows), dtype=int)
     began = np.zeros(len(rows), dtype=int)
-    t, t3 = _STAGE_T[stage], _STAGE_T[stage][:, None, None]
-    obj = loglik + t * logbar
     tol = GRAD_TOL * n
     iterations = 0
     while True:
         iterations += 1
-        grad, hess = _newton_system(X, y, ny, eta, s, t3)
+        t = _STAGE_T[stage]
+        obj = loglik + t * logbar
+        grad, hess = _newton_system(X, y, ny, eta, s, t[:, None, None])
         # Only a step that raises the finite barrier objective is taken,
         # so even a direction from a non-finite system is safe to try.
         neg = -hess
@@ -392,8 +391,8 @@ def _barrier(Xt, y, beta, dms) -> dict:
         if lstsq_failed:
             alpha[list(lstsq_failed)] = 0.0
         moving = alpha[:, 0, 0] > 1e-16
-        (beta, eta, s, loglik, logbar, obj), stuck = _step_search(
-            Xt, (beta, eta, s, loglik, logbar, obj), delta, alpha,
+        (beta, eta, s, loglik, logbar), stuck = _step_search(
+            Xt, (beta, eta, s, loglik, logbar), delta, alpha,
             np.flatnonzero(moving), partial(_objective_holds, y, ny, obj - 1e-12, t))
         step = np.abs(alpha * delta).max(axis=(1, 2))
         gnorm = np.abs(grad).max(axis=(1, 2))
@@ -424,8 +423,6 @@ def _barrier(Xt, y, beta, dms) -> dict:
                 a[keep] for a in (rows, Xt, y, ny, beta, eta, s, loglik, logbar,
                                   stage, began))
             X = _t(Xt)
-        t, t3 = _STAGE_T[stage], _STAGE_T[stage][:, None, None]
-        obj = loglik + t * logbar
 
 
 def _solve_definite(neg, grad):
@@ -439,8 +436,8 @@ def _objective_holds(y, ny, floor, t, rows, candidate, X, eta):
     """The barrier's test for ``eecore._step_search``: a candidate is
     accepted when it is strictly feasible and its barrier objective at
     ``t`` is at least ``floor``, its row's current one less 1e-12.  The
-    iterate is (beta, eta, s, loglik, logbar, objective): beta, the arrays
-    of ``_iterate`` and the objective."""
+    iterate is (beta, eta, s, loglik, logbar): beta and the arrays of
+    ``_iterate``."""
     if not eta.max() < 0:
         # Leave out a candidate with some eta >= 0; one with a NaN eta is
         # tried, and fails on its objective.
@@ -448,4 +445,4 @@ def _objective_holds(y, ny, floor, t, rows, candidate, X, eta):
         rows, candidate, eta = rows[fine], candidate[fine], eta[fine]
     eta, s, loglik, logbar = _iterate(_rows(y, rows), _rows(ny, rows), eta)
     value = loglik + _rows(t, rows) * logbar
-    return rows, value >= _rows(floor, rows), (candidate, eta, s, loglik, logbar, value)
+    return rows, value >= _rows(floor, rows), (candidate, eta, s, loglik, logbar)

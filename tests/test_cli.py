@@ -383,6 +383,15 @@ class TestExitCodes:
         assert captured.err.startswith("error: --scenario: unknown scenario 'nope'")
         assert captured.out == ""
 
+    def test_unknown_scenario_is_named_as_each_command_takes_it(self, tmp_path, capsys):
+        # The same ConfigError: a config key for ``study``, an option for ``truth``.
+        cfg = tmp_path / "nope.cfg"
+        cfg.write_text("scenario = nope\n")
+        assert main(["study", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: config key 'scenario': ")
+        assert main(["truth", "--scenario", "nope"]) == 2
+        assert capsys.readouterr().err.startswith("error: --scenario: ")
+
     def test_truth_n_below_2_exits_2(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

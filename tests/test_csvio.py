@@ -145,3 +145,27 @@ def test_columns_are_contiguous(csv_path):
     assert list(data.columns) == ["L1", "A"]
     assert all(v.flags.c_contiguous for v in [data.y, *data.columns.values()])
     np.testing.assert_array_equal(data.column("L1"), [0.5, -1.5])
+
+
+@pytest.mark.parametrize("text, fast", [
+    ("y,A,L\n1,0,0.5\n0,1,-1.5\n", True),
+    ('y,A,L\n1,0,"0.5"\n0,1,-1.5\n', False),
+])
+def test_byte_order_mark_is_not_part_of_the_header(csv_path, text, fast):
+    # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark.
+    write(csv_path, text)
+    plain = outcome(read_csv_dataset, csv_path)
+    write(csv_path, "\ufeff" + text)
+    with open(csv_path, "rb") as handle:
+        assert (_parse_numeric(handle.read(), "y") is not None) == fast
+    assert plain[0] == "ok" and outcome(read_csv_dataset, csv_path) == plain
+
+
+@pytest.mark.parametrize("text", [
+    "y,A,L,L\n1,0,1,2\n0,1,3,4\n",
+    'y,A,L,L\n1,0,"1",2\n0,1,3,4\n',
+])
+def test_repeated_header_name_is_named(csv_path, text):
+    write(csv_path, text)
+    with pytest.raises(DataError, match="column 'L' is repeated in the header"):
+        read_csv_dataset(csv_path, "y")

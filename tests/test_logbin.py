@@ -511,13 +511,13 @@ class TestStepSearch:
     def search(Xt, y, beta, delta, t):
         """(iterate, step, rows without a step, objective before) of one
         search from a unit step, the iterate being (beta, eta, s, loglik,
-        logbar, objective); nothing passed in changes."""
+        logbar); nothing passed in changes."""
         eta, s, loglik, logbar = logbin._iterate(y, 1 - y, eecore._t(Xt) @ beta)
         before = loglik + t * logbar
         step = np.ones((len(Xt), 1, 1))
         accept = partial(logbin._objective_holds, y, 1 - y, before - 1e-12, t)
         iterate, stuck = eecore._step_search(
-            Xt, (beta.copy(), eta, s, loglik, logbar, before.copy()), delta, step,
+            Xt, (beta.copy(), eta, s, loglik, logbar), delta, step,
             np.arange(len(Xt)), accept)
         return iterate, step, stuck, before
 
@@ -538,14 +538,15 @@ class TestStepSearch:
             # The infeasible candidate is left out, not taken to log(s < 0).
             warnings.simplefilter("error")
             iterate, step, stuck, before = self.search(Xt, y, beta, delta, t)
-        new_beta, eta, *_, obj = iterate
+        new_beta, eta, _, loglik, logbar = iterate
+        obj = loglik + t * logbar
         assert step.ravel().tolist() == [0.5, 1.0] and not stuck.size
         assert (eta.max(axis=(1, 2)) < 0).all() and (obj > before).all()
         np.testing.assert_array_equal(new_beta, beta + step * delta)
         for k in range(2):
             alone, alone_step, alone_stuck, _ = self.search(
                 Xt[k:k + 1], y[k:k + 1], beta[k:k + 1], delta[k:k + 1], t[k:k + 1])
-            assert len(alone) == len(iterate) == 6
+            assert len(alone) == len(iterate) == 5
             for a, b in zip(alone, iterate):
                 assert a.tobytes() == b[k:k + 1].tobytes()
             assert alone_step.tobytes() == step[k:k + 1].tobytes()
