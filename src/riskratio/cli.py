@@ -4,10 +4,11 @@ Exit codes: 0 success (including NA study rows), 2 usage/config error
 (an invalid option value among them), 3 data error (a missing or constant
 column, spline knots a column cannot give, and more model parameters than
 rows among them), 4 numerical failure of a requested single fit (including
-``NoFiniteSolution``) or of a study in which no cell has any successful
-replication.  The three fit methods share one input contract
-(``eecore._in_stacks``), so the same data error gives exit 3 whatever the
-``--method``.
+``NoFiniteSolution``, and ``DegenerateInterval`` for an estimate whose
+interval is not finite with positive width) or of a study in which no
+cell has any successful replication.  The three fit methods share one
+input contract (``eecore._in_stacks``), so the same data error gives exit
+3 whatever the ``--method``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .design import Categorical, build_design_matrix, parse_spec
 from .errors import (
     ConfigError,
     DataError,
+    DegenerateInterval,
     RiskRatioError,
     SpecParseError,
 )
@@ -96,7 +98,13 @@ def _default_spec(data, exposure: str) -> str:
 
 
 def _row(label, estimand, est) -> dict:
-    """One estimate row of the fit report."""
+    """One estimate row of the fit report.  An interval that is not finite
+    with positive width on the log scale, 0 < low < high < inf, raises
+    ``DegenerateInterval``: such a fit reports no ratio."""
+    if not 0.0 < est.ci_low < est.ci_high < np.inf:
+        raise DegenerateInterval(
+            f"{estimand} RR of {label}: interval ({est.ci_low:.3g}, {est.ci_high:.3g}) "
+            "is not finite with positive width; the data do not identify it")
     return {
         "label": label, "estimand": estimand,
         "rr": est.rr, "ci_low": est.ci_low, "ci_high": est.ci_high,
@@ -135,9 +143,8 @@ def _fit_estimates(args, data, design, level):
             estimates.append(_row(f"{args.exposure}={a1:g} vs {a0:g}",
                                   "marginal", est))
     if args.boot:
-        start = {"start": fit.beta} if method.warm else {}
         boot = inference.bootstrap_rr(
-            lambda dm: method.fit(dm, dm.data.y, **start), design,
+            method, design,
             lambda f, dm: inference.coefficient_rr(f, design.exposure_cols[0], level),
             B=args.boot, seed=args.seed, level=level, fit=fit,
         )

@@ -8,21 +8,38 @@ W = sum_i x_i (y_i - mu_i)^2 x_i', which is valid under arbitrary
 misspecification of the outcome distribution as long as the log-linear
 mean model holds.
 
-One damped-Newton loop fits a stack of equal-shape designs at once
-(``_fit_stack``, through ``_in_stacks``; robust Poisson's ``fit_stack``
-in ``inference.FIT_METHODS``); ``fit_robust_poisson`` is its one-design
-case.  Every step runs on the whole stack: each ``np.matmul`` and LAPACK
-call serves all its designs, and per-row masks decide convergence, step
-halving and failure.  A study fits its replications as such stacks, so
-the fixed cost of a numpy call is shared by a block of small fits.  The
-step halving, ``_step_search``, is also the log-barrier loop's
-(``logbin``); each loop gives it its own acceptance test, and both loops
-finish a design inside the loop and return {row: FitResult or exception}.
-Both loops also share the frame around them, ``_from_starts``: a group's
-fitter gives it each design's start, or the error that design met before
-iterating (``NoFiniteSolution`` here, ``NoFeasibleStart`` in ``logbin``),
-and it runs the loop on the designs that have a start and returns one
-entry per design, in order.
+One damped-Newton loop, ``_newton``, fits a group of problems at once;
+the group's kernels (its linear predictors, scores, Jacobians, refused
+candidates and sandwiches) and its per-row arrays, which the loop gathers
+anew as rows finish, are all it knows of the group.  There are two kinds
+of group:
+
+- a stack of equal-shape designs (``_Designs``; ``_fit_stack``, through
+  ``_in_stacks``; robust Poisson's ``fit_stack`` in
+  ``inference.FIT_METHODS``); ``fit_robust_poisson`` is its one-design
+  case.  A study fits its replications as such stacks, so the fixed cost
+  of a numpy call is shared by a block of small fits.
+- bootstrap resamples of one design as frequency weights over its rows
+  (``_Weighted``; ``_fit_resamples``, robust Poisson's
+  ``FitMethod.warm``).  A resample's estimating equation
+  sum_i w_i x_i (y_i - mu_i) = 0 has the root of the gathered resample's,
+  so every resample shares the design's ``X`` and none copies its rows;
+  each sum over rows is a matrix product of the group's weights with
+  ``X`` or with its column products.  Each resample's verdicts are taken
+  on the rows it holds (w > 0): its column ranges come from each column's
+  lowest and highest rows, kept once per design.
+
+Every step runs on the whole group: each ``np.matmul`` and LAPACK call
+serves all its rows, and per-row masks decide convergence, step halving
+and failure.  The step halving, ``_step_search``, is also the log-barrier
+loop's (``logbin``); each loop gives it its own acceptance test, and both
+loops finish a design inside the loop and return {row: FitResult or
+exception}.  Both loops also share the frame around them,
+``_from_starts``: a group's fitter gives it each member's start, or the
+error that member met before iterating (``DegenerateColumn`` and
+``NoFiniteSolution`` here, ``NoFeasibleStart`` in ``logbin``), and it
+runs the loop on the members that have a start and returns one entry per
+member, in order.
 
 Stacks and bit-identity: a stack of B designs of n rows and p columns is
 kept as one C-contiguous B x p x n array of the designs' ``X.T`` and used
@@ -56,8 +73,8 @@ as one stack (``design.build_design_stack``) and given in order are
 fitted in place, through a view of that stack (``design.stacked``); other
 groups are copied once.
 
-Failures are per design: a stacked LAPACK call that raises is repeated
-design by design (``_by_row``), so each design gets what it gets alone.
+Failures are per row: a stacked LAPACK call that raises is repeated row
+by row (``_by_row``), so each design or resample gets what it gets alone.
 
 The loop keeps one state per accepted iterate, its fitted means
 mu = exp(X beta), and passes it to ``ee_jacobian``, ``ee_score`` and
@@ -71,9 +88,8 @@ a finite root, such as an outcome that is 0 on every row, are caught before
 iterating, from the column ranges a ``DesignMatrix`` keeps
 (``DesignMatrix.column_ranges``).  Newton starts from ``_initial_beta``,
 computed for the whole stack from those ranges and the outcomes, or from a
-caller's start: ``fit_robust_poisson(start=...)``, which a bootstrap
-resample gets from the full-sample estimate (robust Poisson's
-``inference.FitMethod`` is ``warm``).
+caller's start: ``fit_robust_poisson(start=...)``; a bootstrap resample
+starts from the full-sample estimate.
 
 ``FitResult`` is the result type of every fitter in the package, the
 log-binomial ones in ``logbin`` included.
@@ -83,12 +99,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
-from .design import DesignMatrix, as_matrix, column_ranges, stack_blocks, stacked
+from .design import (
+    DesignMatrix, _varies, as_matrix, column_ranges, row_blocks, stack_blocks, stacked,
+)
 from .errors import (
     DataError,
+    DegenerateColumn,
     NoFiniteSolution,
     NonConvergence,
     Overflow,
@@ -106,6 +126,15 @@ STEP_TOL = 1e-10
 MAX_ITER = 100
 MAX_HALVINGS = 30
 COND_MAX = 1e12
+
+# Resamples of n rows are fitted in groups of max(1, GROUP_ROWS // n): a
+# group's G x n arrays (weights, eta, mu, residuals) are then at most
+# 512 KB each and stay in a per-core L2 cache, as a ``BLOCK_ROWS`` block
+# does; at n = 5000 a group is 13 resamples.
+GROUP_ROWS = 1 << 16
+# Each column's RANGE_ROWS lowest and highest rows, among which a
+# resample's range over its own rows is found in all but rare cases.
+RANGE_ROWS = 32
 
 
 @dataclass
@@ -413,59 +442,227 @@ def _fit_stack(members, Xt, y, ranges, start=None) -> list:
     failed = _no_finite_solution(_t(Xt), y, ranges[:, 0], ranges[:, 1], labels)
     beta = (_initial_beta(ranges, y) if start is None
             else np.tile(start, (len(members), 1))).reshape(len(members), -1)
-    return _from_starts(_newton, members, Xt, y,
-                        [failed.get(i, b) for i, b in enumerate(beta)])
+    return _from_starts(partial(_newton, _Designs), (Xt, y),
+                        [failed.get(i, b) for i, b in enumerate(beta)],
+                        [dm for _, dm, _ in members])
 
 
-def _from_starts(loop, members, Xt, y, starts) -> list:
-    """The fits of one group of ``_in_stacks``, one entry per member in
-    member order: ``starts`` holds each member's start (p coefficients) or
-    the error found before iterating, which is its entry.  The members
-    with a start share one ``loop(Xt, y, beta, dms)``, which returns
-    {row: FitResult or exception} over their stack."""
+def _fit_resamples(design: DesignMatrix, start, draws):
+    """Robust Poisson on resamples of a built design, each the design's
+    rows with frequency weights (Efron & Tibshirani 1993, ch. 6): its
+    estimating equation sum_i w_i x_i (y_i - mu_i) = 0 is the gathered
+    resample's, so every resample shares the design's ``X`` and none
+    copies its rows.
+
+    ``draws`` are the resamples' row indices (each n of them); the weights
+    are their counts.  Yields, per draw in order, the ``FitResult`` that
+    ``fit_robust_poisson(design.take(idx), ..., start=start)`` returns or
+    the exception it raises, each verdict taken on the resample's own rows
+    (w > 0): ``DegenerateColumn`` for a non-intercept column constant
+    there (as ``DesignMatrix.take`` gives it), ``NoFiniteSolution`` from
+    the column screen, then the Newton loop's verdicts.  The sums run in
+    another order than the gathered resample's, so an estimate moves in
+    its last bits only.  A ``FitResult`` has no design and no ``mu_hat``.
+
+    Resamples are fitted in groups of max(1, ``GROUP_ROWS`` // n), which
+    share one Newton loop (``_newton`` with ``_Weighted``'s kernels).
+    """
+    X, y = design.X, design.data.y
+    n, p = X.shape
+    kern = _Weighted(X, y)
+    ends = _range_rows(X)
+    varies = _varies(*design.column_ranges)
+    events = y != 0
+    draws = iter(draws)
+    while group := list(islice(draws, max(1, GROUP_ROWS // n))):
+        W = np.array([np.bincount(idx, minlength=n) for idx in group], float)[:, :, None]
+        support = W[:, :, 0] > 0
+        lo, hi = _supported_ranges(X, support, *ends)
+        lost = varies & ~_varies(lo, hi)
+        # The screen reads a design's rows at its events only, so a
+        # resample is the shared X with its unsupported rows' outcome set
+        # to 0, and its own ranges.
+        failed = _no_finite_solution(np.broadcast_to(X, (len(W), n, p)),
+                                     (support & events)[:, :, None] * 1.0, lo, hi,
+                                     [design.labels] * len(W))
+        starts = [DegenerateColumn(design.labels[np.argmax(lost[b])]) if lost[b].any()
+                  else failed.get(b, start) for b in range(len(W))]
+        yield from _from_starts(partial(_newton, kern), (W, support[:, :, None] * 1.0),
+                                starts, [None] * len(W))
+
+
+def _range_rows(X):
+    """Each column's ``RANGE_ROWS`` (or all n) lowest rows and highest
+    rows, as two p x K index arrays, unordered within each."""
+    n = len(X)
+    K = min(RANGE_ROWS, n)
+    return (np.array([np.argpartition(x, K - 1)[:K] for x in X.T]),
+            np.array([np.argpartition(x, n - K)[n - K:] for x in X.T]))
+
+
+def _supported_ranges(X, support, low, high):
+    """Each column's (min, max) over each resample's rows (``support``,
+    G x n), as two G x p arrays, from the column's lowest and highest
+    rows (``_range_rows``): a resample that holds one of them has its
+    extreme among them, since every other row lies beyond them; one that
+    holds none is reduced over all its rows."""
+    cols = np.arange(X.shape[1])[:, None]
+    out = []
+    for idx, reduce, fill in ((low, np.min, np.inf), (high, np.max, -np.inf)):
+        held = support[:, idx]                              # G x p x K
+        ends = reduce(np.where(held, X[idx, cols], fill), axis=2)
+        for b, j in zip(*np.nonzero(~held.any(axis=2))):
+            ends[b, j] = reduce(X[support[b], j])
+        out.append(ends)
+    return out
+
+
+def _from_starts(loop, data, starts, dms) -> list:
+    """The fits of one group, one entry per member in member order:
+    ``data`` holds the group's per-member arrays (a stack's ``X.T`` and
+    outcomes, say), ``starts`` each member's start (p coefficients) or the
+    error found before iterating, which is its entry, and ``dms`` each
+    member's ``DesignMatrix`` or None.  The members with a start share one
+    ``loop(data, beta, dms)`` over their rows of ``data``, which returns
+    {row: FitResult or exception}."""
     fits = [s if isinstance(s, Exception) else None for s in starts]
     rows = np.flatnonzero([fit is None for fit in fits])
     if rows.size:
         beta = np.stack([starts[i] for i in rows])[..., None]
-        out = loop(_rows(Xt, rows), _rows(y, rows), beta, [members[i][1] for i in rows])
+        out = loop([_rows(a, rows) for a in data], beta, [dms[i] for i in rows])
         for k, fit in out.items():
             fits[rows[k]] = fit
     return fits
 
 
-def _newton(Xt, y, beta, dms) -> dict:
-    """Damped Newton on a stack from the starting points ``beta``; ``dms``
-    holds each row's ``DesignMatrix`` or None.  A row whose start puts its
-    linear predictor above ``ETA_MAX`` (or at NaN) gets ``Overflow``
-    before the first step.
+class _Designs:
+    """``_newton``'s kernels on a stack of designs, ``data`` = (Xt, y):
+    the B x p x n stack of ``X.T`` and the B x n x 1 outcomes.  Scores and
+    Jacobians are ``ee_score`` and ``ee_jacobian``, looked up when called,
+    so a wrapper installed on this module counts them."""
+
+    @staticmethod
+    def eta(data, beta):
+        return _t(data[0]) @ beta
+
+    @staticmethod
+    def score(data, beta, mu):
+        return ee_score(_t(data[0]), data[1], beta, mu=mu)
+
+    @staticmethod
+    def jacobian(data, beta, mu):
+        return ee_jacobian(_t(data[0]), data[1], beta, mu=mu)
+
+    @staticmethod
+    def refuse(data, beta):
+        """An overflowing candidate still goes through ``ee_score``, which
+        raises ``Overflow`` for it, so that ``ee_score`` sees every
+        candidate."""
+        _captured(ee_score, _t(data[0]), data[1], beta)
+
+    @staticmethod
+    def finish(data, beta, mu, jac):
+        """(sandwiches, {row: exception}, fitted means, counts of means
+        above 1) of converged rows, from their final Jacobians."""
+        Xt, y = data
+        cov, failed = _by_row(sandwich_covariance, jac, _t(Xt), y, beta, mu, jac)
+        return cov, failed, mu[:, :, 0], (mu > 1.0).sum(axis=(1, 2))
+
+
+class _Weighted:
+    """``_newton``'s kernels on a group of G resamples of one design, each
+    the design's n rows with frequency weights: ``data`` = (W, held), the
+    G x n x 1 counts and 1.0 on the rows a resample holds (W > 0), 0.0 on
+    the others.
+
+    A linear predictor above ETA_MAX, or NaN, is set to ETA_MAX + 1, which
+    refuses the same candidates; then a row a resample does not hold gets
+    0, so it can neither overflow nor, with weight 0, enter a sum.  (A
+    masked write or -inf there costs several times the exp() of the
+    group.)  Each sum over rows is a product with the shared ``X``: the
+    linear predictors (G x p by p x n), the scores X'(W (y - mu)), and the
+    Jacobians and the meats
+    sum_i w_i v_i x_i x_i' as products with Z, the n x p(p+1)/2 column
+    products x_ij x_ik (j <= k), formed once, for n <= ``BLOCK_ROWS``.
+    Above it Z is not formed (it would hold p(p+1)/2 columns of n rows, and
+    a row block of it formed anew per product costs more than it saves on
+    groups of at most 7): each resample's sums are ``_gram``'s, by row
+    blocks, as a one-design fit's.  The sums are those of the gathered
+    resample in another order, so a fit moves in its last bits only.
+    """
+
+    def __init__(self, X, y):
+        self.X, self.y = X, y[:, None]
+        self.pairs = j, k = np.triu_indices(X.shape[1])
+        self.Z = X[:, j] * X[:, k] if len(row_blocks(len(X))) == 1 else None
+
+    def _sums(self, v):
+        """sum_i v_gi x_i x_i' of each resample g, from v (G x n x 1)."""
+        if self.Z is None:
+            return _gram(np.broadcast_to(self.X, (len(v), *self.X.shape)), v)
+        p = self.X.shape[1]
+        out = np.empty((len(v), p, p))
+        j, k = self.pairs
+        out[:, j, k] = out[:, k, j] = v[:, :, 0] @ self.Z
+        return out
+
+    def eta(self, data, beta):
+        eta = (beta[:, :, 0] @ self.X.T)[:, :, None]
+        np.fmin(eta, ETA_MAX + 1.0, out=eta)
+        eta *= data[1]
+        return eta
+
+    def score(self, data, beta, mu):
+        return ((data[0] * (self.y - mu))[:, :, 0] @ self.X)[:, :, None]
+
+    def jacobian(self, data, beta, mu):
+        return -self._sums(data[0] * mu)
+
+    def refuse(self, data, beta):
+        pass
+
+    def finish(self, data, beta, mu, jac):
+        W = data[0]
+        meat = self._sums(W * (self.y - mu) ** 2)
+        cov, failed = _by_row(lambda j, m: _sandwich(-j, m), jac, jac, meat)
+        return cov, failed, [None] * len(W), (W * (mu > 1.0)).sum(axis=(1, 2))
+
+
+def _newton(kern, data, beta, dms) -> dict:
+    """Damped Newton on a group from the starting points ``beta``, with
+    the group's kernels ``kern`` (``_Designs`` for a stack of designs,
+    ``_Weighted`` for resamples of one design) and its per-row arrays
+    ``data``; ``dms`` holds each row's ``DesignMatrix`` or None.  A row
+    whose start puts its linear predictor above ``ETA_MAX`` (or at NaN)
+    gets ``Overflow`` before the first step.
 
     Returns {row: FitResult or exception}; rows are positions in the given
-    stack.  The Jacobian computed after each step serves the next step, and
+    group.  The Jacobian computed after each step serves the next step, and
     is the final Jacobian of a row that has just converged, which
     ``_converged`` finishes from it.  A row whose Newton solve fails or
     gives a non-finite step gets ``SingularJacobian`` from its
     conditioning, or else keeps the solve's ``LinAlgError``.  A row
     unconverged after MAX_ITER steps gets ``NonConvergence`` and no further
-    Jacobian.  Finished and failed rows leave the stack, which is then
-    gathered anew from ``Xt``.
+    Jacobian.  Finished and failed rows leave the group, whose arrays are
+    then gathered anew.
     """
-    rows = np.arange(len(Xt))
+    rows = np.arange(len(beta))
     out = {}
     # An ``_initial_beta`` start has x_i beta = log(max(ybar, 1/(2n))) <= 0,
     # or 0; a caller's start may overflow, and that row fails here.
-    eta = _t(Xt) @ beta
+    eta = kern.eta(data, beta)
     below = eta <= ETA_MAX      # False for NaN too
     if not below.all():
         over = ~below.all(axis=(1, 2))
         out = {r: Overflow("linear predictor overflow at the start") for r in rows[over]}
-        Xt, y, beta, eta, rows = (a[~over] for a in (Xt, y, beta, eta, rows))
+        *data, beta, eta, rows = (a[~over] for a in (*data, beta, eta, rows))
         if not len(rows):
             return out
     mu = np.exp(eta)
-    score = ee_score(_t(Xt), y, beta, mu=mu)
+    score = kern.score(data, beta, mu)
     norm = np.abs(score).max(axis=(1, 2))       # ||score||_inf per row
-    tol = SCORE_TOL * Xt.shape[2]
-    jac = ee_jacobian(_t(Xt), y, beta, mu=mu)
+    tol = SCORE_TOL * eta.shape[1]
+    jac = kern.jacobian(data, beta, mu)
 
     for iterations in range(1, MAX_ITER + 1):
         delta, failed = _by_row(lambda j, s: np.linalg.solve(-j, s), score, jac, score)
@@ -477,11 +674,11 @@ def _newton(Xt, y, beta, dms) -> dict:
             _, bad = _by_row(_check_conditioning, norm[at], jac[at])
             failed.update({at[k]: exc for k, exc in bad.items()})
 
-        step = np.ones((len(Xt), 1, 1))
+        step = np.ones((len(rows), 1, 1))
         (beta, mu, score, norm), exhausted = _step_search(
-            Xt, (beta, mu, score, norm), delta, step,
-            np.flatnonzero(_without(len(Xt), failed)),
-            partial(_score_falls, Xt, y, norm, tol))
+            (beta, mu, score, norm), delta, step,
+            np.flatnonzero(_without(len(rows), failed)),
+            partial(_score_falls, kern, data, norm, tol))
         for k in exhausted:
             failed[k] = Overflow("step halving exhausted without progress")
         # A failed row gets an infinite norm, so it never counts as converged.
@@ -496,40 +693,39 @@ def _newton(Xt, y, beta, dms) -> dict:
         if failed:
             out.update({rows[k]: exc for k, exc in failed.items()})
             keep = _without(len(rows), failed)
-            Xt, y, beta, mu, score, norm, rows, converged = (
-                a[keep] for a in (Xt, y, beta, mu, score, norm, rows, converged))
+            *data, beta, mu, score, norm, rows, converged = (
+                a[keep] for a in (*data, beta, mu, score, norm, rows, converged))
             if not len(rows):
                 break
 
-        jac = ee_jacobian(_t(Xt), y, beta, mu=mu)
+        jac = kern.jacobian(data, beta, mu)
         if converged.any():
             at = np.flatnonzero(converged)
-            out.update(_converged(*(_rows(a, at) for a in (
-                rows, Xt, y, beta, mu, jac, norm)), iterations, dms))
+            out.update(_converged(_rows(rows, at), kern, [_rows(a, at) for a in data], *(
+                _rows(a, at) for a in (beta, mu, jac, norm)), iterations, dms))
             if len(at) == len(rows):
                 break
             keep = ~converged
-            Xt, y, beta, mu, score, norm, rows, jac = (
-                a[keep] for a in (Xt, y, beta, mu, score, norm, rows, jac))
+            *data, beta, mu, score, norm, rows, jac = (
+                a[keep] for a in (*data, beta, mu, score, norm, rows, jac))
     return out
 
 
-def _converged(rows, Xt, y, beta, mu, jac, norm, iterations, dms) -> dict:
-    """{row: FitResult or exception} of the given converged rows of a stack,
+def _converged(rows, kern, data, beta, mu, jac, norm, iterations, dms) -> dict:
+    """{row: FitResult or exception} of the given converged rows of a group,
     from their final Jacobians ``jac``: their conditioning and their
-    sandwich.  A row whose conditioning is above ``COND_MAX`` gets
-    ``SingularJacobian``, whatever its sandwich gave."""
+    sandwich (``kern.finish``).  A row whose conditioning is above
+    ``COND_MAX`` gets ``SingularJacobian``, whatever its sandwich gave."""
     cond, ill = _by_row(_check_conditioning, norm, jac)
-    cov, failed = _by_row(sandwich_covariance, jac, _t(Xt), y, beta, mu, jac)
+    cov, failed, mu_hat, n_mu_gt1 = kern.finish(data, beta, mu, jac)
     failed.update(ill)
-    n_mu_gt1 = (mu > 1.0).sum(axis=(1, 2))
     return {r: failed[k] if k in failed else FitResult(
         beta=beta[k, :, 0],
         cov_sandwich=cov[k],
         converged=True,
         iterations=iterations,
         max_abs_score=float(norm[k]),
-        mu_hat=mu[k, :, 0],
+        mu_hat=mu_hat[k],
         n_mu_gt1=int(n_mu_gt1[k]),
         condition_estimate=float(cond[k]),
         design=dms[r],
@@ -550,29 +746,27 @@ def _rows(a, rows):
     return a if len(rows) == len(a) else a[rows]
 
 
-def _step_search(Xt, iterate, delta, step, rows, accept):
-    """The damped steps of the given rows (positions) of a stack: the one
+def _step_search(iterate, delta, step, rows, accept):
+    """The damped steps of the given rows (positions) of a group: the one
     step search of robust Poisson's Newton loop and the log-barrier loop.
 
     ``iterate`` is a tuple of plain per-row arrays, beta first: robust
     Poisson's (beta, mu, score, norm) or the barrier's (beta, eta, s,
     loglik, logbar).  A row tries beta + step * delta, halving
     its ``step`` (B x 1 x 1) in place after each refusal, MAX_HALVINGS
-    times at most.  ``accept(rows, candidate, X, eta)`` judges the
-    candidates of some rows, with X their designs and eta = X @ candidate:
-    it returns the rows it tried, a mask of those it
-    accepts and their iterate, like ``iterate``.  Returns (iterate, the
-    rows that accepted no step).  When every row of the stack takes its
-    first step, the iterate is that step's; otherwise each accepted row is
-    written into ``iterate``, and the other rows keep their values there.
+    times at most.  ``accept(rows, candidate)`` judges the candidates of
+    some rows: it returns the rows it tried, a mask of those it accepts
+    and their iterate, like ``iterate``.  Returns (iterate, the rows that
+    accepted no step).  When every row of the group takes its first step,
+    the iterate is that step's; otherwise each accepted row is written
+    into ``iterate``, and the other rows keep their values there.
     """
     for _ in range(MAX_HALVINGS + 1):
         if not rows.size:
             break
         candidate = _rows(iterate[0], rows) + _rows(step, rows) * _rows(delta, rows)
-        X = _t(_rows(Xt, rows))
-        tried, ok, new = accept(rows, candidate, X, X @ candidate)
-        if len(tried) == len(Xt) and ok.all():
+        tried, ok, new = accept(rows, candidate)
+        if len(tried) == len(iterate[0]) and ok.all():
             return new, rows[:0]
         took = tried[ok]
         for old, value in zip(iterate, new):
@@ -582,22 +776,23 @@ def _step_search(Xt, iterate, delta, step, rows, accept):
     return iterate, rows
 
 
-def _score_falls(Xt, y, norm, tol, rows, candidate, X, eta):
+def _score_falls(kern, data, norm, tol, rows, candidate):
     """Robust Poisson's test for ``_step_search``: a candidate is accepted
     when its ||score||_inf is below its row's ``norm``, or ``norm`` is below
-    ``tol``.  A candidate whose eta exceeds ETA_MAX is refused; it still
-    goes through ee_score, which raises Overflow for it, so that ee_score
-    sees every candidate.  The iterate is (beta, mu, score, ||score||_inf).
+    ``tol``.  A candidate whose eta exceeds ETA_MAX is refused
+    (``kern.refuse``).  The iterate is (beta, mu, score, ||score||_inf).
     """
+    part = [_rows(a, rows) for a in data]
+    eta = kern.eta(part, candidate)
     if (eta > ETA_MAX).any():
         over = (eta > ETA_MAX).any(axis=(1, 2))
-        _captured(ee_score, _t(Xt[rows[over]]), y[rows[over]], candidate[over])
+        kern.refuse([a[rows[over]] for a in data], candidate[over])
         rows, candidate, eta = rows[~over], candidate[~over], eta[~over]
         if not rows.size:
             return rows, over[:0], ()
-        X = _t(Xt[rows])
+        part = [a[rows] for a in data]
     mu = np.exp(eta)
-    score = ee_score(X, _rows(y, rows), candidate, mu=mu)
+    score = kern.score(part, candidate, mu)
     max_score = np.abs(score).max(axis=(1, 2))
     start = _rows(norm, rows)
     return rows, (max_score < start) | (start < tol), (candidate, mu, score, max_score)
@@ -616,7 +811,12 @@ def sandwich_covariance(X, y, beta, mu=None, jac=None) -> np.ndarray:
     mu = _mu(X, beta) if mu is None else mu
     r = y - mu
     bread = _gram(X, mu) if jac is None else -jac
-    meat = _gram(X, r**2)
+    return _sandwich(bread, _gram(X, r**2))
+
+
+def _sandwich(bread, meat) -> np.ndarray:
+    """B^{-1} W B^{-T} of each (bread, meat) pair of a stack, symmetrized;
+    ``SingularBread`` where a bread has no inverse."""
     try:
         binv = np.linalg.inv(bread)
     except np.linalg.LinAlgError:

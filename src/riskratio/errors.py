@@ -85,6 +85,11 @@ class NonFiniteStandardization(RiskRatioError):
     """Overflow while standardizing fitted means over the sample."""
 
 
+class DegenerateInterval(RiskRatioError):
+    """An estimate's interval is not finite with positive width, so the
+    data do not identify the ratio it reports."""
+
+
 class TooManyFailures(RiskRatioError):
     def __init__(self, failed, total):
         super().__init__(f"{failed}/{total} bootstrap resamples failed to fit")

@@ -1,19 +1,24 @@
 """Fitting by method name, and risk-ratio estimands and intervals.
 
 ``FIT_METHODS`` holds one record per method name (``FitMethod``): its
-one-design fitter, its stacked fitter and whether it takes a start.  The
-CLI and the bootstrap fit through the record's ``fit``; the study runner
-through ``fit_each``, which fits many designs at once through its
-``fit_stack`` and turns each fit's raised error into an entry of its list
-(``eecore._captured``).  Every method shares the input rules of
-``eecore._in_stacks``.
+one-design fitter, its stacked fitter and its own path for bootstrap
+resamples, where it has one.  The CLI fits through the record's ``fit``,
+and bootstraps through ``bootstrap_rr`` with the record as the fitter:
+robust Poisson's resamples are frequency weights over the sample's one
+design (``warm``), the log-binomial ones are refitted one at a time.  The
+study runner fits through ``fit_each``, which fits many designs at once
+through the record's ``fit_stack`` and turns each fit's raised error into
+an entry of its list (``eecore._captured``).  Every method shares the
+input rules of ``eecore._in_stacks``.
 
 Two estimands: the exponentiated coefficient (conditional RR from the
 log-linear model) and the standardized marginal RR obtained by averaging
 model-predicted risks over the estimation sample with the exposure forced
 to each level (g-computation).  Intervals are Wald on the log scale, with
 the delta method for the standardized estimand, plus a percentile
-bootstrap cross-check.
+bootstrap cross-check, whose aggregation (percentiles, the 20% failure
+rule, the ``RREstimate``) is one for a caller's fitter and a method's
+own resample path.
 
 ``marginal_rr_stack`` standardizes many fits at once, as a study does for
 a block of replications: fits whose designs share a shape are one
@@ -40,7 +45,9 @@ from .data import Dataset
 from .design import (
     DesignMatrix, force_exposure, realize, row_blocks, shape_key, stacked,
 )
-from .eecore import ETA_MAX, FitResult, _captured, _fit_stack, _in_stacks, fit_robust_poisson
+from .eecore import (
+    ETA_MAX, FitResult, _captured, _fit_resamples, _fit_stack, _in_stacks, fit_robust_poisson,
+)
 from .errors import (
     FitFailed,
     NonFiniteStandardization,
@@ -82,16 +89,24 @@ class FitMethod(NamedTuple):
     """What the package knows of one fit method.
 
     ``fit(design, y)`` fits one design: a converged ``FitResult``, or it
-    raises (``FitFailed`` for an unconverged log-binomial fit).
+    raises (``FitFailed`` for an unconverged log-binomial fit); robust
+    Poisson's also takes ``start=``, p coefficients to start from.
     ``fit_stack(designs, ys)`` fits many: one raw ``FitResult`` or
     exception per design, each what the method's one-design fitter returns
-    or raises on it alone.  ``warm`` is True where ``fit`` takes
-    ``start=``, p coefficients to start from (robust Poisson).  A design
-    resample's rows are rows of the sample, so the sample's estimate is
-    finite and below ``ETA_MAX`` on each of them, and each resample starts
-    near its own root: fewer Newton iterations than from
-    ``_initial_beta``, with the same estimates to within the convergence
-    tolerances.  A resample without a finite root fails from either start.
+    or raises on it alone.
+
+    ``warm(design, start, draws)`` is the method's own path for bootstrap
+    resamples of a built design, where it has one (robust Poisson:
+    ``eecore._fit_resamples``, each resample the design's rows with
+    frequency weights, fitted in groups over its one ``X``): per draw of
+    row indices, the fit or exception of that resample, started from
+    ``start``, the full-sample estimate.  A resample's rows are rows of
+    the sample, so that estimate is finite and below ``ETA_MAX`` on each
+    of them, and each resample starts near its own root: fewer Newton
+    iterations than from ``_initial_beta``, with the same estimates to
+    within the convergence tolerances.  A resample without a finite root
+    fails from either start.  The log-binomial loops take no weights;
+    their resamples are fitted one at a time by ``fit``.
 
     ``fit`` calls the method's one-design fitter rather than ``fit_stack``
     on a stack of one, and ``logbin-ml``'s ``fit_stack`` calls it per
@@ -102,13 +117,13 @@ class FitMethod(NamedTuple):
 
     fit: Callable
     fit_stack: Callable
-    warm: bool = False
+    warm: Callable | None = None
 
 
 FIT_METHODS = {
     "robust-poisson": FitMethod(
         lambda design, y, **start: fit_robust_poisson(design, y, **start),
-        partial(_in_stacks, _fit_stack), warm=True),
+        partial(_in_stacks, _fit_stack), warm=_fit_resamples),
     "logbin-ml": FitMethod(
         lambda design, y: _usable("logbin-ml", fit_logbin_ml(design, y)),
         lambda designs, ys: [_captured(fit_logbin_ml, design, y)
@@ -142,19 +157,22 @@ def _wald(estimand: str, log_rr: float, var, method: str, level: float) -> RREst
 
     A variance below zero, an exact zero lost to rounding, gives a NaN
     standard error and interval, which every caller treats as a failed fit.
+    An end beyond the float range is inf, without a warning; ``riskratio
+    fit`` refuses such an interval.
     """
     se = float(np.sqrt(var)) if var >= 0 else np.nan
     z = _z(level)
-    return RREstimate(
-        estimand=estimand,
-        log_rr=log_rr,
-        se_log_rr=se,
-        rr=float(np.exp(log_rr)),
-        ci_low=float(np.exp(log_rr - z * se)),
-        ci_high=float(np.exp(log_rr + z * se)),
-        method=method,
-        level=level,
-    )
+    with np.errstate(over="ignore"):
+        return RREstimate(
+            estimand=estimand,
+            log_rr=log_rr,
+            se_log_rr=se,
+            rr=float(np.exp(log_rr)),
+            ci_low=float(np.exp(log_rr - z * se)),
+            ci_high=float(np.exp(log_rr + z * se)),
+            method=method,
+            level=level,
+        )
 
 
 def coefficient_rr(fit: FitResult, j: int, level: float = 0.95) -> RREstimate:
@@ -282,31 +300,46 @@ def bootstrap_rr(
 ) -> RREstimate:
     """Nonparametric percentile bootstrap of any scalar RR estimand.
 
-    ``sample`` is a ``Dataset`` or a built ``DesignMatrix``; each resample
-    is ``sample.take(idx)``, for a design the rows of its matrix, equal to
-    a rebuild from the resampled data.  ``fitter(sample) -> fit`` and
-    ``estimand(fit, sample) -> RREstimate`` are re-run on each resample;
-    one that raises, a design resample with a constant column included,
-    counts as failed.  ``fit`` is the caller's fit of the full sample:
-    the point estimate is ``estimand(fit, sample)``, without a refit.
-    ``fitter`` may start each resample's fit from ``fit``, as the CLI does
-    where the method is ``warm`` (``FitMethod``); the resample estimates
-    then agree with cold-started ones to within the fitter's convergence
-    tolerances, in practice in the last bits.  Deterministic given
-    ``seed``; resamples are aggregated in resample-index order.  More
-    than 20% failed re-fits raises ``TooManyFailures``.
+    ``sample`` is a ``Dataset`` or a built ``DesignMatrix``; resample b
+    draws the rows ``stream(seed, b).integers(0, n, size=n)``.  ``fit`` is
+    the caller's fit of the full sample: the point estimate is
+    ``estimand(fit, sample)``, without a refit.
+
+    ``fitter`` is the caller's own ``fitter(resample) -> fit``, re-run on
+    each resample ``sample.take(idx)``, for a design the rows of its
+    matrix, equal to a rebuild from the resampled data; ``estimand(fit,
+    resample)`` then gives its estimate.  Or it is a ``FIT_METHODS``
+    record, and ``sample`` a built design: the method's ``warm`` path
+    fits the resamples where it has one (robust Poisson: frequency
+    weights over the design's one ``X``, each started from ``fit``, with
+    the verdicts and, to within the convergence tolerances, the estimates
+    of a fit of ``sample.take(idx)``; in practice they move in their last
+    bits), else its ``fit`` fits each ``sample.take(idx)``.  No resample
+    is built on the ``warm`` path, so ``estimand`` gets None in its
+    place there and must read the fit alone, as a coefficient RR does.
+
+    A resample whose draw, fit or estimand raises a ``RiskRatioError`` or
+    ``LinAlgError`` (a design resample with a constant column included)
+    counts as failed.  Deterministic given ``seed``; resamples are
+    aggregated in resample-index order.  More than 20% failed resamples
+    raises ``TooManyFailures``.
     """
     if B < 100:
         raise ValueError("B must be at least 100")
     point = estimand(fit, sample)
+    draws = (stream(seed, b).integers(0, sample.n, size=sample.n) for b in range(B))
+    if isinstance(fitter, FitMethod) and fitter.warm:
+        fits = ((f, None) for f in fitter.warm(sample, fit.beta, draws))
+    else:
+        if isinstance(fitter, FitMethod):
+            record = fitter
+            fitter = lambda dm: record.fit(dm, dm.data.y)   # noqa: E731
+        fits = _resample_fits(fitter, sample, draws)
     log_rrs = np.full(B, np.nan)
-    for b in range(B):
-        idx = stream(seed, b).integers(0, sample.n, size=sample.n)
-        try:
-            resample = sample.take(idx)
-            log_rrs[b] = estimand(fitter(resample), resample).log_rr
-        except (RiskRatioError, np.linalg.LinAlgError):
-            continue
+    for b, (fit_b, resample) in enumerate(fits):
+        est = fit_b if isinstance(fit_b, Exception) else _captured(estimand, fit_b, resample)
+        if not isinstance(est, Exception):
+            log_rrs[b] = est.log_rr
     ok = np.isfinite(log_rrs)
     failed = int(B - ok.sum())
     if failed > 0.2 * B:
@@ -324,3 +357,13 @@ def bootstrap_rr(
         level=level,
         extra={"failed_resamples": failed},
     )
+
+
+def _resample_fits(fitter, sample, draws):
+    """(``fitter(resample)`` or the error it raised, resample) per draw,
+    the resample ``sample.take(idx)``; a draw whose ``take`` raises has
+    that error in both places."""
+    for idx in draws:
+        resample = _captured(sample.take, idx)
+        yield (resample if isinstance(resample, Exception)
+               else _captured(fitter, resample)), resample

@@ -56,7 +56,6 @@ from .eecore import (
     MAX_HALVINGS, FitResult, _alone, _by_row, _captured, _from_starts, _gram, _ones,
     _rows, _step_search, _t, _without,
 )
-from .design import column_ranges
 from .errors import InfeasiblePoint, NoFeasibleStart
 from . import eecore
 
@@ -164,12 +163,14 @@ def _truncate_step(eta, fall):
     return np.minimum(0.99 * room.min(axis=(1, 2), keepdims=True), 1.0)
 
 
-def feasible_start(X, y) -> np.ndarray:
+def feasible_start(X, y, ranges) -> np.ndarray:
     """Strictly feasible beta: intercept at log(ybar), or a boundary-shifted
-    robust Poisson fit when the design has no plain intercept column."""
+    robust Poisson fit when the design has no plain intercept column.
+    ``ranges`` are X's column minima and maxima (``design.column_ranges``),
+    which tell its intercepts."""
     n, p = X.shape
     ybar = float(np.mean(y))
-    ones = _ones(*column_ranges(X))
+    ones = _ones(*ranges)
     if ones.any():
         beta = np.zeros(p)
         if not 0.0 < ybar < 1.0:
@@ -235,11 +236,13 @@ def fit_logbin_ml(design, y) -> FitResult:
     raised.  The barrier fitter is the safeguarded alternative.  Input is
     taken as by every fitter (``eecore._in_stacks``), as a stack of one.
     """
-    return _alone(lambda members, *stack: [_ml(*m) for m in members], design, y)
+    return _alone(lambda members, Xt, y, ranges: [_ml(*m, r) for m, r in zip(members, ranges)],
+                  design, y)
 
 
-def _ml(X, dm, y) -> FitResult:
-    """``fit_logbin_ml`` of one design, past the input rules."""
+def _ml(X, dm, y, ranges) -> FitResult:
+    """``fit_logbin_ml`` of one design, past the input rules; ``ranges``
+    are its column minima and maxima."""
     n = X.shape[0]
     tol = GRAD_TOL * n
     ny = 1 - y
@@ -248,7 +251,7 @@ def _ml(X, dm, y) -> FitResult:
     mu = (y + 0.5) / 2.0
     eta = np.log(mu)
     beta = None
-    last_feasible = feasible_start(X, y)
+    last_feasible = feasible_start(X, y, ranges)
 
     for it in range(1, MAX_ITER + 1):
         w = mu / (1.0 - mu)          # (dmu/deta)^2 / var for the log link
@@ -315,9 +318,12 @@ def _barrier_stack(members, Xt, y, ranges) -> list:
     """The barrier method on one group of ``eecore._in_stacks``: each
     design starts from its own ``feasible_start``, and the designs that
     have one share one barrier loop (``_barrier``, through
-    ``eecore._from_starts``)."""
-    return _from_starts(_barrier, members, Xt, y,
-                        [_captured(feasible_start, X, y1) for X, _, y1 in members])
+    ``eecore._from_starts``), from the column ranges ``_in_stacks``
+    holds."""
+    return _from_starts(lambda data, beta, dms: _barrier(*data, beta, dms), (Xt, y),
+                        [_captured(feasible_start, X, y1, r)
+                         for (X, _, y1), r in zip(members, ranges)],
+                        [dm for _, dm, _ in members])
 
 
 def _barrier(Xt, y, beta, dms) -> dict:
@@ -392,8 +398,8 @@ def _barrier(Xt, y, beta, dms) -> dict:
             alpha[list(lstsq_failed)] = 0.0
         moving = alpha[:, 0, 0] > 1e-16
         (beta, eta, s, loglik, logbar), stuck = _step_search(
-            Xt, (beta, eta, s, loglik, logbar), delta, alpha,
-            np.flatnonzero(moving), partial(_objective_holds, y, ny, obj - 1e-12, t))
+            (beta, eta, s, loglik, logbar), delta, alpha,
+            np.flatnonzero(moving), partial(_objective_holds, Xt, y, ny, obj - 1e-12, t))
         step = np.abs(alpha * delta).max(axis=(1, 2))
         gnorm = np.abs(grad).max(axis=(1, 2))
         # A NaN step, gradient norm or decrement ends no stage; a design that
@@ -432,12 +438,13 @@ def _solve_definite(neg, grad):
     return np.linalg.solve(neg, grad)
 
 
-def _objective_holds(y, ny, floor, t, rows, candidate, X, eta):
+def _objective_holds(Xt, y, ny, floor, t, rows, candidate):
     """The barrier's test for ``eecore._step_search``: a candidate is
     accepted when it is strictly feasible and its barrier objective at
     ``t`` is at least ``floor``, its row's current one less 1e-12.  The
     iterate is (beta, eta, s, loglik, logbar): beta and the arrays of
     ``_iterate``."""
+    eta = _t(_rows(Xt, rows)) @ candidate
     if not eta.max() < 0:
         # Leave out a candidate with some eta >= 0; one with a NaN eta is
         # tried, and fails on its objective.

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from riskratio import logbin
-from riskratio.design import build_design_matrix
+from riskratio.design import build_design_matrix, column_ranges
 from riskratio.design import DEFAULT_KNOT_QUANTILES
 from riskratio.errors import InfeasiblePoint, NonIncreasingKnots, RiskRatioError
 from riskratio.rng import stream
@@ -126,7 +126,7 @@ def barrier_reference(X, y, tight=False):
         s = -np.expm1(eta)
         return eta, s, float(np.sum(y * eta + ny * np.log(s))), np.sum(np.log(-eta))
 
-    beta = logbin.feasible_start(X, y)
+    beta = logbin.feasible_start(X, y, column_ranges(X))
     eta = X @ beta
     if np.any(eta > 0):
         raise InfeasiblePoint("some x_i'beta > 0")

@@ -562,3 +562,30 @@ class TestExitCodes:
         ]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: no finite solution")
+
+    @pytest.mark.parametrize("method, outcome, estimand", [
+        ("logbin-ml", "0 wherever A = 1", "coefficient RR of A: interval (0, inf)"),
+        ("robust-poisson", "1 on every row", "coefficient RR of A: interval (1, 1)"),
+    ])
+    def test_degenerate_interval_exits_4(self, tmp_path, capsys, method, outcome, estimand):
+        # 200 rows, A 0/1 and L normal.  The log-binomial ML fit "converges"
+        # to a log-RR of about -37 with an SE of about 2e7, whose upper end
+        # overflows; every robust-Poisson residual is 0, so the sandwich
+        # is 0.  Neither interval is finite with positive width.
+        rng = stream(84, 0)
+        a = (rng.random(200) < 0.5) * 1.0
+        y = {"0 wherever A = 1": (rng.random(200) < 0.3) * (1 - a),
+             "1 on every row": np.ones(200)}[outcome]
+        path = tmp_path / "probe.csv"
+        path.write_text("y,A,L\n" + "".join(
+            f"{yi:g},{ai:g},{li:.17g}\n"
+            for yi, ai, li in zip(y, a, rng.standard_normal(200))))
+        args = ["fit", "--csv", str(path), "--outcome", "y", "--exposure", "A",
+                "--spec", "1 + A + L", "--method", method, "--estimand", "both"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*args, "--format", "machine"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {estimand} is not finite with positive "
+                                "width; the data do not identify it\n")

@@ -703,13 +703,14 @@ def gram_kernels():
     Xs = [build_design_matrix(d, parse_spec(get_scenario("simple").rich_spec), "A").X
           for d in simple]
     ys = [d.y for d in simple]
-    start = feasible_start(Xs[0], ys[0])
+    start = feasible_start(Xs[0], ys[0], column_ranges(Xs[0]))
     stack = eecore._t(np.stack([x.T for x in Xs]))
     col = np.stack(ys)[:, :, None]
-    eta = stack @ np.stack([feasible_start(x, y1) for x, y1 in zip(Xs, ys)])[:, :, None]
+    eta = stack @ np.stack([feasible_start(x, y1, column_ranges(x))
+                          for x, y1 in zip(Xs, ys)])[:, :, None]
 
     def ml():
-        fit = logbin._ml(Xs[0], None, ys[0])
+        fit = logbin._ml(Xs[0], None, ys[0], column_ranges(Xs[0]))
         return fit.beta, fit.cov_sandwich, np.array([fit.iterations, fit.converged])
 
     return {

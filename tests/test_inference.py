@@ -24,9 +24,10 @@ from riskratio import (
     parse_spec,
 )
 from riskratio import design as design_module, eecore, inference, logbin
-from riskratio.design import build_design_stack, realize
+from riskratio.design import build_design_stack, column_ranges, realize
 from riskratio.errors import (
-    DataError, FitFailed, NonFiniteStandardization, RiskRatioError, TooManyFailures,
+    DataError, FitFailed, NonFiniteStandardization, RiskRatioError, SingularJacobian,
+    TooManyFailures,
 )
 from riskratio.rng import stream
 from riskratio.simlab import get_scenario
@@ -577,6 +578,123 @@ class TestWarmStart:
         monkeypatch.setattr(inference, "fit_robust_poisson", counted)
         FIT_METHODS["robust-poisson"].fit(design, design.data.y, start=fit.beta)
         assert len(calls) == 1 and calls[0]["start"] is fit.beta
+
+
+def sparse_design(rare_rows=3, exposed_events=3, twin_rows=0):
+    """60 rows: A alternates 0/1, L is normal and B, unless ``rare_rows``
+    is 0, is 1 on that many unexposed events, so a resample that draws
+    none of them has a constant B.  A = 1 has ``exposed_events`` events,
+    so a resample without them has no finite root.  With ``twin_rows``,
+    A2 equals A except on that many exposed events, where it is 0: a
+    resample without them has two equal columns, and an exactly singular
+    Jacobian."""
+    rng = stream(91, 0)
+    n = 60
+    a = (np.arange(n) % 2) * 1.0
+    y = np.zeros(n)
+    y[np.flatnonzero(a == 1)[:exposed_events]] = 1.0
+    y[np.flatnonzero(a == 0)[:12]] = 1.0
+    columns = {"A": a, "L": rng.standard_normal(n)}
+    spec = "1 + A + L"
+    if rare_rows:
+        columns["B"] = np.zeros(n)
+        columns["B"][np.flatnonzero(a == 0)[:rare_rows]] = 1.0
+        spec += " + B"
+    if twin_rows:
+        columns["A2"] = a.copy()
+        columns["A2"][np.flatnonzero(a == 1)[:twin_rows]] = 0.0
+        spec += " + A2"
+    return build_design_matrix(Dataset(y=y, columns=columns), parse_spec(spec), "A")
+
+
+class TestWeightedResamples:
+    """Robust Poisson's ``warm`` path fits each resample as the design's
+    rows with frequency weights, in groups over its one ``X``.  Each
+    resample gets the verdict of its gathered fit from the same start,
+    ``fit(design.take(idx), ..., start=)``, and a log-RR within 1e-12 of
+    it; a condition estimate of a singular Jacobian is rounding, so only
+    its class is compared."""
+
+    @staticmethod
+    def outcomes(design, B=100, seed=0):
+        record = FIT_METHODS["robust-poisson"]
+        fit = record.fit(design, design.data.y)
+        draws = [stream(seed, b).integers(0, design.n, size=design.n) for b in range(B)]
+        weighted = list(record.warm(design, fit.beta, iter(draws)))
+        gathered = [eecore._captured(lambda: record.fit(
+            design.take(idx), design.data.y[idx], start=fit.beta)) for idx in draws]
+        for w, g in zip(weighted, gathered):
+            if isinstance(g, Exception):
+                assert type(w) is type(g)
+                if not isinstance(g, SingularJacobian):
+                    assert str(w) == str(g)
+            else:
+                assert isinstance(w, FitResult) and w.design is None
+                np.testing.assert_allclose(w.beta[1], g.beta[1], rtol=1e-12, atol=0)
+        return sorted({type(g).__name__ for g in gathered})
+
+    def test_verdicts_and_estimates_per_resample(self):
+        assert self.outcomes(sparse_design()) == [
+            "DegenerateColumn", "FitResult", "NoFiniteSolution"]
+
+    def test_ranges_found_beyond_the_kept_rows(self, monkeypatch):
+        # With one kept row per column end most resamples lack it, and
+        # their ranges are reduced over all their rows.
+        monkeypatch.setattr(eecore, "RANGE_ROWS", 1)
+        assert self.outcomes(sparse_design()) == [
+            "DegenerateColumn", "FitResult", "NoFiniteSolution"]
+        X = sparse_design().X
+        support = stream(92, 0).random((40, X.shape[0])) < 0.5
+        for rows in (1, 3, 60):
+            monkeypatch.setattr(eecore, "RANGE_ROWS", rows)
+            lo, hi = eecore._supported_ranges(X, support, *eecore._range_rows(X))
+            for b, held in enumerate(support):
+                assert [lo[b].tolist(), hi[b].tolist()] == [
+                    r.tolist() for r in column_ranges(X[held])]
+
+    def test_failed_group_solve_falls_back_per_row(self, monkeypatch):
+        # The group's solve raises for the resamples without A2's rows,
+        # and is repeated row by row: they get SingularJacobian, the others
+        # their fits.
+        fallbacks = []
+        inner = eecore._by_row
+
+        def spy(fn, like, *stacks):
+            value, errors = inner(fn, like, *stacks)
+            if errors and len(like) > len(errors):
+                fallbacks.append(len(errors))
+            return value, errors
+
+        monkeypatch.setattr(eecore, "_by_row", spy)
+        design = sparse_design(rare_rows=0, exposed_events=8, twin_rows=2)
+        assert "SingularJacobian" in self.outcomes(design)
+        assert fallbacks
+
+    def test_row_blocks(self, monkeypatch):
+        # Above one row block, Z is formed a block at a time.
+        design = sparse_design()
+        monkeypatch.setattr(design_module, "BLOCK_ROWS", 16)
+        assert self.outcomes(design) == ["DegenerateColumn", "FitResult", "NoFiniteSolution"]
+
+    @pytest.mark.parametrize("rare_rows", [3, 1])
+    def test_bootstrap_equals_own_fitter(self, rare_rows):
+        # With B on one row, 37% of resamples miss it: more than 20% fail
+        # on both paths, with the same count.
+        design = sparse_design(rare_rows=rare_rows)
+        fit = fit_robust_poisson(design, design.data.y)
+        estimand = lambda f, dm: coefficient_rr(f, 1)   # noqa: E731
+        own = eecore._captured(bootstrap_rr, lambda dm: fit_robust_poisson(
+            dm, dm.data.y, start=fit.beta), design, estimand, fit, 200, 3)
+        weighted = eecore._captured(
+            bootstrap_rr, FIT_METHODS["robust-poisson"], design, estimand, fit, 200, 3)
+        if rare_rows == 1:
+            assert isinstance(own, TooManyFailures)
+            assert (type(weighted), str(weighted)) == (type(own), str(own))
+            return
+        assert 0 < own.extra["failed_resamples"] == weighted.extra["failed_resamples"]
+        for field in ("log_rr", "se_log_rr", "ci_low", "ci_high"):
+            np.testing.assert_allclose(getattr(weighted, field), getattr(own, field),
+                                       rtol=1e-12, err_msg=field)
 
 
 def _estimate_bits(est):

@@ -18,6 +18,7 @@ from riskratio import (
     parse_spec,
 )
 from riskratio import design, eecore, logbin
+from riskratio.design import column_ranges
 from riskratio.errors import FitFailed, InfeasiblePoint, NoFeasibleStart, RiskRatioError
 from riskratio.inference import FIT_METHODS, _usable, fit_each
 from riskratio.logbin import feasible_start
@@ -106,7 +107,7 @@ def test_barrier_iterate_matches_public_functions_bit_for_bit():
         data = generate("moderate", 500, rng=stream(706, r))
         X = build_design_matrix(data, terms, exposure="A").X
         y = data.y
-        beta = feasible_start(X, y) + rng.normal(scale=1e-3, size=X.shape[1])
+        beta = feasible_start(X, y, column_ranges(X)) + rng.normal(scale=1e-3, size=X.shape[1])
         eta = X @ beta
         assert np.max(eta) < 0
         t = 10.0 ** rng.uniform(-8, 0)
@@ -167,7 +168,7 @@ class TestMlFitter:
         fit = fit_logbin_ml(X, y)
         assert (fit.converged, fit.failure_reason, fit.iterations) == (
             False, "singular weighted least squares", 1)
-        assert fit.beta.tobytes() == feasible_start(X, y).tobytes()
+        assert fit.beta.tobytes() == feasible_start(X, y, column_ranges(X)).tobytes()
         with pytest.raises(FitFailed, match="logbin-ml failed: singular weighted"):
             FIT_METHODS["logbin-ml"].fit(X, y)
 
@@ -293,7 +294,7 @@ def test_feasible_start_with_more_columns_than_rows():
     # which cannot be made with p > n.
     X = stream(705, 0).standard_normal((2, 3))
     with pytest.raises(NoFeasibleStart):
-        feasible_start(X, np.array([1.0, 0.0]))
+        feasible_start(X, np.array([1.0, 0.0]), column_ranges(X))
 
 
 def fit_digest(fit):
@@ -449,7 +450,8 @@ class TestStack:
         # start with some x_i'beta > 0 fails before the first step, and the
         # other design of the stack fits as it does alone.
         (_, X0, y0), (_, X1, y1) = mixed_stack()[:2]
-        beta = np.stack([feasible_start(X0, y0), feasible_start(X1, y1)])
+        beta = np.stack([feasible_start(X0, y0, column_ranges(X0)),
+                         feasible_start(X1, y1, column_ranges(X1))])
         beta[0, 0] = 0.5
         assert (X0 @ beta[0]).max() > 0
         out = logbin._barrier(np.stack([X0.T, X1.T]), np.stack([y0, y1])[:, :, None],
@@ -515,9 +517,9 @@ class TestStepSearch:
         eta, s, loglik, logbar = logbin._iterate(y, 1 - y, eecore._t(Xt) @ beta)
         before = loglik + t * logbar
         step = np.ones((len(Xt), 1, 1))
-        accept = partial(logbin._objective_holds, y, 1 - y, before - 1e-12, t)
+        accept = partial(logbin._objective_holds, Xt, y, 1 - y, before - 1e-12, t)
         iterate, stuck = eecore._step_search(
-            Xt, (beta.copy(), eta, s, loglik, logbar), delta, step,
+            (beta.copy(), eta, s, loglik, logbar), delta, step,
             np.arange(len(Xt)), accept)
         return iterate, step, stuck, before
 
@@ -562,6 +564,6 @@ def test_both_starts_find_the_same_intercept():
     X = np.column_stack([first, np.ones(n), np.ones(n), rng.standard_normal(n)])
     y = (rng.random(n) < 0.3).astype(float)
     initial = eecore._initial_beta(np.array([design.column_ranges(X)]), y[None, :, None])[0]
-    for start in (initial, feasible_start(X, y)):
+    for start in (initial, feasible_start(X, y, column_ranges(X))):
         assert np.flatnonzero(start).tolist() == [1]
-    assert feasible_start(X, y)[1] == np.log(y.mean())
+    assert feasible_start(X, y, column_ranges(X))[1] == np.log(y.mean())
